@@ -73,8 +73,9 @@ func BenchmarkTable1(b *testing.B) {
 	b.ReportMetric(a.OverallPctMalicious()*100, "%malicious")
 }
 
-// BenchmarkAnalyzeParallel measures the sharded analysis pipeline across
-// worker counts with the verdict cache on and off. The cache hit rate is
+// BenchmarkAnalyzeParallel measures the study engine over recorded
+// crawls (Analyzer.Analyze) across worker counts with the verdict cache
+// on and off. The cache hit rate is
 // reported as a custom metric; rotation re-surfs the same entry URLs, so
 // a healthy run shows a substantial %cache-hit.
 func BenchmarkAnalyzeParallel(b *testing.B) {
@@ -432,13 +433,13 @@ func BenchmarkAblationNesting(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamingStudy measures the bounded-memory streaming pipeline
-// end to end as the crawl grows (scale 20 ≈ 50k URLs up to scale 5 ≈
-// 200k URLs). The custom alloc-B/record metric is the regression guard
-// for the streaming memory model: it must stay roughly flat as the
-// record count quadruples — allocation proportional to the stream, with
-// no O(total-URLs) resident set. Compare with the batch path, whose
-// per-record cost grows with retained records, HAR logs and verdicts.
+// BenchmarkStreamingStudy measures the study engine over a live crawl
+// (Study.RunStream) end to end as the crawl grows (scale 20 ≈ 50k URLs
+// up to scale 5 ≈ 200k URLs). The custom alloc-B/record metric is the
+// regression guard for the engine's memory model: it must stay roughly
+// flat as the record count quadruples — allocation proportional to the
+// stream, with no O(total-URLs) resident set. Compare with Study.Run,
+// whose per-record cost grows with the retained records and HAR logs.
 func BenchmarkStreamingStudy(b *testing.B) {
 	for _, scale := range []int{20, 10, 5} {
 		b.Run(fmt.Sprintf("scale-%d", scale), func(b *testing.B) {
@@ -453,7 +454,7 @@ func BenchmarkStreamingStudy(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cfg.Seed = uint64(i) + 1
-				st, err := core.RunStudyStream(cfg, core.StreamOptions{})
+				st, err := core.RunStudyStream(cfg, core.RunOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -519,7 +520,7 @@ func BenchmarkLongitudinalStudy(b *testing.B) {
 	}
 }
 
-// BenchmarkShardMerge measures the fleet shard-merge path end to end:
+// BenchmarkShardMerge measures the shard-merge path end to end:
 // decode every shard checkpoint of a multi-exchange study and fold them
 // into one Analysis. The records/sec throughput is the BENCH-guarded
 // number (a floor, via min_benchmarks) — merge cost is what bounds how
@@ -530,10 +531,9 @@ func BenchmarkShardMerge(b *testing.B) {
 	cfg.Seed = 1
 	cfg.Scale = 300
 	cfg.DriveShortenerTraffic = false
+	cfg.Workers = 4
 	dir := b.TempDir()
-	st, err := core.RunStudyFleet(cfg, core.FleetOptions{
-		Fleet: 4, ShardDir: dir, KeepShards: true,
-	})
+	st, err := core.RunStudyStream(cfg, core.RunOptions{CheckpointDir: dir, KeepShards: true})
 	if err != nil {
 		b.Fatal(err)
 	}

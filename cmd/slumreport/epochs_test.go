@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -33,6 +34,27 @@ func TestRunEpochsDeltaMatchesFull(t *testing.T) {
 	}
 }
 
+// TestRunEpochsWorkerInvariance: a multi-epoch study prints the same
+// bytes for every worker count, with or without per-epoch checkpoint
+// directories, and leaves no epoch checkpoints behind.
+func TestRunEpochsWorkerInvariance(t *testing.T) {
+	args := []string{"-scale", "1500", "-seed", "3", "-epochs", "2", "-churn", "0.4", "-blacklist-lag", "1"}
+	var two, three bytes.Buffer
+	if err := run(append([]string{"-workers", "2"}, args...), &two); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := run(append([]string{"-workers", "3", "-checkpoint", dir, "-checkpoint-every", "50"}, args...), &three); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(two.Bytes(), three.Bytes()) {
+		t.Error("multi-epoch output depends on the worker count or checkpointing")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "epoch*")); len(left) != 0 {
+		t.Errorf("epoch checkpoints left behind: %v", left)
+	}
+}
+
 // TestRunEpochsOneMatchesClassic: "-epochs 1" must be the classic
 // single-epoch report, byte for byte — no headers, no longitudinal
 // sections, same goldens.
@@ -55,12 +77,12 @@ func TestRunEpochsOneMatchesClassic(t *testing.T) {
 // TestRunEpochsFlagValidation covers the longitudinal flag surface.
 func TestRunEpochsFlagValidation(t *testing.T) {
 	cases := [][]string{
-		{"-scale", "1500", "-delta-dir", "/tmp/nope"},                   // requires -epochs > 1
-		{"-scale", "1500", "-epochs", "2", "-json"},                     // unsupported combo
-		{"-scale", "1500", "-epochs", "2", "-fleet", "2"},               // unsupported combo
-		{"-scale", "1500", "-epochs", "2", "-churn", "1.5"},             // out of range
-		{"-scale", "1500", "-epochs", "2", "-blacklist-lag", "-1"},      // out of range
-		{"-scale", "1500", "-epochs", "2", "-blacklist-decay", "-0.25"}, // out of range
+		{"-scale", "1500", "-delta-dir", "/tmp/nope"},                                  // requires -epochs > 1
+		{"-scale", "1500", "-epochs", "2", "-json"},                                    // unsupported combo
+		{"-scale", "1500", "-epochs", "2", "-shards", "0", "-checkpoint", "/tmp/nope"}, // unsupported combo
+		{"-scale", "1500", "-epochs", "2", "-churn", "1.5"},                            // out of range
+		{"-scale", "1500", "-epochs", "2", "-blacklist-lag", "-1"},                     // out of range
+		{"-scale", "1500", "-epochs", "2", "-blacklist-decay", "-0.25"},                // out of range
 	}
 	for _, args := range cases {
 		if err := run(args, &bytes.Buffer{}); err == nil {

@@ -2,28 +2,84 @@ package main
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
-// TestGoldenReportFleet locks the sharded fleet mode to the exact golden
-// bytes of the batch path, clean and faulty alike, across fleet sizes.
+// TestGoldenReportFleet locks the distributed workflow to the golden
+// bytes, clean and faulty alike: two -shards subset runs with different
+// worker counts write into one checkpoint directory and print nothing,
+// and a -merge pass — repeatable, since it never consumes the shard
+// files — prints the golden report. A merge under the wrong seed refuses.
 func TestGoldenReportFleet(t *testing.T) {
-	checkGolden(t, "report.golden", captureReport(t, "-fleet", "4"))
-	checkGolden(t, "report.golden", captureReport(t, "-fleet", "1"))
-	checkGolden(t, "report_faulty.golden", captureReport(t, "-faults", "hostile", "-fleet", "8"))
+	for _, tc := range []struct {
+		golden string
+		extra  []string
+	}{
+		{"report.golden", nil},
+		{"report_faulty.golden", []string{"-faults", "hostile"}},
+	} {
+		dir := t.TempDir()
+		args := append([]string{"-checkpoint", dir}, tc.extra...)
+		if out := captureReport(t, append(args, "-shards", "0-3", "-workers", "2")...); len(out) != 0 {
+			t.Errorf("%s: subset run printed %d bytes of report, want none", tc.golden, len(out))
+		}
+		if out := captureReport(t, append(args, "-shards", "4-8", "-workers", "3")...); len(out) != 0 {
+			t.Errorf("%s: subset run printed %d bytes of report, want none", tc.golden, len(out))
+		}
+		checkGolden(t, tc.golden, captureReport(t, append(args, "-merge")...))
+		checkGolden(t, tc.golden, captureReport(t, append(args, "-merge")...))
+		var buf bytes.Buffer
+		if err := run(append([]string{"-seed", "2", "-scale", "900", "-merge"}, args...), &buf); err == nil {
+			t.Errorf("%s: -merge under a different seed accepted", tc.golden)
+		}
+	}
 }
 
-// TestFleetFlagValidation: -fleet is the sharded alternative to the
-// streaming flags, not a modifier of them.
+// TestFleetFlagValidation covers the unusable distributed-flag
+// combinations.
 func TestFleetFlagValidation(t *testing.T) {
 	var buf bytes.Buffer
 	for _, args := range [][]string{
-		{"-fleet", "4", "-stream"},
-		{"-fleet", "4", "-checkpoint", "x.ckpt"},
-		{"-fleet", "4", "-abort-after", "10"},
+		{"-merge"},
+		{"-shards", "0-2"},
+		{"-shards", "9-1", "-checkpoint", t.TempDir()},
+		{"-shards", "0,0", "-checkpoint", t.TempDir()},
+		{"-shards", "99", "-checkpoint", t.TempDir()},
+		{"-epochs", "2", "-merge", "-checkpoint", t.TempDir()},
 	} {
-		if err := run(args, &buf); err == nil {
+		if err := run(append([]string{"-scale", "1500"}, args...), &buf); err == nil {
 			t.Errorf("%v accepted, want error", args)
+		}
+	}
+}
+
+// TestParseShards tables the -shards grammar.
+func TestParseShards(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []int
+		ok   bool
+	}{
+		{"", nil, true},
+		{"0", []int{0}, true},
+		{"0,2,5", []int{0, 2, 5}, true},
+		{"5-8", []int{5, 6, 7, 8}, true},
+		{"0,2-4, 7", []int{0, 2, 3, 4, 7}, true},
+		{"3-3", []int{3}, true},
+		{"4-2", nil, false},
+		{"a", nil, false},
+		{"1,,2", nil, false},
+		{"1-x", nil, false},
+	}
+	for _, tc := range cases {
+		got, err := parseShards(tc.in)
+		if tc.ok != (err == nil) {
+			t.Errorf("parseShards(%q): err=%v, want ok=%v", tc.in, err, tc.ok)
+			continue
+		}
+		if tc.ok && !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("parseShards(%q) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
 }

@@ -65,11 +65,11 @@ func TestGoldenReportFaulty(t *testing.T) {
 }
 
 // TestGoldenReportWorkerInvariance reruns the golden configuration at
-// several worker counts: the parallel pipeline must emit byte-identical
-// reports regardless of pool size.
+// several worker counts: the engine must emit byte-identical reports
+// however many workers share the exchange shards.
 func TestGoldenReportWorkerInvariance(t *testing.T) {
 	base := captureReport(t)
-	for _, workers := range []string{"1", "2", "8"} {
+	for _, workers := range []string{"1", "2", "4", "8"} {
 		if got := captureReport(t, "-workers", workers); !bytes.Equal(got, base) {
 			t.Fatalf("-workers %s output differs from default\n%s",
 				workers, firstDiff(got, base))

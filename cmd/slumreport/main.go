@@ -4,39 +4,42 @@
 //
 // Usage:
 //
-//	slumreport [-seed N] [-scale N] [-workers N] [-faults PROFILE] [-retries N] [-table N] [-figure N] [-metrics]
-//	           [-js-fuel N] [-js-heap N] [-stream] [-checkpoint FILE] [-resume] [-checkpoint-every N]
+//	slumreport [-seed N] [-scale N] [-workers N] [-faults PROFILE] [-retries N] [-table N] [-figure N] [-json] [-metrics]
+//	           [-js-fuel N] [-js-heap N] [-checkpoint DIR] [-checkpoint-every N] [-shards LIST] [-merge] [-keep-shards]
 //	           [-epochs N] [-churn F] [-blacklist-lag N] [-blacklist-decay F] [-delta-dir DIR] [-serial-rebuild]
 //
 // With no -table/-figure selection, everything is printed. -scale divides
 // the paper's crawl volumes (default 20: ~50k URLs, seconds of runtime;
-// -scale 1 replays the full 1,003,087-URL crawl). -workers bounds the
-// analysis pipeline's detection pool (default: all CPUs); the output is
-// identical for every worker count. -faults injects deterministic
-// transport faults into the crawl (off, flaky, lossy, slow, hostile) and
-// -retries bounds the crawler's per-URL retry budget; the crawl-health
-// section reports the resulting fetch outcomes and error taxonomy.
-// -metrics instruments the run and appends a METRICS section (event
-// counters, stage-latency table, runtime snapshot) after the report;
-// with -json the same export lands in a "metrics" block. Output without
-// the flag is byte-identical to an uninstrumented run.
+// -scale 1 replays the full 1,003,087-URL crawl). -faults injects
+// deterministic transport faults into the crawl (off, flaky, lossy, slow,
+// hostile) and -retries bounds the crawler's per-URL retry budget; the
+// crawl-health section reports the resulting fetch outcomes and error
+// taxonomy. -metrics instruments the run and appends a METRICS section
+// (event counters, stage-latency table, runtime snapshot) after the
+// report; with -json the same export lands in a "metrics" block. Output
+// without the flag is byte-identical to an uninstrumented run.
 //
-// -stream runs the crawl and the analysis as one bounded-memory pipeline:
-// records flow from the crawler through the worker pool into incremental
-// aggregation, so peak memory no longer grows with the crawl length. The
-// report is byte-identical to the batch path's. -checkpoint FILE (implies
-// -stream) additionally persists the accumulator every -checkpoint-every
-// records; after a crash or kill, rerunning with -resume picks up from
-// the checkpoint and still produces the byte-identical report. The
-// checkpoint file is deleted when a run completes, so "-checkpoint f
-// -resume" is safe to use unconditionally: first run starts fresh,
-// interrupted reruns resume, completed runs leave nothing behind.
+// Every run goes through one engine: the study is partitioned by
+// exchange, and -workers goroutines (default: all CPUs) each take whole
+// exchange shards, longest first, crawling, scanning and folding every
+// record as it arrives, so peak memory does not grow with the crawl
+// length. The report is byte-identical for every worker count.
 //
-// -fleet N runs the study as a sharded fleet instead: the exchanges are
-// partitioned across N virtual workers, each running the streaming
-// pipeline over its shard, and the per-shard results merge into the same
-// byte-identical report for every N. For per-shard checkpointing,
-// kill/resume and distributed subsets, use the slumfleet command.
+// -checkpoint DIR persists each shard's state under DIR every
+// -checkpoint-every records. A checkpoint directory is always resumed:
+// after a crash or kill, rerunning the same command picks every shard up
+// from its last durable prefix — with any -workers value — and still
+// prints the byte-identical report. Shard files are deleted when a run
+// completes (-keep-shards keeps them), so the same invocation is safe to
+// use unconditionally.
+//
+// Distributed studies split the work across invocations sharing one
+// checkpoint directory: each runs -shards with a disjoint subset of the
+// exchange indices (e.g. "0-4" on one machine, "5-8" on another) and
+// prints nothing, then a final -merge pass loads the shard files — no
+// crawling — and prints the merged report. Merging validates provenance:
+// shards from a different seed, configuration or partitioning are
+// refused, as is the same shard twice.
 //
 // -epochs N (> 1) runs a longitudinal study: the same universe advanced
 // through N epochs of deterministic churn (-churn re-registers malicious
@@ -51,12 +54,12 @@
 // re-crawl. Multi-epoch runs take the incremental fast path
 // automatically: each epoch's universe is advanced from the previous
 // one's (only churned sites are rebuilt, rendered pages are reused) and
-// the next epoch is prepared while the current one streams. No flag
+// the next epoch is prepared while the current one runs. No flag
 // enables this; -serial-rebuild opts out, regenerating every epoch from
 // scratch, for byte-identity comparisons against the fast path (output
 // is identical either way, only slower). -checkpoint composes with
-// -epochs (the file is suffixed per epoch; interrupted studies resume
-// automatically on relaunch), while -json and -fleet do not.
+// -epochs (one DIR/epochNNN subdirectory per epoch; interrupted studies
+// resume on relaunch), while -json, -shards and -merge do not.
 package main
 
 import (
@@ -65,6 +68,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -85,7 +89,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("slumreport", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 1, "experiment seed")
 	scale := fs.Int("scale", 20, "divide paper crawl volumes by this factor")
-	workers := fs.Int("workers", 0, "analysis worker pool size (0 = all CPUs)")
+	workers := fs.Int("workers", 0, "engine workers, each running one exchange shard at a time (0 = all CPUs)")
 	faults := fs.String("faults", "", "crawl fault profile: "+strings.Join(httpsim.ProfileNames(), ", "))
 	retries := fs.Int("retries", 2, "crawl retries per URL after the first attempt")
 	jsFuel := fs.Int64("js-fuel", 0, "JS sandbox fuel budget per script (0 = default)")
@@ -94,12 +98,12 @@ func run(args []string, out io.Writer) error {
 	figure := fs.Int("figure", 0, "print only this figure (2, 3, 5, 6, 7)")
 	asJSON := fs.Bool("json", false, "emit every table and figure as JSON")
 	withMetrics := fs.Bool("metrics", false, "instrument the run and append a METRICS section")
-	stream := fs.Bool("stream", false, "run crawl+analysis as one bounded-memory streaming pipeline")
-	ckptPath := fs.String("checkpoint", "", "checkpoint file; enables periodic checkpointing (implies -stream)")
-	resume := fs.Bool("resume", false, "resume from the -checkpoint file when it exists (implies -stream)")
-	ckptEvery := fs.Int("checkpoint-every", 5000, "records between checkpoint writes")
-	abortAfter := fs.Int("abort-after", 0, "testing: abort the streaming run after N folded records, as a kill would")
-	fleet := fs.Int("fleet", 0, "run as a sharded fleet of N virtual workers (see slumfleet for checkpointing)")
+	ckptDir := fs.String("checkpoint", "", "shard checkpoint directory; enables periodic checkpointing and is always resumed")
+	ckptEvery := fs.Int("checkpoint-every", 5000, "per-shard records between checkpoint writes")
+	abortAfter := fs.Int("abort-after", 0, "testing: abort the run after N folded records, as a kill would")
+	shards := fs.String("shards", "", "run only these shard indices (e.g. \"0,2,5-8\"); requires -checkpoint")
+	merge := fs.Bool("merge", false, "merge-only: load the shard checkpoints under -checkpoint, skip crawling")
+	keepShards := fs.Bool("keep-shards", false, "keep shard checkpoints after a successful run")
 	epochs := fs.Int("epochs", 1, "number of simulated epochs (a longitudinal study when > 1)")
 	churn := fs.Float64("churn", 0, "per-epoch probability a malicious site re-registers under a fresh domain")
 	blLag := fs.Int("blacklist-lag", 0, "epochs the blacklist databases and threat feed lag behind ground truth")
@@ -113,12 +117,12 @@ func run(args []string, out io.Writer) error {
 	if *scale <= 0 {
 		return fmt.Errorf("scale must be positive, got %d", *scale)
 	}
-	if *resume && *ckptPath == "" {
-		return fmt.Errorf("-resume requires -checkpoint FILE")
+	if (*merge || *shards != "") && *ckptDir == "" {
+		return fmt.Errorf("-merge and -shards require -checkpoint DIR (the shard files are the output)")
 	}
-	useStream := *stream || *ckptPath != "" || *abortAfter > 0
-	if *fleet > 0 && useStream {
-		return fmt.Errorf("-fleet does not combine with -stream/-checkpoint/-resume/-abort-after; use slumfleet for checkpointed fleets")
+	only, err := parseShards(*shards)
+	if err != nil {
+		return err
 	}
 	cfg := core.DefaultStudyConfig()
 	cfg.Seed = *seed
@@ -136,12 +140,20 @@ func run(args []string, out io.Writer) error {
 		cfg.Metrics = obs.NewRegistry()
 		cfg.Tracer = obs.NewTracer()
 	}
+	ropts := core.RunOptions{
+		CheckpointDir:   *ckptDir,
+		CheckpointEvery: *ckptEvery,
+		AbortAfter:      *abortAfter,
+		Only:            only,
+		KeepShards:      *keepShards,
+	}
 	if *epochs > 1 {
+		if *merge || len(only) > 0 {
+			return fmt.Errorf("-merge and -shards do not combine with -epochs > 1")
+		}
 		return runLongitudinal(cfg, out, longitudinalFlags{
-			deltaDir: *deltaDir, ckptPath: *ckptPath, ckptEvery: *ckptEvery,
-			abortAfter: *abortAfter, table: *table, figure: *figure,
-			asJSON: *asJSON, withMetrics: *withMetrics, fleet: *fleet,
-			serialRebuild: *serialRebuild,
+			deltaDir: *deltaDir, run: ropts, table: *table, figure: *figure,
+			asJSON: *asJSON, withMetrics: *withMetrics, serialRebuild: *serialRebuild,
 		})
 	}
 	if *deltaDir != "" {
@@ -150,32 +162,24 @@ func run(args []string, out io.Writer) error {
 	if *serialRebuild {
 		return fmt.Errorf("-serial-rebuild requires -epochs > 1")
 	}
-	fmt.Fprintf(os.Stderr, "running study: seed=%d scale=%d (~%d URLs)...\n",
-		cfg.Seed, cfg.Scale, 1003087/cfg.Scale)
 	var st *core.Study
-	var err error
-	if *fleet > 0 {
-		st, err = core.RunStudyFleet(cfg, core.FleetOptions{Fleet: *fleet})
-	} else if useStream {
-		sopts := core.StreamOptions{CheckpointPath: *ckptPath, CheckpointEvery: *ckptEvery, AbortAfter: *abortAfter}
-		if *resume {
-			ck, lerr := core.LoadCheckpoint(*ckptPath)
-			switch {
-			case lerr == nil:
-				fmt.Fprintf(os.Stderr, "resuming from %s (%d records already folded)\n", *ckptPath, ck.Records())
-				sopts.Resume = ck
-			case errors.Is(lerr, os.ErrNotExist):
-				// No checkpoint on disk: nothing to resume, start fresh.
-			default:
-				return lerr
-			}
-		}
-		st, err = core.RunStudyStream(cfg, sopts)
+	if *merge {
+		fmt.Fprintf(os.Stderr, "merging shards: seed=%d scale=%d dir=%s\n", cfg.Seed, cfg.Scale, *ckptDir)
+		st, err = core.MergeShardStudy(cfg, *ckptDir)
 	} else {
-		st, err = core.RunStudy(cfg)
+		fmt.Fprintf(os.Stderr, "running study: seed=%d scale=%d (~%d URLs)...\n",
+			cfg.Seed, cfg.Scale, 1003087/cfg.Scale)
+		st, err = core.RunStudyStream(cfg, ropts)
 	}
 	if err != nil {
 		return err
+	}
+	if st.Analysis == nil {
+		// Subset runs produce shard files, not a report: the merge-only
+		// pass renders once every subset has landed.
+		fmt.Fprintf(os.Stderr, "shards %s written under %s; run -merge once all shards are present\n",
+			*shards, *ckptDir)
+		return nil
 	}
 	a := st.Analysis
 
@@ -233,14 +237,11 @@ func renderSections(out io.Writer, a *core.Analysis, short []shortener.HitStats,
 // longitudinalFlags carries the CLI selections into the multi-epoch path.
 type longitudinalFlags struct {
 	deltaDir    string
-	ckptPath    string
-	ckptEvery   int
-	abortAfter  int
+	run         core.RunOptions
 	table       int
 	figure      int
 	asJSON      bool
 	withMetrics bool
-	fleet       int
 	// serialRebuild regenerates each epoch's universe from scratch (the
 	// pre-incremental behaviour) — the diff leg CI pins the fast path with.
 	serialRebuild bool
@@ -250,12 +251,9 @@ type longitudinalFlags struct {
 // block per epoch followed by the longitudinal time-series sections.
 // Delta mode (-delta-dir) carries verdicts between epochs so unchanged
 // pages skip the detector stack; the printed report is byte-identical to
-// the full re-crawl either way. A -checkpoint file is suffixed per epoch
-// and interrupted studies resume automatically on relaunch.
+// the full re-crawl either way. A -checkpoint directory holds one
+// subdirectory per epoch and interrupted studies resume on relaunch.
 func runLongitudinal(cfg core.StudyConfig, out io.Writer, lf longitudinalFlags) error {
-	if lf.fleet > 0 {
-		return fmt.Errorf("-fleet does not combine with -epochs > 1 in slumreport; use slumfleet -epochs")
-	}
 	if lf.asJSON {
 		return fmt.Errorf("-json does not support -epochs > 1 yet")
 	}
@@ -264,11 +262,7 @@ func runLongitudinal(cfg core.StudyConfig, out io.Writer, lf longitudinalFlags) 
 	res, err := core.RunLongitudinalStudy(cfg, core.LongitudinalOptions{
 		DeltaDir:      lf.deltaDir,
 		SerialRebuild: lf.serialRebuild,
-		Stream: core.StreamOptions{
-			CheckpointPath:  lf.ckptPath,
-			CheckpointEvery: lf.ckptEvery,
-			AbortAfter:      lf.abortAfter,
-		},
+		Run:           lf.run,
 	})
 	if err != nil {
 		return err
@@ -290,4 +284,43 @@ func runLongitudinal(cfg core.StudyConfig, out io.Writer, lf longitudinalFlags) 
 		fmt.Fprintln(out, report.MetricsReport(obs.NewExport(cfg.Metrics, cfg.Tracer)))
 	}
 	return nil
+}
+
+// parseShards parses a shard selection like "0,2,5-8" into indices.
+// Duplicate and out-of-range indices are left for the engine's scope
+// check, which knows the study's shard count.
+func parseShards(s string) ([]int, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			return nil, fmt.Errorf("-shards: empty element in %q", s)
+		}
+		if lo, hi, ok := strings.Cut(part, "-"); ok {
+			a, err := strconv.Atoi(lo)
+			if err != nil {
+				return nil, fmt.Errorf("-shards: bad range start %q: %w", lo, errors.Unwrap(err))
+			}
+			b, err := strconv.Atoi(hi)
+			if err != nil {
+				return nil, fmt.Errorf("-shards: bad range end %q: %w", hi, errors.Unwrap(err))
+			}
+			if b < a {
+				return nil, fmt.Errorf("-shards: backwards range %q", part)
+			}
+			for i := a; i <= b; i++ {
+				out = append(out, i)
+			}
+			continue
+		}
+		n, err := strconv.Atoi(part)
+		if err != nil {
+			return nil, fmt.Errorf("-shards: bad index %q: %w", part, errors.Unwrap(err))
+		}
+		out = append(out, n)
+	}
+	return out, nil
 }

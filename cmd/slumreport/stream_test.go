@@ -2,43 +2,58 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 )
 
-// TestGoldenReportStreaming locks in the streaming pipeline's headline
-// guarantee at the CLI level: -stream emits the exact golden bytes the
-// batch path does, clean and faulty alike.
-func TestGoldenReportStreaming(t *testing.T) {
-	checkGolden(t, "report.golden", captureReport(t, "-stream"))
-	checkGolden(t, "report_faulty.golden", captureReport(t, "-faults", "hostile", "-stream"))
-}
-
-// TestGoldenReportKillResume kills a checkpointed streaming run partway
-// (the -abort-after testing hook stands in for SIGKILL: the run stops
-// with only the last periodic checkpoint on disk) and resumes it; the
-// resumed report must be byte-identical to the golden file.
+// TestGoldenReportKillResume kills a checkpointed run partway (the
+// -abort-after testing hook stands in for SIGKILL: the run stops with
+// only the last periodic shard checkpoints on disk) and reruns the same
+// command under a different worker count; the resumed report must be
+// byte-identical to the golden file, clean and faulty alike, and the
+// checkpoint directory must be empty afterwards.
 func TestGoldenReportKillResume(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "report.ckpt")
-	args := []string{"-checkpoint", ckpt, "-checkpoint-every", "97", "-resume"}
-	var buf bytes.Buffer
-	err := run(append(append(append([]string{}, goldenArgs...), args...), "-abort-after", "700"), &buf)
-	if err == nil {
-		t.Fatal("aborted run returned nil error")
+	for _, tc := range []struct {
+		golden string
+		extra  []string
+	}{
+		{"report.golden", nil},
+		{"report_faulty.golden", []string{"-faults", "hostile"}},
+	} {
+		dir := t.TempDir()
+		args := append([]string{"-checkpoint", dir, "-checkpoint-every", "37"}, tc.extra...)
+		var buf bytes.Buffer
+		killed := append(append(append([]string{}, goldenArgs...), args...), "-workers", "2", "-abort-after", "700")
+		if err := run(killed, &buf); err == nil {
+			t.Fatalf("%s: aborted run returned nil error", tc.golden)
+		}
+		if left, _ := filepath.Glob(filepath.Join(dir, "shard-*.ckpt")); len(left) == 0 {
+			t.Fatalf("%s: no shard checkpoints on disk after the kill", tc.golden)
+		}
+		checkGolden(t, tc.golden, captureReport(t, append(args, "-workers", "8")...))
+		if left, _ := filepath.Glob(filepath.Join(dir, "shard-*.ckpt")); len(left) != 0 {
+			t.Errorf("%s: shard checkpoints left behind: %v", tc.golden, left)
+		}
 	}
-	checkGolden(t, "report.golden", captureReport(t, args...))
 }
 
-// TestStreamFlagValidation covers the flag plumbing edges.
+// TestStreamFlagValidation covers the checkpoint flag edges: the removed
+// mode flags are refused, and a checkpoint directory with nothing in it
+// is a fresh start.
 func TestStreamFlagValidation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-resume"}, &buf); err == nil {
-		t.Error("-resume without -checkpoint accepted")
+	for _, gone := range []string{"-stream", "-resume", "-fleet=4"} {
+		if err := run([]string{gone}, &buf); err == nil {
+			t.Errorf("removed flag %s accepted", gone)
+		}
 	}
-	// -resume with a checkpoint path that does not exist is a fresh start.
-	ckpt := filepath.Join(t.TempDir(), "never-written.ckpt")
+	dir := filepath.Join(t.TempDir(), "never-written")
 	base := captureReport(t)
-	if got := captureReport(t, "-checkpoint", ckpt, "-resume"); !bytes.Equal(got, base) {
-		t.Error("-resume with no checkpoint on disk diverged from a fresh run")
+	if got := captureReport(t, "-checkpoint", dir); !bytes.Equal(got, base) {
+		t.Error("-checkpoint with no checkpoint on disk diverged from a fresh run")
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("completed run left %d entries in the checkpoint dir (err %v)", len(entries), err)
 	}
 }

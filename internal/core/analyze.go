@@ -114,11 +114,6 @@ type Analysis struct {
 	// MaliciousShortURLs lists detected-malicious shortened entry URLs,
 	// deduped, for the Table IV statistics join.
 	MaliciousShortURLs []string
-	// Verdicts holds the per-record verdicts, aligned with the input
-	// record stream per exchange. Populated by the batch Analyze path;
-	// streaming runs (Study.RunStream) leave it empty — retaining every
-	// verdict would defeat the bounded-memory contract.
-	Verdicts map[string][]Verdict
 	// CacheStats reports verdict-cache effectiveness for this run (zero
 	// when the cache was disabled). Deterministic across worker counts
 	// for an uninterrupted run; a resumed run reports only its own
@@ -147,14 +142,15 @@ func (a *Analysis) OverallPctMalicious() float64 {
 	return stats.Ratio(a.TotalMalicious, a.TotalRegular)
 }
 
-// Analyzer runs classification + detection + aggregation over crawls.
-// Detection fans out over a bounded worker pool (see pipeline.go); the
-// aggregation fold always runs sequentially in record order, so the output
+// Analyzer runs classification + detection + aggregation over crawls
+// through the study engine (engine.go): one shard per exchange, each
+// folded in record order by whichever worker claimed it, so the output
 // is byte-identical for every worker count and cache setting.
 type Analyzer struct {
 	Classifier *Classifier
 	Detector   *Detector
-	// Workers bounds the detection pool; <= 0 means runtime.GOMAXPROCS(0).
+	// Workers is the number of engine workers taking shards; <= 0 means
+	// runtime.GOMAXPROCS(0).
 	Workers int
 	// DisableCache turns off the single-flight verdict cache, forcing
 	// every record through the full detector stack (the pre-cache
@@ -180,15 +176,13 @@ type exchangeFold struct {
 	// domains / malDomains back the Table II distinct-domain columns.
 	domains    map[string]bool
 	malDomains map[string]bool
-	// verdicts is retained only when the fold keeps verdicts (batch path).
-	verdicts []Verdict
 	// folded counts records folded so far — the exchange's streaming
 	// progress cursor (records [0, folded) are reflected in this state).
 	folded int
 }
 
-// foldState is the incremental aggregation accumulator shared by the
-// batch Analyze path and the streaming pipeline (stream.go). Records fold
+// foldState is the incremental aggregation accumulator each engine shard
+// owns (engine.go), and the target the shard merge folds into. Records fold
 // one at a time, in per-exchange record order; cross-exchange interleaving
 // is free because every global aggregate (counters, histograms, sets,
 // sums) is commutative and rendered in sorted order. Peak memory is
@@ -204,9 +198,8 @@ type foldState struct {
 	// urlutil.Dedupe's normalize-or-raw keying).
 	distinct map[string]bool
 	// domainSet and shortSet back TotalDomains and MaliciousShortURLs.
-	domainSet    map[string]bool
-	shortSet     map[string]bool
-	keepVerdicts bool
+	domainSet map[string]bool
+	shortSet  map[string]bool
 	// contentCats memoizes contentCategoryOf by body identity; see
 	// foldState.contentCategory.
 	contentCats map[bodyIdentity]string
@@ -224,9 +217,8 @@ type bodyIdentity struct {
 }
 
 // newFoldState builds an empty accumulator for the named exchanges, in
-// crawl order. keepVerdicts retains per-record verdicts (the batch
-// contract); streaming passes false to stay bounded.
-func newFoldState(an *Analyzer, names []string, kinds []exchange.Kind, keepVerdicts bool) *foldState {
+// crawl order.
+func newFoldState(an *Analyzer, names []string, kinds []exchange.Kind) *foldState {
 	fs := &foldState{
 		an: an,
 		out: &Analysis{
@@ -235,14 +227,12 @@ func newFoldState(an *Analyzer, names []string, kinds []exchange.Kind, keepVerdi
 			ContentCategories: stats.NewCounter(),
 			RedirectHist:      stats.NewIntHist(),
 			Series:            make(map[string]*stats.Series),
-			Verdicts:          make(map[string][]Verdict),
 			Health:            &CrawlHealth{ErrorKinds: stats.NewCounter()},
 		},
-		distinct:     map[string]bool{},
-		domainSet:    map[string]bool{},
-		shortSet:     map[string]bool{},
-		keepVerdicts: keepVerdicts,
-		contentCats:  map[bodyIdentity]string{},
+		distinct:    map[string]bool{},
+		domainSet:   map[string]bool{},
+		shortSet:    map[string]bool{},
+		contentCats: map[bodyIdentity]string{},
 	}
 	for i, name := range names {
 		fs.exchanges = append(fs.exchanges, &exchangeFold{
@@ -300,9 +290,6 @@ func (fs *foldState) fold(ei int, rec *crawler.Record, o recOutcome) {
 			fs.recordMalicious(ef.name, rec, v)
 		}
 	}
-	if fs.keepVerdicts {
-		ef.verdicts = append(ef.verdicts, v)
-	}
 	ef.series.Observe(v.Malicious)
 	ef.folded++
 }
@@ -321,9 +308,6 @@ func (fs *foldState) finish(cstats CacheStats) *Analysis {
 		out.Health.TotalFailed += ef.health.Failed
 		out.Health.TotalRetries += ef.health.Retries
 		out.Series[ef.name] = ef.series
-		if fs.keepVerdicts {
-			out.Verdicts[ef.name] = ef.verdicts
-		}
 		out.TotalCrawled += ef.row.Crawled
 		out.TotalRegular += ef.row.Regular
 		out.TotalMalicious += ef.row.Malicious
@@ -343,31 +327,6 @@ func distinctKey(rawURL string) string {
 		return rawURL
 	}
 	return key
-}
-
-// Analyze processes all crawls into the full Analysis. Detection runs in
-// parallel; everything order-sensitive — per-exchange verdict slices,
-// counters, series, aggregate folds — happens afterwards in a single
-// sequential pass over the records, in input order.
-func (an *Analyzer) Analyze(crawls []*crawler.Crawl) *Analysis {
-	outcomes, cstats := an.scanRecords(crawls)
-	an.Metrics.Counter("pipeline.cache.hits").Add(int64(cstats.Hits))
-	an.Metrics.Counter("pipeline.cache.misses").Add(int64(cstats.Misses))
-
-	names := make([]string, len(crawls))
-	kinds := make([]exchange.Kind, len(crawls))
-	for i, c := range crawls {
-		names[i], kinds[i] = c.Exchange, c.Kind
-	}
-	fs := newFoldState(an, names, kinds, true)
-	for ci, c := range crawls {
-		agg := an.Tracer.Start(c.Exchange, obs.StageAggregate)
-		for ri := range c.Records {
-			fs.fold(ci, &c.Records[ri], outcomes[ci][ri])
-		}
-		agg.End()
-	}
-	return fs.finish(cstats)
 }
 
 // recordMalicious folds one malicious URL into the category/TLD/content
@@ -423,7 +382,7 @@ func (fs *foldState) contentCategory(body []byte) string {
 		return c
 	}
 	c := contentCategoryOf(body)
-	// The cap keeps the streaming path's bounded-memory promise even if
+	// The cap keeps the engine's bounded-memory promise even if
 	// every body were a fresh array (each memo entry pins its body): past
 	// it, categories are recomputed instead of remembered.
 	if len(fs.contentCats) < identityMemoLimit {

@@ -23,6 +23,7 @@ import (
 type chaosRun struct {
 	crawls   []*crawler.Crawl
 	analysis *Analysis
+	an       *Analyzer
 }
 
 // runChaos builds a compact two-exchange rig from the seed and executes
@@ -81,7 +82,7 @@ func runChaos(t testing.TB, seed uint64, profileName string, workers int) *chaos
 			DetectorConfig{Seed: seed + 1}),
 		Workers: workers,
 	}
-	return &chaosRun{crawls: crawls, analysis: an.Analyze(crawls)}
+	return &chaosRun{crawls: crawls, analysis: an.Analyze(crawls), an: an}
 }
 
 // checkChaosInvariants verifies one faulty run against its fault-free
@@ -147,8 +148,6 @@ func checkChaosInvariants(t *testing.T, profile string, run, baseline *chaosRun)
 		if len(c.Records) != len(base.Records) {
 			t.Fatalf("%s/%s: %d records vs %d in baseline", profile, c.Exchange, len(c.Records), len(base.Records))
 		}
-		verdicts := run.analysis.Verdicts[c.Exchange]
-		baseVerdicts := baseline.analysis.Verdicts[c.Exchange]
 		for ri := range c.Records {
 			rec, baseRec := c.Records[ri], base.Records[ri]
 			if rec.EntryURL != baseRec.EntryURL {
@@ -167,9 +166,9 @@ func checkChaosInvariants(t *testing.T, profile string, run, baseline *chaosRun)
 				t.Errorf("%s/%s record %d (%s): successful fetch differs from baseline",
 					profile, c.Exchange, ri, rec.EntryURL)
 			}
-			if !reflect.DeepEqual(verdicts[ri], baseVerdicts[ri]) {
+			if v, baseV := verdictOf(run.an, rec), verdictOf(baseline.an, baseRec); !reflect.DeepEqual(v, baseV) {
 				t.Errorf("%s/%s record %d (%s): verdict %+v differs from baseline %+v",
-					profile, c.Exchange, ri, rec.EntryURL, verdicts[ri], baseVerdicts[ri])
+					profile, c.Exchange, ri, rec.EntryURL, v, baseV)
 			}
 		}
 	}

@@ -16,8 +16,9 @@ import (
 //
 //	magic    [8]byte  "SLUMCKPT"
 //	version  u16      little-endian (currently 1)
-//	kind     u8       1 = analysis fold state, 2 = crawl dataset progress,
-//	                  3 = fleet shard (single-exchange fold + visit deltas)
+//	kind     u8       2 = crawl dataset progress, 3 = engine shard
+//	                  (single-exchange fold + visit deltas), 4 = epoch
+//	                  delta; 1 was the retired single-file analysis fold
 //	seed     u64      study seed the state was produced under
 //	cfghash  u64      fingerprint of every output-shaping StudyConfig field
 //	payload  ...      kind-specific body (uvarints, length-prefixed strings,
@@ -38,17 +39,20 @@ const (
 type checkpointKind uint8
 
 const (
-	ckptAnalysis   checkpointKind = 1
-	ckptCrawl      checkpointKind = 2
-	ckptShard      checkpointKind = 3
-	ckptEpochDelta checkpointKind = 4
+	// ckptRetiredAnalysis was the single-file analysis fold a
+	// single-process run checkpointed to. Every run now checkpoints as
+	// kind-3 shard files under a directory, and the decoder refuses kind 1
+	// with an explanation rather than as an unknown kind.
+	ckptRetiredAnalysis checkpointKind = 1
+	ckptCrawl           checkpointKind = 2
+	ckptShard           checkpointKind = 3
+	ckptEpochDelta      checkpointKind = 4
 )
 
-// Checkpoint is a decoded resume point: the folded accumulator state of a
-// streaming analysis run (slumreport), the per-exchange progress of a
-// streaming dataset crawl (slumcrawl), or one shard of a fleet run
-// (slumfleet) — a single exchange's partial accumulator plus the shortener
-// traffic its crawl generated, mergeable with its sibling shards.
+// Checkpoint is a decoded SLUMCKPT file: the per-exchange progress of a
+// streaming dataset crawl (slumcrawl), one shard of an engine run — a
+// single exchange's partial accumulator plus the shortener traffic its
+// crawl generated, mergeable with its sibling shards — or an epoch delta.
 type Checkpoint struct {
 	// Seed and ConfigHash identify the run the state belongs to; Validate
 	// refuses to resume under a different seed or configuration.
@@ -56,7 +60,6 @@ type Checkpoint struct {
 	ConfigHash uint64
 
 	kind  checkpointKind
-	fold  *foldSnapshot
 	crawl []CrawlProgress
 	shard *shardSnapshot
 	delta *EpochDelta
@@ -78,10 +81,6 @@ type CrawlProgress struct {
 func (c *Checkpoint) Records() int {
 	total := 0
 	switch c.kind {
-	case ckptAnalysis:
-		for _, ex := range c.fold.exchanges {
-			total += ex.folded
-		}
 	case ckptCrawl:
 		for _, p := range c.crawl {
 			total += p.Records
@@ -431,19 +430,56 @@ func encodeCrawlPayload(progress []CrawlProgress) []byte {
 	return w.buf
 }
 
-// writeCheckpointFile persists a checkpoint atomically: the image lands
-// in a sibling temp file first and is renamed into place, so a crash
-// mid-write can never leave a truncated checkpoint where a good one was.
+// writeCheckpointFile persists a checkpoint durably and atomically: the
+// image lands in a sibling temp file, which is fsynced before it is
+// renamed into place, and the directory is fsynced after the rename. A
+// crash at any point therefore leaves either the previous checkpoint or
+// the new one under path — never an empty or truncated file, which a
+// rename of unsynced data can produce after power loss.
 func writeCheckpointFile(path string, kind checkpointKind, seed, cfgHash uint64, payload []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, encodeCheckpoint(kind, seed, cfgHash, payload), 0o644); err != nil {
+	if err := writeSynced(tmp, encodeCheckpoint(kind, seed, cfgHash, payload)); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("core: write checkpoint: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("core: write checkpoint: %w", err)
 	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("core: write checkpoint: %w", err)
+	}
 	return nil
+}
+
+// writeSynced writes data to path and fsyncs it before closing.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// syncDir fsyncs a directory so a rename inside it is durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // ---- decoding ----
@@ -643,10 +679,9 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, err
 	}
 	switch c.kind {
-	case ckptAnalysis:
-		if c.fold, err = decodeFoldPayload(r); err != nil {
-			return nil, err
-		}
+	case ckptRetiredAnalysis:
+		return nil, fmt.Errorf("core: checkpoint: kind 1 (single-file analysis checkpoint) is no longer supported — " +
+			"runs now checkpoint per shard under a directory; delete the file and rerun with a checkpoint directory")
 	case ckptCrawl:
 		if c.crawl, err = decodeCrawlPayload(r); err != nil {
 			return nil, err
@@ -764,12 +799,9 @@ func decodeCrawlPayload(r *ckptReader) ([]CrawlProgress, error) {
 	return out, nil
 }
 
-// kindOf is a small helper for tests and tooling: it reports the payload
-// kind name without exposing the enum.
+// KindName reports the payload kind name without exposing the enum.
 func (c *Checkpoint) KindName() string {
 	switch c.kind {
-	case ckptAnalysis:
-		return "analysis"
 	case ckptCrawl:
 		return "crawl"
 	case ckptShard:

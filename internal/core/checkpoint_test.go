@@ -40,24 +40,38 @@ func sampleFoldSnapshot() *foldSnapshot {
 	}
 }
 
+// sampleShard wraps the sample accumulator's first exchange in a shard
+// snapshot — the form every analysis fold is checkpointed in.
+func sampleShard() *shardSnapshot {
+	fold := sampleFoldSnapshot()
+	fold.exchanges = fold.exchanges[:1]
+	return &shardSnapshot{index: 0, shards: 2, planned: 20, fold: fold, visits: map[string]*shardVisit{}}
+}
+
+// sampleImage is a valid kind-3 file image of sampleShard.
+func sampleImage() []byte {
+	return encodeCheckpoint(ckptShard, 42, 0xfeedface, encodeShardPayload(sampleShard()))
+}
+
 // TestCheckpointRoundTrip locks in codec fidelity and determinism for
-// both payload kinds: encode → decode → re-encode must reproduce the
-// exact structure and the exact bytes.
+// the analysis fold (carried in a shard) and the crawl progress:
+// encode → decode → re-encode must reproduce the exact structure and the
+// exact bytes.
 func TestCheckpointRoundTrip(t *testing.T) {
 	t.Run("analysis", func(t *testing.T) {
-		snap := sampleFoldSnapshot()
-		img := encodeCheckpoint(ckptAnalysis, 42, 0xfeedface, encodeFoldPayload(snap))
+		snap := sampleShard()
+		img := sampleImage()
 		c, err := decodeCheckpoint(img)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.Seed != 42 || c.ConfigHash != 0xfeedface || c.kind != ckptAnalysis {
+		if c.Seed != 42 || c.ConfigHash != 0xfeedface || c.kind != ckptShard {
 			t.Fatalf("header round-trip: %+v", c)
 		}
-		if !reflect.DeepEqual(snap, c.fold) {
+		if !reflect.DeepEqual(snap.fold, c.shard.fold) {
 			t.Error("fold snapshot does not round-trip")
 		}
-		img2 := encodeCheckpoint(ckptAnalysis, 42, 0xfeedface, encodeFoldPayload(c.fold))
+		img2 := encodeCheckpoint(ckptShard, 42, 0xfeedface, encodeShardPayload(c.shard))
 		if string(img) != string(img2) {
 			t.Error("re-encoding a decoded checkpoint produced different bytes")
 		}
@@ -92,7 +106,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // every damaged image must produce a clean error — never a panic, never a
 // partially-populated Checkpoint.
 func TestCheckpointDecodeCorruption(t *testing.T) {
-	valid := encodeCheckpoint(ckptAnalysis, 42, 0xfeedface, encodeFoldPayload(sampleFoldSnapshot()))
+	valid := sampleImage()
 
 	cases := []struct {
 		name    string
@@ -129,16 +143,17 @@ func TestCheckpointDecodeCorruption(t *testing.T) {
 			return resealRaw(t, func(b []byte) { b[10] = 9 })
 		}, "unknown payload kind"},
 		{"count bomb", func() []byte {
-			// Replace the exchange count (first payload byte) with a huge
-			// varint so a naive decoder would allocate gigabytes.
-			img := encodeCheckpoint(ckptAnalysis, 42, 0xfeedface,
-				[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+			// After the shard header (index 0, one shard, 20 planned),
+			// replace the fold's exchange count with a huge varint so a
+			// naive decoder would allocate gigabytes.
+			img := encodeCheckpoint(ckptShard, 42, 0xfeedface,
+				[]byte{0, 1, 20, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 			return img
 		}, "exceeds remaining data"},
 		{"inconsistent class sums", func() []byte {
-			snap := sampleFoldSnapshot()
-			snap.exchanges[0].self++ // self+popular+regular+failed != folded
-			return encodeCheckpoint(ckptAnalysis, 42, 0xfeedface, encodeFoldPayload(snap))
+			snap := sampleShard()
+			snap.fold.exchanges[0].self++ // self+popular+regular+failed != folded
+			return encodeCheckpoint(ckptShard, 42, 0xfeedface, encodeShardPayload(snap))
 		}, "do not sum"},
 	}
 	for _, tc := range cases {
@@ -161,7 +176,7 @@ func TestCheckpointDecodeCorruption(t *testing.T) {
 // trailing checksum, so structural checks past the checksum are reachable.
 func resealRaw(t *testing.T, mutate func([]byte)) []byte {
 	t.Helper()
-	img := encodeCheckpoint(ckptAnalysis, 42, 0xfeedface, encodeFoldPayload(sampleFoldSnapshot()))
+	img := sampleImage()
 	body := append([]byte(nil), img[:len(img)-8]...)
 	mutate(body)
 	h := fnv.New64a()
@@ -186,11 +201,31 @@ func TestLoadCheckpointErrors(t *testing.T) {
 	}
 }
 
+// TestLoadCheckpointRejectsKindOne: the retired single-file analysis
+// checkpoint (kind 1) must be refused with an error that says what
+// happened and what to do, not as corruption or an unknown kind.
+func TestLoadCheckpointRejectsKindOne(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "study.ckpt")
+	payload := encodeFoldPayload(sampleFoldSnapshot())
+	if err := os.WriteFile(p, encodeCheckpoint(ckptRetiredAnalysis, 1, 2, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := LoadCheckpoint(p)
+	if err == nil || c != nil {
+		t.Fatalf("kind-1 checkpoint loaded (%+v, %v)", c, err)
+	}
+	for _, want := range []string{"kind 1", "no longer supported", "checkpoint directory"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
 // TestCheckpointValidate pins the resume-safety matrix: wrong seed and
 // any output-shaping config change refuse; worker/cache changes resume.
 func TestCheckpointValidate(t *testing.T) {
 	cfg := DefaultStudyConfig()
-	img := encodeCheckpoint(ckptAnalysis, cfg.Seed, cfg.checkpointHash(), encodeFoldPayload(sampleFoldSnapshot()))
+	img := encodeCheckpoint(ckptShard, cfg.Seed, cfg.checkpointHash(), encodeShardPayload(sampleShard()))
 	c, err := decodeCheckpoint(img)
 	if err != nil {
 		t.Fatal(err)
@@ -247,17 +282,15 @@ func TestCheckpointValidate(t *testing.T) {
 func TestCheckpointAtomicWrite(t *testing.T) {
 	p := filepath.Join(t.TempDir(), "x.ckpt")
 	for i := 0; i < 3; i++ {
-		snap := sampleFoldSnapshot()
-		snap.miscCount = i
-		if err := writeCheckpointFile(p, ckptAnalysis, 1, 2, encodeFoldPayload(snap)); err != nil {
+		if err := writeSampleShard(t, p, i); err != nil {
 			t.Fatal(err)
 		}
 		c, err := LoadCheckpoint(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.fold.miscCount != i {
-			t.Fatalf("write %d: read back miscCount %d", i, c.fold.miscCount)
+		if got := c.shard.fold.miscCount; got != i {
+			t.Fatalf("write %d: read back miscCount %d", i, got)
 		}
 	}
 	if _, err := os.Stat(p + ".tmp"); !errors.Is(err, os.ErrNotExist) {
@@ -265,12 +298,64 @@ func TestCheckpointAtomicWrite(t *testing.T) {
 	}
 }
 
+// writeSampleShard writes the sample shard, tagged by its misc count.
+func writeSampleShard(t *testing.T, path string, tag int) error {
+	t.Helper()
+	snap := sampleShard()
+	snap.fold.miscCount = tag
+	return writeCheckpointFile(path, ckptShard, 1, 2, encodeShardPayload(snap))
+}
+
+// TestCheckpointCrashMidWrite injects a failure into the middle of a
+// checkpoint write — the temp file is a link to /dev/full, so the write
+// dies with ENOSPC as a full disk or a crash would cut it short — and
+// checks the previous checkpoint is still in place and loadable, and
+// that the next write recovers.
+func TestCheckpointCrashMidWrite(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("needs /dev/full")
+	}
+	p := filepath.Join(t.TempDir(), "x.ckpt")
+	if err := writeSampleShard(t, p, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("/dev/full", p+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeSampleShard(t, p, 2); err == nil {
+		t.Fatal("write into a full device succeeded")
+	}
+	c, err := LoadCheckpoint(p)
+	if err != nil {
+		t.Fatalf("previous checkpoint unloadable after an interrupted write: %v", err)
+	}
+	if got := c.shard.fold.miscCount; got != 1 {
+		t.Fatalf("checkpoint holds write %d, want the previous write 1", got)
+	}
+
+	// A crash after the temp write but before the rename leaves a torn
+	// temp file behind; it must not shadow the checkpoint, and the next
+	// write must replace it.
+	if err := os.WriteFile(p+".tmp", []byte("SLUMCKPT torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := LoadCheckpoint(p); err != nil || c.shard.fold.miscCount != 1 {
+		t.Fatalf("torn temp file shadowed the checkpoint: %v", err)
+	}
+	if err := writeSampleShard(t, p, 3); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := LoadCheckpoint(p); err != nil || c.shard.fold.miscCount != 3 {
+		t.Fatalf("write after a crash did not land: %v", err)
+	}
+}
+
 // FuzzCheckpointDecode hammers the decoder with arbitrary bytes: it must
 // reject or accept without panicking, and anything it accepts must
 // re-encode to the exact input bytes (the codec is canonical).
 func FuzzCheckpointDecode(f *testing.F) {
-	f.Add(encodeCheckpoint(ckptAnalysis, 42, 0xfeedface, encodeFoldPayload(sampleFoldSnapshot())))
-	f.Add(encodeCheckpoint(ckptAnalysis, 0, 0, encodeFoldPayload(&foldSnapshot{})))
+	f.Add(sampleImage())
+	f.Add(encodeCheckpoint(ckptRetiredAnalysis, 0, 0, encodeFoldPayload(&foldSnapshot{})))
 	f.Add(encodeCheckpoint(ckptCrawl, 7, 99, encodeCrawlPayload([]CrawlProgress{
 		{Exchange: "HitLeap", Records: 10, Failed: 1, Bytes: 4096},
 	})))
@@ -288,8 +373,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 		var img []byte
 		switch c.kind {
-		case ckptAnalysis:
-			img = encodeCheckpoint(c.kind, c.Seed, c.ConfigHash, encodeFoldPayload(c.fold))
+		case ckptShard:
+			img = encodeCheckpoint(c.kind, c.Seed, c.ConfigHash, encodeShardPayload(c.shard))
 		case ckptCrawl:
 			img = encodeCheckpoint(c.kind, c.Seed, c.ConfigHash, encodeCrawlPayload(c.crawl))
 		default:

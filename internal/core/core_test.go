@@ -42,6 +42,15 @@ func sharedStudy(t *testing.T) *Study {
 	return studyCache
 }
 
+// verdictOf re-derives one record's verdict the way the engine does:
+// the detector stack for regular referrals, the zero verdict otherwise.
+func verdictOf(an *Analyzer, rec crawler.Record) Verdict {
+	if an.Classifier.Classify(rec) != Regular {
+		return Verdict{}
+	}
+	return an.Detector.Inspect(rec)
+}
+
 func TestStudyShape(t *testing.T) {
 	st := sharedStudy(t)
 	if len(st.Exchanges) != 9 || len(st.Crawls) != 9 {
@@ -169,9 +178,8 @@ func TestContentCategoryBreakdown(t *testing.T) {
 	truth := stats.NewCounter()
 	cls := st.Analyzer.Classifier
 	for _, c := range st.Crawls {
-		vs := st.Analysis.Verdicts[c.Exchange]
-		for i, rec := range c.Records {
-			if cls.Classify(rec) != Regular || !vs[i].Malicious {
+		for _, rec := range c.Records {
+			if cls.Classify(rec) != Regular || !st.Detector.Inspect(rec).Malicious {
 				continue
 			}
 			site, ok := st.Universe.SiteByURL(rec.EntryURL)
@@ -230,12 +238,26 @@ func TestManualSurfBursts(t *testing.T) {
 	}
 }
 
+// TestVerdictsAlignWithRecords checks the fold against the records it
+// consumed: each exchange's Table I row counts exactly its crawl's
+// records, and its malicious count is what the detector says about them
+// one by one.
 func TestVerdictsAlignWithRecords(t *testing.T) {
 	st := sharedStudy(t)
-	for _, c := range st.Crawls {
-		vs := st.Analysis.Verdicts[c.Exchange]
-		if len(vs) != len(c.Records) {
-			t.Fatalf("%s: %d verdicts for %d records", c.Exchange, len(vs), len(c.Records))
+	for i, c := range st.Crawls {
+		row := st.Analysis.PerExchange[i]
+		if row.Name != c.Exchange || row.Crawled != len(c.Records) {
+			t.Fatalf("row %d is %s with %d records, crawl is %s with %d",
+				i, row.Name, row.Crawled, c.Exchange, len(c.Records))
+		}
+		malicious := 0
+		for _, rec := range c.Records {
+			if verdictOf(st.Analyzer, rec).Malicious {
+				malicious++
+			}
+		}
+		if malicious != row.Malicious {
+			t.Fatalf("%s: detector flags %d records, Table I row says %d", c.Exchange, malicious, row.Malicious)
 		}
 	}
 }
@@ -245,13 +267,12 @@ func TestDetectionAgainstGroundTruth(t *testing.T) {
 	tp, fn, fp, tn := 0, 0, 0, 0
 	cls := st.Analyzer.Classifier
 	for _, c := range st.Crawls {
-		vs := st.Analysis.Verdicts[c.Exchange]
-		for i, rec := range c.Records {
+		for _, rec := range c.Records {
 			if cls.Classify(rec) != Regular {
 				continue
 			}
 			truth := st.Universe.TruthByURL(rec.EntryURL).Malicious()
-			got := vs[i].Malicious
+			got := st.Detector.Inspect(rec).Malicious
 			switch {
 			case truth && got:
 				tp++
@@ -287,17 +308,17 @@ func TestCategorizationAgainstGroundTruth(t *testing.T) {
 	agree, total := 0, 0
 	cls := st.Analyzer.Classifier
 	for _, c := range st.Crawls {
-		vs := st.Analysis.Verdicts[c.Exchange]
-		for i, rec := range c.Records {
-			if cls.Classify(rec) != Regular || !vs[i].Malicious {
+		for _, rec := range c.Records {
+			if cls.Classify(rec) != Regular {
 				continue
 			}
+			v := st.Detector.Inspect(rec)
 			kind := st.Universe.TruthByURL(rec.EntryURL)
-			if !kind.Malicious() {
+			if !v.Malicious || !kind.Malicious() {
 				continue
 			}
 			total++
-			if vs[i].Category == want[kind] {
+			if v.Category == want[kind] {
 				agree++
 			}
 		}

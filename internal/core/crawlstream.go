@@ -160,7 +160,7 @@ func (st *Study) StreamDataset(outPath string, opts DatasetStreamOptions) (Datas
 		mu.Lock()
 		defer mu.Unlock()
 		if aborted {
-			return errStreamStopped
+			return errStopped
 		}
 		if rec.Seq < sp.preDone {
 			st.Config.Metrics.Counter("stream.skipped").Inc()
@@ -264,12 +264,12 @@ func datasetRecordOf(r *crawler.Record) *datasetRecord {
 // firstRealError unwraps the errors.Join CrawlAllStream returns when the
 // run stops early: the error that caused the stop (abort sentinel,
 // checkpoint-write failure, spill-write failure) is the interesting one;
-// the errStreamStopped echoes from the other exchange goroutines are not.
+// the errStopped echoes from the other exchange goroutines are not.
 func firstRealError(err error) error {
 	type multi interface{ Unwrap() []error }
 	if m, ok := err.(multi); ok {
 		for _, e := range m.Unwrap() {
-			if e != nil && !errors.Is(e, errStreamStopped) {
+			if e != nil && !errors.Is(e, errStopped) {
 				return e
 			}
 		}

@@ -130,17 +130,21 @@ func TestStreamDatasetKillResume(t *testing.T) {
 }
 
 // TestStreamDatasetRejectsAnalysisCheckpoint ensures the two checkpoint
-// kinds cannot be crossed: an analysis checkpoint must not resume a
-// dataset crawl, and vice versa.
+// kinds cannot be crossed: an analysis (shard) checkpoint must not resume
+// a dataset crawl, and vice versa.
 func TestStreamDatasetRejectsAnalysisCheckpoint(t *testing.T) {
 	cfg := streamConfig(1, 4, "")
 	dir := t.TempDir()
-	anCkpt := filepath.Join(dir, "analysis.ckpt")
-	_, err := RunStudyStream(cfg, StreamOptions{CheckpointPath: anCkpt, CheckpointEvery: 5, AbortAfter: 40})
+	anDir := filepath.Join(dir, "analysis")
+	_, err := RunStudyStream(cfg, RunOptions{CheckpointDir: anDir, CheckpointEvery: 5, AbortAfter: 40})
 	if !errors.Is(err, ErrAborted) {
 		t.Fatal(err)
 	}
-	ck, err := LoadCheckpoint(anCkpt)
+	shards, _ := filepath.Glob(filepath.Join(anDir, "shard-*.ckpt"))
+	if len(shards) == 0 {
+		t.Fatal("no shard checkpoint on disk after the kill")
+	}
+	ck, err := LoadCheckpoint(shards[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +156,12 @@ func TestStreamDatasetRejectsAnalysisCheckpoint(t *testing.T) {
 		t.Error("dataset crawl resumed from an analysis checkpoint, want error")
 	}
 
-	crCkpt := filepath.Join(dir, "crawl.ckpt")
+	// A crawl checkpoint planted where a shard file belongs.
+	crDir := filepath.Join(dir, "crawl")
+	if err := os.MkdirAll(crDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	crCkpt := ShardPath(crDir, 0)
 	st2, err := NewStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -162,11 +171,7 @@ func TestStreamDatasetRejectsAnalysisCheckpoint(t *testing.T) {
 	if !errors.Is(err, ErrAborted) {
 		t.Fatal(err)
 	}
-	ck2, err := LoadCheckpoint(crCkpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunStudyStream(cfg, StreamOptions{Resume: ck2}); err == nil {
+	if _, err := RunStudyStream(cfg, RunOptions{CheckpointDir: crDir}); err == nil {
 		t.Error("analysis resumed from a crawl checkpoint, want error")
 	}
 }

@@ -26,7 +26,10 @@ type hostileRun struct {
 	bombs    []*web.Site
 	crawls   []*crawler.Crawl
 	analysis *Analysis
-	metrics  *obs.Registry
+	an       *Analyzer
+	// trips holds the jsengine.sandbox.* counters the analysis itself
+	// incremented.
+	trips map[string]int64
 }
 
 // runHostileChaos builds a single-exchange rig whose malicious pool is
@@ -72,14 +75,15 @@ func runHostileChaos(t testing.TB, seed uint64, profileName string, workers int)
 		Detector:   det,
 		Workers:    workers,
 	}
-	return &hostileRun{bombs: bombs, crawls: crawls, analysis: an.Analyze(crawls), metrics: metrics}
+	a := an.Analyze(crawls)
+	return &hostileRun{bombs: bombs, crawls: crawls, analysis: a, an: an, trips: sandboxCounters(metrics)}
 }
 
 // sandboxCounters extracts the jsengine.sandbox.* counter values from a
-// run's registry.
-func sandboxCounters(r *hostileRun) map[string]int64 {
+// registry.
+func sandboxCounters(reg *obs.Registry) map[string]int64 {
 	out := map[string]int64{}
-	for _, c := range r.metrics.Snapshot().Counters {
+	for _, c := range reg.Snapshot().Counters {
 		if strings.HasPrefix(c.Name, "jsengine.sandbox.") {
 			out[c.Name] = c.Value
 		}
@@ -115,13 +119,12 @@ func TestHostileChaosMatrix(t *testing.T) {
 			}
 			seenBomb := false
 			for _, c := range run.crawls {
-				verdicts := a.Verdicts[c.Exchange]
-				for ri, rec := range c.Records {
+				for _, rec := range c.Records {
 					if !bombEntry[rec.EntryURL] || rec.FetchErr != "" {
 						continue
 					}
 					seenBomb = true
-					v := verdicts[ri]
+					v := verdictOf(run.an, rec)
 					if !v.Malicious {
 						t.Errorf("%s/workers=%d: bomb %s not flagged malicious", profile, workers, rec.EntryURL)
 						continue
@@ -145,12 +148,12 @@ func TestHostileChaosMatrix(t *testing.T) {
 			// across worker counts.
 			if baseline == nil {
 				baseline = run
-				if len(sandboxCounters(run)) == 0 {
+				if len(run.trips) == 0 {
 					t.Errorf("%s: no jsengine.sandbox.* counters incremented", profile)
 				}
 				continue
 			}
-			if got, want := sandboxCounters(run), sandboxCounters(baseline); !reflect.DeepEqual(got, want) {
+			if got, want := run.trips, baseline.trips; !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: sandbox counters differ across worker counts: %v vs %v", profile, got, want)
 			}
 			got := run.analysis

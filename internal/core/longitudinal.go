@@ -3,14 +3,14 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io/fs"
+	"os"
 	"path/filepath"
 
 	"repro/internal/shortener"
 	"repro/internal/stats"
 )
 
-// Longitudinal study runner: one streaming run per epoch from the same
+// Longitudinal study runner: one engine run per epoch from the same
 // seed, with optional incremental re-crawl. Epoch N's universe embeds the
 // churn history 1..N (prefix-stable, see web.applyChurn), the intel layer
 // lags ground truth by the configured number of epochs, and exchange
@@ -38,16 +38,16 @@ type LongitudinalOptions struct {
 	// equivalence tests, the epoch-soak diff leg and the benchmark
 	// baseline can pin the fast path against the rebuild-everything one.
 	SerialRebuild bool
-	// Stream is the base streaming configuration. CheckpointPath, when
-	// set, is suffixed ".epochN" per epoch and existing per-epoch
-	// checkpoints are resumed automatically (epochs that completed have
+	// Run is the base engine configuration. CheckpointDir, when set,
+	// holds one subdirectory per epoch (epoch000, epoch001, ...) of shard
+	// checkpoints, resumed automatically (epochs that completed have
 	// deleted theirs and simply re-run — deterministically — when an
 	// interrupted study is re-launched). AbortAfter, when > 0, is a
 	// STUDY-WIDE fold budget: the run aborts with ErrAborted once that
 	// many records have been folded across epochs in this process.
-	// Preload and WriteDeltaPath are managed by the runner and must be
-	// left unset.
-	Stream StreamOptions
+	// Preload, WriteDeltaPath and Only are managed by the runner and must
+	// be left unset.
+	Run RunOptions
 }
 
 // EpochOutcome is one epoch's slice of a longitudinal result.
@@ -71,10 +71,9 @@ type EpochOutcome struct {
 	ShortStats []shortener.HitStats
 }
 
-// OutcomeOf captures a completed study's epoch slice — the piece of a
-// LongitudinalResult one epoch contributes. Shared by the streaming
-// runner and the fleet-mode longitudinal path in cmd/slumfleet.
-func OutcomeOf(st *Study) EpochOutcome {
+// outcomeOf captures a completed study's epoch slice — the piece of a
+// LongitudinalResult one epoch contributes.
+func outcomeOf(st *Study) EpochOutcome {
 	consensus, feed, total := st.Universe.IntelCoverage()
 	return EpochOutcome{
 		Epoch:          st.Config.Epoch,
@@ -120,6 +119,12 @@ func DeltaPath(dir string, epoch int) string {
 	return filepath.Join(dir, fmt.Sprintf("epoch%03d.slumdelta", epoch))
 }
 
+// epochCheckpointDir names the shard-checkpoint directory epoch e of a
+// study uses under dir.
+func epochCheckpointDir(dir string, epoch int) string {
+	return filepath.Join(dir, fmt.Sprintf("epoch%03d", epoch))
+}
+
 // RunLongitudinalStudy executes a cfg.Epochs-epoch study (<= 1 runs a
 // single classic epoch) and returns the per-epoch outcomes. See
 // LongitudinalOptions for checkpointing, abort-budget and delta-mode
@@ -131,12 +136,12 @@ func DeltaPath(dir string, epoch int) string {
 // (O(changed sites), shared render cache) on a background goroutine
 // WHILE epoch e streams, and in delta mode the just-written delta is
 // handed to the next epoch in memory instead of being re-read from
-// disk. None of this changes any output byte: the fold stays strictly
-// serial per epoch, checkpoints and kill-resume behave as before, and
-// the delta file on disk remains authoritative for resumed processes.
+// disk. None of this changes any output byte: epochs still run one
+// after another, checkpoints and kill-resume behave as before, and the
+// delta file on disk remains authoritative for resumed processes.
 func RunLongitudinalStudy(cfg StudyConfig, opts LongitudinalOptions) (*LongitudinalResult, error) {
-	if opts.Stream.Preload != nil || opts.Stream.WriteDeltaPath != "" {
-		return nil, errors.New("core: longitudinal runner owns Preload/WriteDeltaPath — leave them unset")
+	if opts.Run.Preload != nil || opts.Run.WriteDeltaPath != "" || len(opts.Run.Only) > 0 {
+		return nil, errors.New("core: longitudinal runner owns Preload/WriteDeltaPath/Only — leave them unset")
 	}
 	epochs := cfg.Epochs
 	if epochs <= 0 {
@@ -149,7 +154,7 @@ func RunLongitudinalStudy(cfg StudyConfig, opts LongitudinalOptions) (*Longitudi
 		return ecfg
 	}
 	res := &LongitudinalResult{Config: cfg}
-	budget := opts.Stream.AbortAfter
+	budget := opts.Run.AbortAfter
 	folded := 0
 
 	// pending carries the prefetched next-epoch study. The drain below
@@ -195,7 +200,7 @@ func RunLongitudinalStudy(cfg StudyConfig, opts LongitudinalOptions) (*Longitudi
 		for _, s := range st.Steps {
 			epochSteps += s
 		}
-		// Kick off the next epoch's universe while this one streams. The
+		// Kick off the next epoch's universe while this one runs. The
 		// advance reads only the previous universe's immutable prototype
 		// state and the lock-guarded render cache, never anything the
 		// running crawl mutates. A budget that cannot outlast this epoch
@@ -213,32 +218,18 @@ func RunLongitudinalStudy(cfg StudyConfig, opts LongitudinalOptions) (*Longitudi
 				ch <- built{nst, err}
 			}(epochConfig(e+1), st)
 		}
-		sopts := opts.Stream
-		sopts.Resume = nil
-		sopts.AbortAfter = 0
-		if sopts.CheckpointPath != "" {
-			sopts.CheckpointPath = fmt.Sprintf("%s.epoch%d", opts.Stream.CheckpointPath, e)
-			ck, err := LoadCheckpoint(sopts.CheckpointPath)
-			switch {
-			case err == nil:
-				if err := ck.Validate(ecfg); err != nil {
-					return res, fmt.Errorf("core: epoch %d: %w", e, err)
-				}
-				sopts.Resume = ck
-			case errors.Is(err, fs.ErrNotExist):
-				// Fresh epoch — nothing to resume.
-			default:
-				return res, fmt.Errorf("core: epoch %d: %w", e, err)
-			}
+		ropts := opts.Run
+		if ropts.CheckpointDir != "" {
+			ropts.CheckpointDir = epochCheckpointDir(opts.Run.CheckpointDir, e)
 		}
 		if opts.DeltaDir != "" {
-			sopts.WriteDeltaPath = DeltaPath(opts.DeltaDir, e)
+			ropts.WriteDeltaPath = DeltaPath(opts.DeltaDir, e)
 			if e > 0 {
 				if prevDelta != nil && !opts.SerialRebuild {
 					// The previous epoch of this very process wrote the
 					// delta; hand it over in memory. The provenance checks
 					// ValidateDelta runs on loaded files hold trivially.
-					sopts.Preload = prevDelta
+					ropts.Preload = prevDelta
 				} else {
 					ck, err := LoadCheckpoint(DeltaPath(opts.DeltaDir, e-1))
 					if err != nil {
@@ -248,27 +239,26 @@ func RunLongitudinalStudy(cfg StudyConfig, opts LongitudinalOptions) (*Longitudi
 					if err != nil {
 						return res, fmt.Errorf("core: epoch %d: %w", e, err)
 					}
-					sopts.Preload = d
+					ropts.Preload = d
 				}
 			}
 		}
-		resumed := 0
-		if sopts.Resume != nil {
-			resumed = sopts.Resume.Records()
-		}
-		// Pass the budget down only when it can bind mid-epoch; an epoch
-		// that exactly exhausts the budget completes normally and the next
+		// The engine never aborts on a run's final record, so an epoch
+		// that exactly exhausts the budget completes normally and the
 		// boundary check above aborts the study.
 		if budget > 0 {
-			if remaining := budget - folded; remaining < epochSteps-resumed {
-				sopts.AbortAfter = remaining
-			}
+			ropts.AbortAfter = budget - folded
 		}
-		if err := st.RunStream(sopts); err != nil {
+		err := st.RunStream(ropts)
+		folded += st.folded
+		if err != nil {
 			return res, fmt.Errorf("core: epoch %d: %w", e, err)
 		}
-		folded += epochSteps - resumed
-		res.Epochs = append(res.Epochs, OutcomeOf(st))
+		if ropts.CheckpointDir != "" && !ropts.KeepShards {
+			// The epoch's shard files are gone; drop its directory too.
+			os.Remove(ropts.CheckpointDir)
+		}
+		res.Epochs = append(res.Epochs, outcomeOf(st))
 		prevDelta = st.WrittenDelta
 	}
 	return res, nil

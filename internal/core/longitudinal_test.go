@@ -37,7 +37,7 @@ func TestCheckpointHashRefusesLongitudinalMismatch(t *testing.T) {
 	base.Epochs = 4
 	base.Epoch = 1
 	base.BlacklistDecay = 0.1
-	ck := &Checkpoint{Seed: base.Seed, ConfigHash: base.checkpointHash(), kind: ckptAnalysis}
+	ck := &Checkpoint{Seed: base.Seed, ConfigHash: base.checkpointHash(), kind: ckptShard}
 	if err := ck.Validate(base); err != nil {
 		t.Fatalf("checkpoint does not validate against its own config: %v", err)
 	}
@@ -132,9 +132,9 @@ func TestEpochDeltaCodecRoundTrip(t *testing.T) {
 	}
 
 	// A non-delta checkpoint must be rejected by kind, not crash.
-	ack := &Checkpoint{kind: ckptAnalysis}
+	ack := &Checkpoint{kind: ckptShard}
 	if _, err := ack.ValidateDelta(consumer); err == nil {
-		t.Error("analysis checkpoint accepted as an epoch delta")
+		t.Error("shard checkpoint accepted as an epoch delta")
 	}
 }
 
@@ -220,7 +220,7 @@ func TestLongitudinalBudgetBoundaryAbort(t *testing.T) {
 	reg := obs.NewRegistry()
 	mcfg := cfg
 	mcfg.Metrics = reg
-	res, err := RunLongitudinalStudy(mcfg, LongitudinalOptions{Stream: StreamOptions{AbortAfter: steps0}})
+	res, err := RunLongitudinalStudy(mcfg, LongitudinalOptions{Run: RunOptions{AbortAfter: steps0}})
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("boundary-exhausted budget: got %v, want ErrAborted", err)
 	}
@@ -230,7 +230,7 @@ func TestLongitudinalBudgetBoundaryAbort(t *testing.T) {
 	if !reflect.DeepEqual(res.Epochs[0].Analysis, base.Epochs[0].Analysis) {
 		t.Error("the budget-exhausting epoch was truncated; it must complete untouched")
 	}
-	if n := reg.Counter("stream.records").Value(); n != int64(steps0) {
+	if n := reg.Counter("pipeline.records").Value(); n != int64(steps0) {
 		t.Errorf("folded %d records under a %d budget — the boundary abort leaked folds into the next epoch", n, steps0)
 	}
 	if n := reg.Counter("study.universe.advanced").Value(); n != 0 {
@@ -238,7 +238,7 @@ func TestLongitudinalBudgetBoundaryAbort(t *testing.T) {
 	}
 
 	// A budget equal to the whole study is no abort at all.
-	full, err := RunLongitudinalStudy(cfg, LongitudinalOptions{Stream: StreamOptions{AbortAfter: total}})
+	full, err := RunLongitudinalStudy(cfg, LongitudinalOptions{Run: RunOptions{AbortAfter: total}})
 	if err != nil {
 		t.Fatalf("study-sized budget: %v", err)
 	}
@@ -314,6 +314,71 @@ func TestLongitudinalIncrementalInvariance(t *testing.T) {
 	}
 }
 
+// TestLongitudinalDefaultNeverFallsBack answers whether the
+// GenerateEpoch fallback is taken outside the rebuild oracle: a default
+// (pipelined, no delta dir) multi-epoch study advances every epoch's
+// universe from the previous one and never regenerates one.
+func TestLongitudinalDefaultNeverFallsBack(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := longitudinalConfig(12, 2)
+	cfg.Epochs = 4
+	cfg.Metrics = reg
+	if _, err := RunLongitudinalStudy(cfg, LongitudinalOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("study.universe.advanced").Value(); n != int64(cfg.Epochs-1) {
+		t.Errorf("study.universe.advanced = %d, want %d", n, cfg.Epochs-1)
+	}
+	if n := reg.Counter("study.universe.advance_fallback").Value(); n != 0 {
+		t.Errorf("study.universe.advance_fallback = %d, want 0", n)
+	}
+}
+
+// TestStreamDoubleKill kills a checkpointed multi-epoch study twice —
+// first inside epoch 0, then, after relaunching under another worker
+// count, inside a later epoch — before a third launch finishes it. The
+// per-epoch checkpoint directories must compose across both kills.
+func TestStreamDoubleKill(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	cfg := longitudinalConfig(13, 2)
+	want, err := RunLongitudinalStudy(cfg, LongitudinalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch0 := want.Epochs[0].Analysis.TotalCrawled
+	dir := t.TempDir()
+	run := func(workers, abortAfter int) (*LongitudinalResult, error) {
+		c := cfg
+		c.Workers = workers
+		return RunLongitudinalStudy(c, LongitudinalOptions{Run: RunOptions{
+			CheckpointDir: dir, CheckpointEvery: 17, AbortAfter: abortAfter,
+		}})
+	}
+	if _, err := run(2, epoch0/2); !errors.Is(err, ErrAborted) {
+		t.Fatalf("first kill: got %v, want ErrAborted", err)
+	}
+	// The relaunch replays epoch 0 from its checkpoints and folds the
+	// rest of it, so a budget of a full epoch lands inside epoch 1.
+	res, err := run(8, epoch0)
+	if !errors.Is(err, ErrAborted) {
+		t.Fatalf("second kill: got %v, want ErrAborted", err)
+	}
+	if len(res.Epochs) != 1 {
+		t.Fatalf("second kill kept %d completed epochs, want 1", len(res.Epochs))
+	}
+	got, err := run(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Epochs {
+		w, g := want.Epochs[i], got.Epochs[i]
+		w.Analysis, g.Analysis = stripCacheStats(w.Analysis), stripCacheStats(g.Analysis)
+		if !reflect.DeepEqual(w, g) {
+			t.Errorf("epoch %d differs after two kills", i)
+		}
+	}
+}
+
 // TestLongitudinalSeriesAndRates sanity-checks the cross-epoch report
 // inputs: concatenated per-exchange series are monotone with the right
 // total, and the per-epoch malice-rate series has one point per epoch.
@@ -369,22 +434,25 @@ func TestLongitudinalKillResumeMatrix(t *testing.T) {
 				total += e.Analysis.TotalCrawled
 			}
 
-			ckpt := filepath.Join(t.TempDir(), "study.ckpt")
+			ckpt := t.TempDir()
 			kill := 1 + cut.Intn(total-1)
-			_, err = RunLongitudinalStudy(cfg, LongitudinalOptions{Stream: StreamOptions{
-				CheckpointPath: ckpt, CheckpointEvery: 100, AbortAfter: kill,
+			_, err = RunLongitudinalStudy(cfg, LongitudinalOptions{Run: RunOptions{
+				CheckpointDir: ckpt, CheckpointEvery: 100, AbortAfter: kill,
 			}})
 			if !errors.Is(err, ErrAborted) {
 				t.Fatalf("epochs=%d seed=%d kill=%d: got %v, want ErrAborted", epochs, rig.seed, kill, err)
 			}
-			got, err := RunLongitudinalStudy(cfg, LongitudinalOptions{Stream: StreamOptions{
-				CheckpointPath: ckpt, CheckpointEvery: 100,
+			got, err := RunLongitudinalStudy(cfg, LongitudinalOptions{Run: RunOptions{
+				CheckpointDir: ckpt, CheckpointEvery: 100,
 			}})
 			if err != nil {
 				t.Fatalf("epochs=%d seed=%d kill=%d: resumed run: %v", epochs, rig.seed, kill, err)
 			}
 			if len(got.Epochs) != len(want.Epochs) {
 				t.Fatalf("resumed run spans %d epochs, want %d", len(got.Epochs), len(want.Epochs))
+			}
+			if left, _ := filepath.Glob(filepath.Join(ckpt, "epoch*")); len(left) != 0 {
+				t.Errorf("epochs=%d seed=%d: epoch checkpoints left behind: %v", epochs, rig.seed, left)
 			}
 			for i := range want.Epochs {
 				w, g := want.Epochs[i], got.Epochs[i]

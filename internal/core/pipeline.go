@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -258,74 +257,4 @@ func (an *Analyzer) scanOne(cache *VerdictCache, exchangeName string, rec *crawl
 		scan.End()
 	}
 	return o
-}
-
-// scanRecords fans every crawl record out to the detector over a bounded
-// worker pool and returns per-crawl outcome slices in record order.
-// Results land in pre-sized slots indexed by (crawl, record), so the merge
-// is deterministic by construction: the fold that follows reads them in
-// exactly the order the sequential pipeline would have produced them.
-func (an *Analyzer) scanRecords(crawls []*crawler.Crawl) ([][]recOutcome, CacheStats) {
-	outcomes := make([][]recOutcome, len(crawls))
-	total := 0
-	for i, c := range crawls {
-		outcomes[i] = make([]recOutcome, len(c.Records))
-		total += len(c.Records)
-	}
-
-	var cache *VerdictCache
-	if !an.DisableCache {
-		cache = NewVerdictCache()
-	}
-
-	workers := an.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > total && total > 0 {
-		workers = total
-	}
-
-	an.Metrics.Counter("pipeline.records").Add(int64(total))
-	an.Metrics.Gauge("pipeline.workers.configured").Set(int64(workers))
-	// busy/peak are timing-dependent (occupancy depends on scheduling) and
-	// are never asserted exactly; see the obs package determinism contract.
-	busy := an.Metrics.Gauge("pipeline.workers.busy")
-	peak := an.Metrics.Gauge("pipeline.workers.peak")
-
-	if workers <= 1 {
-		for ci, c := range crawls {
-			for ri := range c.Records {
-				outcomes[ci][ri] = an.scanOne(cache, c.Exchange, &c.Records[ri])
-			}
-		}
-	} else {
-		type job struct{ ci, ri int }
-		jobs := make(chan job, 4*workers)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for j := range jobs {
-					busy.Add(1)
-					peak.SetMax(busy.Value())
-					outcomes[j.ci][j.ri] = an.scanOne(cache, crawls[j.ci].Exchange, &crawls[j.ci].Records[j.ri])
-					busy.Add(-1)
-				}
-			}()
-		}
-		for ci, c := range crawls {
-			for ri := range c.Records {
-				jobs <- job{ci, ri}
-			}
-		}
-		close(jobs)
-		wg.Wait()
-	}
-
-	if cache == nil {
-		return outcomes, CacheStats{}
-	}
-	return outcomes, cache.Stats()
 }

@@ -11,13 +11,13 @@ import (
 	"repro/internal/urlutil"
 )
 
-// This file implements the mergeable shard half of the fleet mode (see
-// fleet.go for the scheduler): a shard is one exchange's partial study —
-// its fold accumulator plus the shortener traffic its crawl generated —
-// serialized as a SLUMCKPT kind-3 payload. Shards merge associatively and
-// commutatively into one Analysis that is byte-identical to a
-// single-process run, regardless of fleet size, merge order, or how many
-// kill/resume cycles produced them.
+// This file implements the mergeable shard half of the study engine
+// (see engine.go for the scheduler): a shard is one exchange's partial
+// study — its fold accumulator plus the shortener traffic its crawl
+// generated — serialized as a SLUMCKPT kind-3 payload. Shards merge
+// associatively and commutatively into one Analysis that is
+// byte-identical to a single-process run, regardless of worker count,
+// merge order, or how many kill/resume cycles produced them.
 //
 // The deterministic merge contract covers: the Analysis fold (Table I/II
 // rows, category/TLD/content counters, redirect histogram, Figure 3
@@ -343,7 +343,7 @@ func (m *ShardMerger) Analysis() (*Analysis, error) {
 
 // Counters returns the summed deterministic counter view of every merged
 // shard (see shardSnapshot.counters). Defined for any subset — sums are
-// associative — so partial fleets can report progress.
+// associative — so partial shard sets can report progress.
 func (m *ShardMerger) Counters() map[string]int64 {
 	out := map[string]int64{}
 	for _, s := range m.got {
@@ -437,7 +437,7 @@ func mergeFold(snaps []*shardSnapshot) (*foldState, error) {
 		names[pos] = es.name
 		kinds[pos] = exchange.Kind(es.kind)
 	}
-	fs := newFoldState(nil, names, kinds, false)
+	fs := newFoldState(nil, names, kinds)
 	for _, s := range snaps {
 		if err := fs.mergeExchangeSnap(slot[s.index], &s.fold.exchanges[0]); err != nil {
 			return nil, err

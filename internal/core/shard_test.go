@@ -156,7 +156,7 @@ func TestShardMergerRefusals(t *testing.T) {
 	})
 	t.Run("wrong kind", func(t *testing.T) {
 		m := NewShardMerger()
-		if err := m.Add(&Checkpoint{kind: ckptAnalysis}); err == nil || !strings.Contains(err.Error(), "not a shard checkpoint") {
+		if err := m.Add(&Checkpoint{kind: ckptCrawl}); err == nil || !strings.Contains(err.Error(), "not a shard checkpoint") {
 			t.Errorf("got %v, want kind refusal", err)
 		}
 		if err := m.Add(nil); err == nil {

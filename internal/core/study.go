@@ -29,9 +29,9 @@ type StudyConfig struct {
 	// DriveShortenerTraffic populates Table IV hit counters with
 	// background member traffic before the crawl.
 	DriveShortenerTraffic bool
-	// Workers bounds the analysis pipeline's detection worker pool;
-	// <= 0 uses runtime.GOMAXPROCS(0). Output is identical for every
-	// worker count.
+	// Workers is the number of engine workers, each running one
+	// exchange shard at a time; <= 0 uses runtime.GOMAXPROCS(0). Output is
+	// identical for every worker count.
 	Workers int
 	// DisableVerdictCache turns off the single-flight per-URL verdict
 	// cache (every record then runs the full detector stack).
@@ -115,10 +115,14 @@ type Study struct {
 	Crawls    []*crawler.Crawl
 	Analysis  *Analysis
 	// WrittenDelta holds the epoch delta RunStream wrote to
-	// StreamOptions.WriteDeltaPath, if any. The longitudinal runner
+	// RunOptions.WriteDeltaPath, if any. The longitudinal runner
 	// preloads the next epoch from it directly, skipping the disk
 	// round-trip (the file stays authoritative for kill-resume).
 	WrittenDelta *EpochDelta
+	// folded counts the records this process folded in its last
+	// RunStream, resumed records excluded; the longitudinal runner
+	// charges it against the study-wide abort budget.
+	folded int
 }
 
 // NewStudy builds the universe, exchanges and detector without crawling.
@@ -130,8 +134,8 @@ func NewStudy(cfg StudyConfig) (*Study, error) { return NewStudyFrom(cfg, nil) }
 // via web.AdvanceEpoch — O(changed sites) instead of a full regeneration,
 // and render caches carry over — with output guaranteed identical to the
 // from-scratch build. Anything else falls back to GenerateEpoch. The
-// longitudinal runner and the fleet path thread prev through; single
-// studies pass nil and are unaffected.
+// longitudinal runner and the merge-only pass thread prev through;
+// single studies pass nil and are unaffected.
 func NewStudyFrom(cfg StudyConfig, prev *web.Universe) (*Study, error) {
 	if cfg.Scale <= 0 {
 		return nil, fmt.Errorf("core: scale must be positive, got %d", cfg.Scale)
@@ -246,11 +250,13 @@ func (st *Study) BuildClassifier() *Classifier {
 	return &Classifier{ExchangeHosts: hosts, PopularHosts: st.Universe.PopularHosts}
 }
 
-// Run executes the crawl and the analysis. When a fault profile is
-// configured, only the crawl transport is degraded: analysis-time network
-// access (scanner UA fetches, sub-resource pulls) runs against the clean
-// universe, which is what keeps verdicts on successfully-fetched URLs
-// byte-identical to a fault-free run.
+// Run crawls every exchange, keeps the crawls (records and HAR) in
+// st.Crawls, then analyzes them through the engine with the recorded
+// source. When a fault profile is configured, only the crawl transport
+// is degraded: analysis-time network access (scanner UA fetches,
+// sub-resource pulls) runs against the clean universe, which is what
+// keeps verdicts on successfully-fetched URLs byte-identical to a
+// fault-free run.
 func (st *Study) Run() error {
 	if st.Config.DriveShortenerTraffic {
 		st.driveShortenerTraffic()
@@ -278,8 +284,7 @@ func (st *Study) Run() error {
 
 // publishRenderMetrics drains the universe's render-cache counters into
 // the obs registry. Only called at deterministic completion points (end
-// of a batch run, end of a stream run, end of a fleet merge) — never on
-// abort paths, where the number of pages served so far is
+// of Run, end of a RunStream) — never on abort paths, where the number of pages served so far is
 // schedule-dependent. While no page cache hits capacity (uncached == 0)
 // the hit/miss split is exact and worker-count-invariant, so the metrics
 // invariance tests may compare these counters byte-for-byte.
@@ -295,16 +300,16 @@ func (st *Study) publishRenderMetrics() {
 }
 
 // transport assembles the crawl-path transport: the virtual internet,
-// wrapped in the configured fault injector when a profile is set. Both
-// the batch and the streaming pipeline crawl through exactly this stack,
-// which is what makes their fetch streams — and therefore their reports —
-// interchangeable.
+// wrapped in the configured fault injector when a profile is set. Run
+// and the dataset crawl go through exactly this stack, and RunStream
+// through the same stack around a visit recorder, which is what makes
+// their fetch streams — and therefore their reports — interchangeable.
 func (st *Study) transport() httpsim.RoundTripper {
 	return st.transportOver(st.Universe.Internet)
 }
 
 // transportOver assembles the crawl-path stack over an inner transport —
-// normally the virtual internet; in fleet mode each shard's visit
+// normally the virtual internet; in RunStream each shard's visit
 // recorder wrapping it. The fault injector always goes OUTSIDE the inner
 // transport: every injection decision is a pure function of (seed, URL,
 // attempt), so per-shard injector instances reproduce the shared
