@@ -55,6 +55,13 @@ func TestRunEpochsWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestRunEpochsRejectsJSON: the longitudinal path refuses -json.
+func TestRunEpochsRejectsJSON(t *testing.T) {
+	if err := run([]string{"-scale", "1500", "-epochs", "2", "-json"}, &bytes.Buffer{}); err == nil {
+		t.Fatal("-json with -epochs > 1 accepted")
+	}
+}
+
 // TestRunEpochsOneMatchesClassic: "-epochs 1" must be the classic
 // single-epoch report, byte for byte — no headers, no longitudinal
 // sections, same goldens.

@@ -69,7 +69,7 @@ func TestGoldenReportFaulty(t *testing.T) {
 // however many workers share the exchange shards.
 func TestGoldenReportWorkerInvariance(t *testing.T) {
 	base := captureReport(t)
-	for _, workers := range []string{"1", "2", "4", "8"} {
+	for _, workers := range []string{"1", "2", "8"} {
 		if got := captureReport(t, "-workers", workers); !bytes.Equal(got, base) {
 			t.Fatalf("-workers %s output differs from default\n%s",
 				workers, firstDiff(got, base))

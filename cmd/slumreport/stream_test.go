@@ -7,6 +7,26 @@ import (
 	"testing"
 )
 
+// TestGoldenReportStreaming locks in the engine's streaming guarantee at
+// the CLI level: a run that writes periodic shard checkpoints as it
+// crawls emits the exact golden bytes, clean and faulty alike, and
+// leaves its checkpoint directory empty.
+func TestGoldenReportStreaming(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		extra  []string
+	}{
+		{"report.golden", nil},
+		{"report_faulty.golden", []string{"-faults", "hostile"}},
+	} {
+		dir := t.TempDir()
+		checkGolden(t, tc.golden, captureReport(t, append([]string{"-checkpoint", dir, "-checkpoint-every", "97"}, tc.extra...)...))
+		if left, _ := filepath.Glob(filepath.Join(dir, "shard-*.ckpt")); len(left) != 0 {
+			t.Errorf("%s: shard checkpoints left behind: %v", tc.golden, left)
+		}
+	}
+}
+
 // TestGoldenReportKillResume kills a checkpointed run partway (the
 // -abort-after testing hook stands in for SIGKILL: the run stops with
 // only the last periodic shard checkpoints on disk) and reruns the same
@@ -35,6 +55,26 @@ func TestGoldenReportKillResume(t *testing.T) {
 		if left, _ := filepath.Glob(filepath.Join(dir, "shard-*.ckpt")); len(left) != 0 {
 			t.Errorf("%s: shard checkpoints left behind: %v", tc.golden, left)
 		}
+	}
+}
+
+// TestKillResumeByteIdentical kills a checkpointed flaky run with
+// -abort-after, resumes under a different worker count, and requires the
+// exact bytes of an uninterrupted run — with the checkpoint directory
+// cleaned up afterwards.
+func TestKillResumeByteIdentical(t *testing.T) {
+	want := captureReport(t, "-workers", "4", "-faults", "flaky")
+	dir := t.TempDir()
+	args := []string{"-faults", "flaky", "-checkpoint", dir, "-checkpoint-every", "37"}
+	var buf bytes.Buffer
+	if err := run(append(append(append([]string{}, goldenArgs...), args...), "-workers", "2", "-abort-after", "200"), &buf); err == nil {
+		t.Fatal("aborted run returned nil error")
+	}
+	if got := captureReport(t, append(args, "-workers", "8")...); !bytes.Equal(got, want) {
+		t.Error("kill + resume output differs from uninterrupted run")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "shard-*.ckpt")); len(left) != 0 {
+		t.Errorf("shard checkpoints left behind: %v", left)
 	}
 }
 

@@ -163,6 +163,71 @@ func checkEngineCases(t *testing.T, ref *Study, seed uint64, workers int, profil
 	}
 }
 
+// TestStreamMatchesBatch locks in the Study-level face of the engine: a
+// live RunStream produces an Analysis deeply equal to the batch Run's —
+// cache totals included — for every worker count and fault profile,
+// while only the batch run keeps its crawls (records and HAR) on the
+// Study.
+func TestStreamMatchesBatch(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	for _, profile := range []string{"", "flaky"} {
+		for _, workers := range []int{1, 8} {
+			label := fmt.Sprintf("workers=%d profile=%s", workers, orName(profile))
+			cfg := streamConfig(3, workers, profile)
+			batch, err := RunStudy(cfg)
+			if err != nil {
+				t.Fatalf("%s: batch run: %v", label, err)
+			}
+			stream, err := RunStudyStream(cfg, RunOptions{})
+			if err != nil {
+				t.Fatalf("%s: stream run: %v", label, err)
+			}
+			if len(batch.Crawls) != len(batch.Exchanges) {
+				t.Fatalf("%s: batch run kept %d crawls, want %d", label, len(batch.Crawls), len(batch.Exchanges))
+			}
+			for _, c := range batch.Crawls {
+				if len(c.Records) == 0 || c.HAR == nil {
+					t.Errorf("%s: batch crawl of %s lacks records or HAR", label, c.Exchange)
+				}
+			}
+			if len(stream.Crawls) != 0 {
+				t.Errorf("%s: streaming run retained %d crawls, want none", label, len(stream.Crawls))
+			}
+			if !reflect.DeepEqual(batch.Analysis, stream.Analysis) {
+				t.Errorf("%s: streaming Analysis differs from batch", label)
+			}
+		}
+	}
+}
+
+// TestFleetMatchesBatch locks in the headline guarantee: live engine runs
+// at worker counts other than the batch run's produce its exact Analysis
+// — cache totals included — and exact Table IV statistics, for clean
+// and faulty crawls.
+func TestFleetMatchesBatch(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	for _, profile := range []string{"", "flaky"} {
+		cfg := streamConfig(3, 0, profile)
+		batch, err := RunStudy(cfg)
+		if err != nil {
+			t.Fatalf("batch run (profile=%s): %v", orName(profile), err)
+		}
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("workers=%d profile=%s", workers, orName(profile))
+			c := cfg
+			c.Workers = workers
+			got, err := RunStudyStream(c, RunOptions{})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !reflect.DeepEqual(batch.Analysis, got.Analysis) {
+				t.Errorf("%s: Analysis differs from batch", label)
+			}
+			checkTableIV(t, label, batch, got)
+		}
+	}
+}
+
 // TestFleetInvarianceMatrix covers the distributed face of the engine:
 // for seeds 1..5 and fault profiles {off, flaky}, the shards are split
 // at a seeded point into two subset runs with seeded worker counts — the
