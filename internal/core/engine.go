@@ -14,7 +14,6 @@ import (
 	"repro/internal/crawler"
 	"repro/internal/exchange"
 	"repro/internal/obs"
-	"repro/internal/web"
 )
 
 // The study engine. Every path that turns records into an Analysis —
@@ -571,13 +570,7 @@ func RunStudyStream(cfg StudyConfig, opts RunOptions) (*Study, error) {
 // of the same configuration — this is the merge-only pass distributed
 // runs finish with.
 func MergeShardStudy(cfg StudyConfig, dir string) (*Study, error) {
-	return MergeShardStudyFrom(cfg, nil, dir)
-}
-
-// MergeShardStudyFrom is MergeShardStudy with an optional previous
-// epoch's universe to advance incrementally (see NewStudyFrom).
-func MergeShardStudyFrom(cfg StudyConfig, prev *web.Universe, dir string) (*Study, error) {
-	st, err := NewStudyFrom(cfg, prev)
+	st, err := NewStudy(cfg)
 	if err != nil {
 		return nil, err
 	}

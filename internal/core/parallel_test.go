@@ -22,12 +22,12 @@ func referenceAnalysis(st *Study) *Analysis {
 	return ref.Analyze(st.Crawls)
 }
 
-// TestAnalyzeParallelDeterminism locks in the verdict cache's guarantee:
-// a parallel run through the single-flight cache produces an Analysis
-// deeply equal to the sequential cache-free reference — identical
-// series, counters and aggregates — across multiple seeds, and the cache
-// really is exercised. (Worker-count and source invariance live in the
-// engine matrix, TestStreamResumeDeterminism.)
+// TestAnalyzeParallelDeterminism locks in the engine's core guarantee:
+// for any worker count and either cache setting, Analyze produces an
+// Analysis deeply equal to the sequential cache-free reference —
+// identical series, counters and aggregates — across multiple seeds.
+// With the cache off every shard re-fetches URL-only scans through the
+// shared shortener ledgers, so this is the check on that path.
 func TestAnalyzeParallelDeterminism(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	seeds := []uint64{3, 11, 29}
@@ -44,17 +44,28 @@ func TestAnalyzeParallelDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := referenceAnalysis(st)
-		an := &Analyzer{Classifier: st.Analyzer.Classifier, Detector: st.Detector, Workers: 4}
-		got := an.Analyze(st.Crawls)
-		// CacheStats legitimately differs between cache settings;
-		// everything else must match the sequential reference.
-		gotStats := got.CacheStats
-		got.CacheStats = want.CacheStats
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed=%d: cached parallel analysis diverged from the sequential reference", seed)
-		}
-		if gotStats.Hits == 0 || gotStats.Misses == 0 {
-			t.Fatalf("seed=%d: cache saw no traffic (%+v)", seed, gotStats)
+
+		for _, workers := range []int{1, 2, 8} {
+			for _, disableCache := range []bool{true, false} {
+				an := &Analyzer{
+					Classifier:   st.Analyzer.Classifier,
+					Detector:     st.Detector,
+					Workers:      workers,
+					DisableCache: disableCache,
+				}
+				got := an.Analyze(st.Crawls)
+				// CacheStats legitimately differs between cache settings;
+				// everything else must match the sequential reference.
+				gotStats := got.CacheStats
+				got.CacheStats = want.CacheStats
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed=%d workers=%d cache=%v: analysis diverged from sequential reference",
+						seed, workers, !disableCache)
+				}
+				if !disableCache && (gotStats.Hits == 0 || gotStats.Misses == 0) {
+					t.Fatalf("seed=%d workers=%d: cache saw no traffic (%+v)", seed, workers, gotStats)
+				}
+			}
 		}
 	}
 }

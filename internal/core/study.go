@@ -134,8 +134,8 @@ func NewStudy(cfg StudyConfig) (*Study, error) { return NewStudyFrom(cfg, nil) }
 // via web.AdvanceEpoch — O(changed sites) instead of a full regeneration,
 // and render caches carry over — with output guaranteed identical to the
 // from-scratch build. Anything else falls back to GenerateEpoch. The
-// longitudinal runner and the merge-only pass thread prev through;
-// single studies pass nil and are unaffected.
+// longitudinal runner threads prev through; single studies pass nil and
+// are unaffected.
 func NewStudyFrom(cfg StudyConfig, prev *web.Universe) (*Study, error) {
 	if cfg.Scale <= 0 {
 		return nil, fmt.Errorf("core: scale must be positive, got %d", cfg.Scale)
@@ -284,10 +284,11 @@ func (st *Study) Run() error {
 
 // publishRenderMetrics drains the universe's render-cache counters into
 // the obs registry. Only called at deterministic completion points (end
-// of Run, end of a RunStream) — never on abort paths, where the number of pages served so far is
-// schedule-dependent. While no page cache hits capacity (uncached == 0)
-// the hit/miss split is exact and worker-count-invariant, so the metrics
-// invariance tests may compare these counters byte-for-byte.
+// of Run, end of a RunStream) — never on abort paths, where the number
+// of pages served so far is schedule-dependent. While no page cache hits
+// capacity (uncached == 0) the hit/miss split is exact and
+// worker-count-invariant, so the metrics invariance tests may compare
+// these counters byte-for-byte.
 func (st *Study) publishRenderMetrics() {
 	if st.Config.Metrics == nil {
 		return
