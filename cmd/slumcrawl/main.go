@@ -6,25 +6,30 @@
 //
 // Usage:
 //
-//	slumcrawl [-seed N] [-scale N] [-faults PROFILE] [-retries N] [-metrics] -out dataset.jsonl [-hardir DIR]
-//	          [-stream] [-checkpoint FILE] [-resume] [-checkpoint-every N]
+//	slumcrawl [-seed N] [-scale N] [-workers N] [-faults PROFILE] [-retries N] [-metrics] -out dataset.jsonl
+//	          [-checkpoint DIR] [-checkpoint-every N] | [-hardir DIR]
 //
 // -faults injects deterministic transport faults into the crawl; failed
 // fetches are persisted as records with fetchErr/errKind set, so slumscan
 // reports crawl health for the dataset.
 //
-// -stream writes records straight to per-exchange spill files as they are
-// crawled instead of accumulating the whole dataset in memory; on
-// completion the spills concatenate into -out, byte-identical to a batch
-// run's dataset. -checkpoint FILE (implies -stream) records per-exchange
-// progress every -checkpoint-every records; after a kill, rerunning with
-// -resume truncates the spills back to the checkpoint and continues. The
-// checkpoint is deleted on completion. -hardir requires the batch path
-// (HAR archives accumulate whole crawls by construction).
+// The crawl runs on the study engine, as slumreport's does: -workers
+// goroutines each take whole exchange shards, and every record is
+// appended to its shard's part file (-out.partN) as it is crawled, so
+// memory stays bounded. When every shard is complete the parts are
+// joined in exchange order, fsynced and renamed over -out. -checkpoint
+// DIR means what it means in slumreport: each shard records its progress
+// under DIR every -checkpoint-every records, a checkpoint directory is
+// always resumed — rerunning the same command after a kill, with any
+// -workers value, writes the byte-identical dataset — and the shard
+// files are deleted on completion.
+//
+// -hardir also writes per-exchange HAR archives. HAR capture needs whole
+// crawls in memory, so that path crawls every exchange first and takes no
+// -checkpoint.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -49,28 +54,22 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("slumcrawl", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 1, "experiment seed")
 	scale := fs.Int("scale", 20, "divide paper crawl volumes by this factor")
-	workers := fs.Int("workers", 0, "analysis worker pool size (0 = all CPUs)")
+	workers := fs.Int("workers", 0, "exchange shards crawled at once (0 = all CPUs)")
 	faults := fs.String("faults", "", "crawl fault profile: "+strings.Join(httpsim.ProfileNames(), ", "))
 	retries := fs.Int("retries", 2, "crawl retries per URL after the first attempt")
 	out := fs.String("out", "dataset.jsonl", "output dataset path")
-	harDir := fs.String("hardir", "", "directory for per-exchange HAR archives (optional)")
+	harDir := fs.String("hardir", "", "directory for per-exchange HAR archives (optional; crawls in memory)")
 	withMetrics := fs.Bool("metrics", false, "instrument the crawl and print a METRICS section to stdout")
-	stream := fs.Bool("stream", false, "spill records to disk as they are crawled (bounded memory)")
-	ckptPath := fs.String("checkpoint", "", "checkpoint file; enables periodic checkpointing (implies -stream)")
-	resume := fs.Bool("resume", false, "resume from the -checkpoint file when it exists (implies -stream)")
-	ckptEvery := fs.Int("checkpoint-every", 5000, "records between checkpoint writes")
-	abortAfter := fs.Int("abort-after", 0, "testing: abort the streaming crawl after N written records, as a kill would")
+	ckptDir := fs.String("checkpoint", "", "shard checkpoint directory; enables periodic checkpointing and is always resumed")
+	ckptEvery := fs.Int("checkpoint-every", 5000, "per-shard records between checkpoint writes")
+	abortAfter := fs.Int("abort-after", 0, "testing: abort the crawl after N written records, as a kill would")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *harDir != "" && (*ckptDir != "" || *abortAfter > 0) {
+		return fmt.Errorf("-hardir crawls whole exchanges in memory and takes no -checkpoint or -abort-after")
+	}
 
-	useStream := *stream || *ckptPath != "" || *abortAfter > 0
-	if *resume && *ckptPath == "" {
-		return fmt.Errorf("-resume requires -checkpoint FILE")
-	}
-	if useStream && *harDir != "" {
-		return fmt.Errorf("-hardir requires the batch path (drop -stream/-checkpoint)")
-	}
 	cfg := core.DefaultStudyConfig()
 	cfg.Seed = *seed
 	cfg.Scale = *scale
@@ -88,80 +87,68 @@ func run(args []string) error {
 	fmt.Fprintf(os.Stderr, "crawling %d exchanges (seed=%d scale=%d)...\n",
 		len(st.Exchanges), cfg.Seed, cfg.Scale)
 
-	if useStream {
-		opts := core.DatasetStreamOptions{CheckpointPath: *ckptPath, CheckpointEvery: *ckptEvery, AbortAfter: *abortAfter}
-		if *resume {
-			ck, lerr := core.LoadCheckpoint(*ckptPath)
-			switch {
-			case lerr == nil:
-				fmt.Fprintf(os.Stderr, "resuming from %s (%d records already written)\n", *ckptPath, ck.Records())
-				opts.Resume = ck
-			case errors.Is(lerr, os.ErrNotExist):
-				// No checkpoint on disk: nothing to resume, start fresh.
-			default:
-				return lerr
-			}
-		}
-		res, err := st.StreamDataset(*out, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d records to %s (%d failed fetches)\n", res.Records, *out, res.Failed)
-		if *withMetrics {
-			fmt.Println(report.MetricsReport(obs.NewExport(cfg.Metrics, cfg.Tracer)))
-		}
-		return nil
+	var res core.DatasetStreamResult
+	if *harDir == "" {
+		res, err = st.StreamDataset(*out, core.RunOptions{
+			CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, AbortAfter: *abortAfter})
+	} else {
+		res, err = crawlWithHARs(st, *out, *harDir)
 	}
-
-	if err := st.Run(); err != nil {
-		return err
-	}
-
-	f, err := os.Create(*out)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := core.WriteDataset(f, st.Crawls); err != nil {
-		return err
-	}
-	total, failed := 0, 0
-	for _, c := range st.Crawls {
-		total += len(c.Records)
-		for i := range c.Records {
-			if c.Records[i].FetchErr != "" {
-				failed++
-			}
-		}
-	}
-	fmt.Fprintf(os.Stderr, "wrote %d records to %s (%d failed fetches)\n", total, *out, failed)
-
-	if *harDir != "" {
-		if err := os.MkdirAll(*harDir, 0o755); err != nil {
-			return err
-		}
-		for _, c := range st.Crawls {
-			if c.HAR == nil {
-				continue
-			}
-			name := strings.ToLower(strings.ReplaceAll(c.Exchange, " ", "-")) + ".har"
-			hf, err := os.Create(filepath.Join(*harDir, name))
-			if err != nil {
-				return err
-			}
-			if err := har.Encode(hf, c.HAR); err != nil {
-				hf.Close()
-				return err
-			}
-			if err := hf.Close(); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintf(os.Stderr, "wrote HAR archives to %s\n", *harDir)
-	}
+	fmt.Fprintf(os.Stderr, "wrote %d records to %s (%d failed fetches)\n", res.Records, *out, res.Failed)
 	// Dataset bytes go to -out, so stdout is free for the METRICS section.
 	if *withMetrics {
 		fmt.Println(report.MetricsReport(obs.NewExport(cfg.Metrics, cfg.Tracer)))
 	}
 	return nil
+}
+
+// crawlWithHARs crawls every exchange in memory, then writes the dataset
+// to out and one HAR archive per exchange under harDir.
+func crawlWithHARs(st *core.Study, out, harDir string) (core.DatasetStreamResult, error) {
+	var res core.DatasetStreamResult
+	if err := st.Crawl(); err != nil {
+		return res, err
+	}
+	f, err := os.Create(out)
+	if err != nil {
+		return res, err
+	}
+	defer f.Close()
+	if err := core.WriteDataset(f, st.Crawls); err != nil {
+		return res, err
+	}
+	if err := f.Close(); err != nil {
+		return res, err
+	}
+	if err := os.MkdirAll(harDir, 0o755); err != nil {
+		return res, err
+	}
+	for _, c := range st.Crawls {
+		res.Records += len(c.Records)
+		for i := range c.Records {
+			if c.Records[i].FetchErr != "" {
+				res.Failed++
+			}
+		}
+		if c.HAR == nil {
+			continue
+		}
+		name := strings.ToLower(strings.ReplaceAll(c.Exchange, " ", "-")) + ".har"
+		hf, err := os.Create(filepath.Join(harDir, name))
+		if err != nil {
+			return res, err
+		}
+		if err := har.Encode(hf, c.HAR); err != nil {
+			hf.Close()
+			return res, err
+		}
+		if err := hf.Close(); err != nil {
+			return res, err
+		}
+	}
+	fmt.Fprintf(os.Stderr, "wrote HAR archives to %s\n", harDir)
+	return res, nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -23,9 +24,31 @@ func TestCrawlAndArtifacts(t *testing.T) {
 	}
 }
 
+// TestBadOutputPath: an output whose part files cannot be created, and
+// a -checkpoint naming an existing regular file, are refused — on either
+// path, and on the engine path before the crawl starts (the core
+// TestStreamDatasetFailsBeforeCrawl pins the ordering).
 func TestBadOutputPath(t *testing.T) {
-	if err := run([]string{"-scale", "900", "-out", "/nonexistent-dir/x/ds.jsonl"}); err == nil {
-		t.Fatal("unwritable output accepted")
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "missing", "ds.jsonl")
+	for _, args := range [][]string{
+		{"-out", bad},
+		{"-out", bad, "-hardir", filepath.Join(dir, "hars")},
+	} {
+		if err := run(append([]string{"-scale", "900"}, args...)); err == nil || !strings.Contains(err.Error(), "missing") {
+			t.Errorf("%v: got %v, want an error naming the unwritable path", args, err)
+		}
+	}
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "ds.jsonl")
+	if err := run([]string{"-scale", "900", "-out", out, "-checkpoint", file}); err == nil {
+		t.Error("-checkpoint naming a regular file accepted")
+	}
+	if parts, _ := filepath.Glob(out + "*"); len(parts) != 0 {
+		t.Errorf("refused run left files behind: %v", parts)
 	}
 }
 

@@ -4,20 +4,22 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// TestStreamDatasetMatchesBatchCLI runs the same crawl through the batch
-// and streaming paths: the dataset files must be byte-identical.
+// TestStreamDatasetMatchesBatchCLI writes the same crawl through the
+// engine (no -hardir) and through the in-memory -hardir path: the
+// dataset files must be byte-identical.
 func TestStreamDatasetMatchesBatchCLI(t *testing.T) {
 	dir := t.TempDir()
 	batchOut := filepath.Join(dir, "batch.jsonl")
 	streamOut := filepath.Join(dir, "stream.jsonl")
 	args := []string{"-scale", "900", "-seed", "4", "-faults", "flaky"}
-	if err := run(append(append([]string{}, args...), "-out", batchOut)); err != nil {
+	if err := run(append(append([]string{}, args...), "-out", batchOut, "-hardir", filepath.Join(dir, "hars"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append(append([]string{}, args...), "-out", streamOut, "-stream")); err != nil {
+	if err := run(append(append([]string{}, args...), "-out", streamOut, "-workers", "3")); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(batchOut)
@@ -29,27 +31,31 @@ func TestStreamDatasetMatchesBatchCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, got) {
-		t.Fatalf("streamed dataset differs from batch (%d vs %d bytes)", len(got), len(want))
+		t.Fatalf("engine dataset differs from the -hardir one (%d vs %d bytes)", len(got), len(want))
 	}
 }
 
-// TestStreamDatasetKillResumeCLI kills a checkpointed streaming crawl
-// via -abort-after and resumes it; the final dataset must be
-// byte-identical to an uninterrupted run, with no leftover state.
+// TestStreamDatasetKillResumeCLI kills a checkpointed crawl via
+// -abort-after and reruns the same command with another -workers value;
+// the final dataset must be byte-identical to an uninterrupted run, with
+// no shard checkpoint or part file left behind.
 func TestStreamDatasetKillResumeCLI(t *testing.T) {
 	dir := t.TempDir()
 	refOut := filepath.Join(dir, "ref.jsonl")
 	out := filepath.Join(dir, "ds.jsonl")
-	ckpt := filepath.Join(dir, "crawl.ckpt")
+	ckpt := filepath.Join(dir, "ckpt")
 	args := []string{"-scale", "900", "-seed", "4", "-faults", "flaky"}
-	if err := run(append(append([]string{}, args...), "-out", refOut, "-stream")); err != nil {
+	if err := run(append(append([]string{}, args...), "-out", refOut)); err != nil {
 		t.Fatal(err)
 	}
-	resumeArgs := append(append([]string{}, args...), "-out", out, "-checkpoint", ckpt, "-checkpoint-every", "41", "-resume")
-	if err := run(append(append([]string{}, resumeArgs...), "-abort-after", "200")); err == nil {
+	resumeArgs := append(append([]string{}, args...), "-out", out, "-checkpoint", ckpt, "-checkpoint-every", "41")
+	if err := run(append(append([]string{}, resumeArgs...), "-abort-after", "200", "-workers", "2")); err == nil {
 		t.Fatal("aborted crawl returned nil error")
 	}
-	if err := run(resumeArgs); err != nil {
+	if shards, _ := filepath.Glob(filepath.Join(ckpt, "shard-*.ckpt")); len(shards) == 0 {
+		t.Fatal("no shard checkpoint after the abort")
+	}
+	if err := run(append(append([]string{}, resumeArgs...), "-workers", "1")); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(refOut)
@@ -63,17 +69,22 @@ func TestStreamDatasetKillResumeCLI(t *testing.T) {
 	if !bytes.Equal(want, got) {
 		t.Fatalf("resumed dataset differs from uninterrupted run (%d vs %d bytes)", len(got), len(want))
 	}
-	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Error("checkpoint not removed after completion")
+	if left, _ := filepath.Glob(filepath.Join(ckpt, "*")); len(left) != 0 {
+		t.Errorf("checkpoint directory not emptied: %v", left)
 	}
-	if parts, _ := filepath.Glob(out + ".part*"); len(parts) != 0 {
-		t.Errorf("spill parts left behind: %v", parts)
+	if parts, _ := filepath.Glob(out + ".*"); len(parts) != 0 {
+		t.Errorf("part files left behind: %v", parts)
 	}
 }
 
-// TestStreamRejectsHARDir pins the -stream/-hardir exclusivity.
+// TestStreamRejectsHARDir pins that the in-memory -hardir path takes no
+// checkpoint: HAR capture needs whole crawls, which a resumed shard never
+// has.
 func TestStreamRejectsHARDir(t *testing.T) {
-	if err := run([]string{"-stream", "-hardir", t.TempDir()}); err == nil {
-		t.Fatal("-stream with -hardir accepted")
+	for _, extra := range [][]string{{"-checkpoint", t.TempDir()}, {"-abort-after", "10"}} {
+		err := run(append([]string{"-hardir", t.TempDir()}, extra...))
+		if err == nil || !strings.Contains(err.Error(), "-hardir") {
+			t.Errorf("-hardir with %v: got %v, want refusal", extra, err)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,9 +18,11 @@ import (
 //
 //	magic    [8]byte  "SLUMCKPT"
 //	version  u16      little-endian (currently 1)
-//	kind     u8       2 = crawl dataset progress, 3 = engine shard
-//	                  (single-exchange fold + visit deltas), 4 = epoch
-//	                  delta; 1 was the retired single-file analysis fold
+//	kind     u8       2 = dataset shard cursor (slot header, exchange,
+//	                  records, failed, part-file byte offset), 3 = engine
+//	                  shard (slot header, single-exchange fold, visit
+//	                  deltas), 4 = epoch delta; 1 was the retired
+//	                  single-file analysis fold
 //	seed     u64      study seed the state was produced under
 //	cfghash  u64      fingerprint of every output-shaping StudyConfig field
 //	payload  ...      kind-specific body (uvarints, length-prefixed strings,
@@ -44,72 +48,32 @@ const (
 	// kind-3 shard files under a directory, and the decoder refuses kind 1
 	// with an explanation rather than as an unknown kind.
 	ckptRetiredAnalysis checkpointKind = 1
-	ckptCrawl           checkpointKind = 2
+	ckptDataset         checkpointKind = 2
 	ckptShard           checkpointKind = 3
 	ckptEpochDelta      checkpointKind = 4
 )
 
-// Checkpoint is a decoded SLUMCKPT file: the per-exchange progress of a
-// streaming dataset crawl (slumcrawl), one shard of an engine run — a
-// single exchange's partial accumulator plus the shortener traffic its
-// crawl generated, mergeable with its sibling shards — or an epoch delta.
+// Checkpoint is a decoded SLUMCKPT file: one shard of an engine run —
+// either a dataset crawl's cursor into its part file, or a single
+// exchange's partial accumulator plus the shortener traffic its crawl
+// generated, mergeable with its sibling shards — or an epoch delta.
 type Checkpoint struct {
-	// Seed and ConfigHash identify the run the state belongs to; Validate
-	// refuses to resume under a different seed or configuration.
+	// Seed and ConfigHash identify the run the state belongs to; the
+	// engine refuses to resume a shard under a different seed or
+	// configuration (validateShard).
 	Seed       uint64
 	ConfigHash uint64
 
-	kind  checkpointKind
-	crawl []CrawlProgress
-	shard *shardSnapshot
-	delta *EpochDelta
-}
-
-// CrawlProgress is one exchange's cursor in a streaming dataset crawl.
-type CrawlProgress struct {
-	Exchange string
-	// Records is the number of records durably written for the exchange;
-	// Failed how many of them were failed fetches; Bytes the exchange's
-	// spill-file length at the checkpoint (anything beyond it is a
-	// partial write from the crash and is truncated away on resume).
-	Records int
-	Failed  int
-	Bytes   int64
-}
-
-// Records returns the total number of records the checkpoint covers.
-func (c *Checkpoint) Records() int {
-	total := 0
-	switch c.kind {
-	case ckptCrawl:
-		for _, p := range c.crawl {
-			total += p.Records
-		}
-	case ckptShard:
-		total = c.shard.folded()
-	}
-	return total
-}
-
-// Validate checks that the checkpoint belongs to a run of cfg: same seed,
-// same output-shaping configuration. Worker count and cache settings are
-// deliberately excluded — analysis output is invariant to them, so a
-// checkpoint taken under -workers 8 resumes cleanly under -workers 1.
-func (c *Checkpoint) Validate(cfg StudyConfig) error {
-	if c.Seed != cfg.Seed {
-		return fmt.Errorf("core: checkpoint was taken under seed %d, not %d — refusing to resume", c.Seed, cfg.Seed)
-	}
-	if h := cfg.checkpointHash(); c.ConfigHash != h {
-		return fmt.Errorf("core: checkpoint config hash %016x does not match current configuration %016x "+
-			"(scale/pools/faults/retries must match the original run) — refusing to resume", c.ConfigHash, h)
-	}
-	return nil
+	kind   checkpointKind
+	cursor *datasetCursor
+	shard  *shardSnapshot
+	delta  *EpochDelta
 }
 
 // checkpointHash fingerprints every StudyConfig field that shapes the
 // record stream or the analysis output. Workers and DisableVerdictCache
-// are excluded: the PR 1 determinism contract makes output invariant to
-// both, so resuming under a different worker count is sound. The
+// are excluded: output is invariant to both, so resuming under a
+// different worker count is sound. The
 // longitudinal fields (epochs, epoch index, churn, blacklist lag/decay)
 // all shape the universe and therefore the stream, so a checkpoint taken
 // under one longitudinal configuration refuses to resume under another;
@@ -418,47 +382,41 @@ func encodeFoldPayload(snap *foldSnapshot) []byte {
 	return w.buf
 }
 
-func encodeCrawlPayload(progress []CrawlProgress) []byte {
-	w := &ckptWriter{}
-	w.count(len(progress))
-	for _, p := range progress {
-		w.str(p.Exchange)
-		w.count(p.Records)
-		w.count(p.Failed)
-		w.uvarint(uint64(p.Bytes))
-	}
-	return w.buf
-}
-
-// writeCheckpointFile persists a checkpoint durably and atomically: the
-// image lands in a sibling temp file, which is fsynced before it is
-// renamed into place, and the directory is fsynced after the rename. A
-// crash at any point therefore leaves either the previous checkpoint or
-// the new one under path — never an empty or truncated file, which a
-// rename of unsynced data can produce after power loss.
+// writeCheckpointFile persists a checkpoint durably and atomically
+// (writeAtomic).
 func writeCheckpointFile(path string, kind checkpointKind, seed, cfgHash uint64, payload []byte) error {
-	tmp := path + ".tmp"
-	if err := writeSynced(tmp, encodeCheckpoint(kind, seed, cfgHash, payload)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("core: write checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("core: write checkpoint: %w", err)
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
+	if err := writeAtomic(path, bytes.NewReader(encodeCheckpoint(kind, seed, cfgHash, payload))); err != nil {
 		return fmt.Errorf("core: write checkpoint: %w", err)
 	}
 	return nil
 }
 
-// writeSynced writes data to path and fsyncs it before closing.
-func writeSynced(path string, data []byte) error {
+// writeAtomic persists r's bytes at path durably and atomically: they
+// land in a sibling temp file, which is fsynced before it is renamed
+// into place, and the directory is fsynced after the rename. A crash at
+// any point therefore leaves either the previous file or the new one
+// under path — never an empty or truncated file, which a rename of
+// unsynced data can produce after power loss.
+func writeAtomic(path string, r io.Reader) error {
+	tmp := path + ".tmp"
+	if err := writeSynced(tmp, r); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// writeSynced copies r to path and fsyncs it before closing.
+func writeSynced(path string, r io.Reader) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
+	if _, err := io.Copy(f, r); err != nil {
 		f.Close()
 		return err
 	}
@@ -682,8 +640,8 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	case ckptRetiredAnalysis:
 		return nil, fmt.Errorf("core: checkpoint: kind 1 (single-file analysis checkpoint) is no longer supported — " +
 			"runs now checkpoint per shard under a directory; delete the file and rerun with a checkpoint directory")
-	case ckptCrawl:
-		if c.crawl, err = decodeCrawlPayload(r); err != nil {
+	case ckptDataset:
+		if c.cursor, err = decodeCursorPayload(r); err != nil {
 			return nil, err
 		}
 	case ckptShard:
@@ -769,45 +727,17 @@ func decodeFoldPayload(r *ckptReader) (*foldSnapshot, error) {
 	return snap, nil
 }
 
-func decodeCrawlPayload(r *ckptReader) ([]CrawlProgress, error) {
-	n, err := r.count(4)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]CrawlProgress, 0, n)
-	for i := 0; i < n; i++ {
-		var p CrawlProgress
-		if p.Exchange, err = r.str(); err != nil {
-			return nil, err
-		}
-		if p.Records, err = r.count(0); err != nil {
-			return nil, err
-		}
-		if p.Failed, err = r.count(0); err != nil {
-			return nil, err
-		}
-		b, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if b > 1<<62 {
-			return nil, fmt.Errorf("core: checkpoint: byte offset %d out of range", b)
-		}
-		p.Bytes = int64(b)
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 // KindName reports the payload kind name without exposing the enum.
-func (c *Checkpoint) KindName() string {
-	switch c.kind {
-	case ckptCrawl:
-		return "crawl"
+func (c *Checkpoint) KindName() string { return c.kind.String() }
+
+func (k checkpointKind) String() string {
+	switch k {
+	case ckptDataset:
+		return "dataset"
 	case ckptShard:
 		return "shard"
 	case ckptEpochDelta:
 		return "epoch-delta"
 	}
-	return fmt.Sprintf("unknown(%d)", c.kind)
+	return fmt.Sprintf("unknown(%d)", uint8(k))
 }

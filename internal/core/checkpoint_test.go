@@ -45,7 +45,23 @@ func sampleFoldSnapshot() *foldSnapshot {
 func sampleShard() *shardSnapshot {
 	fold := sampleFoldSnapshot()
 	fold.exchanges = fold.exchanges[:1]
-	return &shardSnapshot{index: 0, shards: 2, planned: 20, fold: fold, visits: map[string]*shardVisit{}}
+	return &shardSnapshot{shardSlot: shardSlot{index: 0, shards: 2, planned: 20}, fold: fold, visits: map[string]*shardVisit{}}
+}
+
+// sampleCursor is a dataset cursor in the same slot as sampleShard.
+func sampleCursor() *datasetCursor {
+	return &datasetCursor{shardSlot: shardSlot{index: 0, shards: 2, planned: 20},
+		exchange: "HitLeap", records: 11, failed: 1, bytes: 9_482_113}
+}
+
+// sampleRun is the in-flight shard sampleShard and sampleCursor belong to;
+// dataset selects the dataset step.
+func sampleRun(dataset bool) *shardRun {
+	sr := &shardRun{idx: 0, name: "HitLeap", planned: 20}
+	if dataset {
+		sr.part = &datasetPart{}
+	}
+	return sr
 }
 
 // sampleImage is a valid kind-3 file image of sampleShard.
@@ -54,9 +70,9 @@ func sampleImage() []byte {
 }
 
 // TestCheckpointRoundTrip locks in codec fidelity and determinism for
-// the analysis fold (carried in a shard) and the crawl progress:
-// encode → decode → re-encode must reproduce the exact structure and the
-// exact bytes.
+// the analysis fold (carried in a shard) and the dataset crawl's shard
+// cursor: encode → decode → re-encode must reproduce the exact structure
+// and the exact bytes.
 func TestCheckpointRoundTrip(t *testing.T) {
 	t.Run("analysis", func(t *testing.T) {
 		snap := sampleShard()
@@ -75,29 +91,31 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if string(img) != string(img2) {
 			t.Error("re-encoding a decoded checkpoint produced different bytes")
 		}
-		if got := c.Records(); got != 11 {
-			t.Errorf("Records() = %d, want 11", got)
+		if got := c.shard.folded(); got != 11 {
+			t.Errorf("folded() = %d, want 11", got)
 		}
 	})
 	t.Run("crawl", func(t *testing.T) {
-		progress := []CrawlProgress{
-			{Exchange: "HitLeap", Records: 1200, Failed: 17, Bytes: 9_482_113},
-			{Exchange: "Otohits", Records: 0, Failed: 0, Bytes: 0},
-			{Exchange: "EasyHits4U", Records: 1 << 20, Failed: 3, Bytes: 1 << 33},
-		}
-		img := encodeCheckpoint(ckptCrawl, 7, 99, encodeCrawlPayload(progress))
-		c, err := decodeCheckpoint(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.kind != ckptCrawl {
-			t.Fatalf("kind = %s", c.KindName())
-		}
-		if !reflect.DeepEqual(progress, c.crawl) {
-			t.Errorf("crawl progress does not round-trip:\n want %+v\n got  %+v", progress, c.crawl)
-		}
-		if got := c.Records(); got != 1200+(1<<20) {
-			t.Errorf("Records() = %d", got)
+		for _, cur := range []*datasetCursor{
+			sampleCursor(),
+			{shardSlot: shardSlot{index: 8, shards: 9, planned: 1 << 21}, exchange: "EasyHits4U",
+				records: 1 << 20, failed: 3, bytes: 1 << 33},
+			{shardSlot: shardSlot{index: 1, shards: 9, planned: 50}, exchange: "Otohits"},
+		} {
+			img := encodeCheckpoint(ckptDataset, 7, 99, encodeCursorPayload(cur))
+			c, err := decodeCheckpoint(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.KindName() != "dataset" {
+				t.Fatalf("kind = %s", c.KindName())
+			}
+			if !reflect.DeepEqual(cur, c.cursor) {
+				t.Errorf("dataset cursor does not round-trip:\n want %+v\n got  %+v", cur, c.cursor)
+			}
+			if img2 := encodeCheckpoint(ckptDataset, 7, 99, encodeCursorPayload(c.cursor)); string(img) != string(img2) {
+				t.Error("re-encoding a decoded cursor produced different bytes")
+			}
 		}
 	})
 }
@@ -150,6 +168,11 @@ func TestCheckpointDecodeCorruption(t *testing.T) {
 				[]byte{0, 1, 20, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 			return img
 		}, "exceeds remaining data"},
+		{"cursor past its plan", func() []byte {
+			cur := sampleCursor()
+			cur.records = cur.planned + 1
+			return encodeCheckpoint(ckptDataset, 42, 0xfeedface, encodeCursorPayload(cur))
+		}, "of 20 planned"},
 		{"inconsistent class sums", func() []byte {
 			snap := sampleShard()
 			snap.fold.exchanges[0].self++ // self+popular+regular+failed != folded
@@ -221,8 +244,10 @@ func TestLoadCheckpointRejectsKindOne(t *testing.T) {
 	}
 }
 
-// TestCheckpointValidate pins the resume-safety matrix: wrong seed and
-// any output-shaping config change refuse; worker/cache changes resume.
+// TestCheckpointValidate pins the resume-safety matrix of validateShard:
+// wrong seed and any output-shaping config change refuse, worker/cache
+// changes resume; a shard checkpoint must match its run's step kind,
+// slot and exchange.
 func TestCheckpointValidate(t *testing.T) {
 	cfg := DefaultStudyConfig()
 	img := encodeCheckpoint(ckptShard, cfg.Seed, cfg.checkpointHash(), encodeShardPayload(sampleShard()))
@@ -230,7 +255,10 @@ func TestCheckpointValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Validate(cfg); err != nil {
+	validate := func(cfg StudyConfig) error {
+		return validateShard(c, sampleRun(false), 2, runIdentity{cfg.Seed, cfg.checkpointHash()})
+	}
+	if err := validate(cfg); err != nil {
 		t.Fatalf("matching config rejected: %v", err)
 	}
 
@@ -242,7 +270,7 @@ func TestCheckpointValidate(t *testing.T) {
 	for i, mod := range same {
 		m := cfg
 		mod(&m)
-		if err := c.Validate(m); err != nil {
+		if err := validate(m); err != nil {
 			t.Errorf("output-invariant change %d rejected: %v", i, err)
 		}
 	}
@@ -262,8 +290,8 @@ func TestCheckpointValidate(t *testing.T) {
 	for _, tc := range diff {
 		m := cfg
 		tc.mod(&m)
-		if err := c.Validate(m); err == nil {
-			t.Errorf("changed %s: Validate accepted a mismatched checkpoint", tc.name)
+		if err := validate(m); err == nil {
+			t.Errorf("changed %s: validateShard accepted a mismatched checkpoint", tc.name)
 		}
 	}
 
@@ -271,8 +299,39 @@ func TestCheckpointValidate(t *testing.T) {
 	off := cfg
 	off.FaultProfile = "off"
 	if cfg.FaultProfile == "" {
-		if err := c.Validate(off); err != nil {
+		if err := validate(off); err != nil {
 			t.Errorf(`profile "off" rejected against checkpoint taken under "": %v`, err)
+		}
+	}
+
+	// The slot and the step kind, for both per-shard kinds.
+	id := runIdentity{cfg.Seed, cfg.checkpointHash()}
+	cur, err := decodeCheckpoint(encodeCheckpoint(ckptDataset, cfg.Seed, cfg.checkpointHash(), encodeCursorPayload(sampleCursor())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ck := range []*Checkpoint{c, cur} {
+		dataset := ck == cur
+		if err := validateShard(ck, sampleRun(dataset), 2, id); err != nil {
+			t.Errorf("%s checkpoint rejected by its own slot: %v", ck.KindName(), err)
+		}
+		if err := validateShard(ck, sampleRun(!dataset), 2, id); err == nil || !strings.Contains(err.Error(), "not a") {
+			t.Errorf("%s checkpoint resumed a run with the other step: %v", ck.KindName(), err)
+		}
+		slots := []struct {
+			name string
+			mod  func(*shardRun) int
+		}{
+			{"index", func(sr *shardRun) int { sr.idx = 1; return 2 }},
+			{"partition", func(sr *shardRun) int { return 3 }},
+			{"exchange", func(sr *shardRun) int { sr.name = "Otohits"; return 2 }},
+			{"planned", func(sr *shardRun) int { sr.planned = 21; return 2 }},
+		}
+		for _, tc := range slots {
+			sr := sampleRun(dataset)
+			if err := validateShard(ck, sr, tc.mod(sr), id); err == nil {
+				t.Errorf("%s checkpoint: changed %s accepted", ck.KindName(), tc.name)
+			}
 		}
 	}
 }
@@ -356,10 +415,8 @@ func TestCheckpointCrashMidWrite(t *testing.T) {
 func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(sampleImage())
 	f.Add(encodeCheckpoint(ckptRetiredAnalysis, 0, 0, encodeFoldPayload(&foldSnapshot{})))
-	f.Add(encodeCheckpoint(ckptCrawl, 7, 99, encodeCrawlPayload([]CrawlProgress{
-		{Exchange: "HitLeap", Records: 10, Failed: 1, Bytes: 4096},
-	})))
-	f.Add(encodeCheckpoint(ckptCrawl, 1, 1, encodeCrawlPayload(nil)))
+	f.Add(encodeCheckpoint(ckptDataset, 7, 99, encodeCursorPayload(sampleCursor())))
+	f.Add(encodeCheckpoint(ckptDataset, 1, 1, encodeCursorPayload(&datasetCursor{shardSlot: shardSlot{shards: 1}})))
 	f.Add([]byte{})
 	f.Add([]byte("SLUMCKPT"))
 	f.Add([]byte("SLUMCKPTxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"))
@@ -375,8 +432,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 		switch c.kind {
 		case ckptShard:
 			img = encodeCheckpoint(c.kind, c.Seed, c.ConfigHash, encodeShardPayload(c.shard))
-		case ckptCrawl:
-			img = encodeCheckpoint(c.kind, c.Seed, c.ConfigHash, encodeCrawlPayload(c.crawl))
+		case ckptDataset:
+			img = encodeCheckpoint(c.kind, c.Seed, c.ConfigHash, encodeCursorPayload(c.cursor))
 		default:
 			t.Fatalf("accepted unknown kind %d", c.kind)
 		}

@@ -1,0 +1,244 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/testutil"
+)
+
+// batchDataset is WriteDataset over a batch crawl of cfg: the bytes every
+// engine-written dataset must reproduce.
+func batchDataset(t *testing.T, cfg StudyConfig) ([]byte, *Study) {
+	t.Helper()
+	batch, err := RunStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := WriteDataset(&want, batch.Crawls); err != nil {
+		t.Fatal(err)
+	}
+	return want.Bytes(), batch
+}
+
+// streamDataset runs one dataset crawl of cfg into out.
+func streamDataset(cfg StudyConfig, out string, opts RunOptions) (DatasetStreamResult, error) {
+	st, err := NewStudy(cfg)
+	if err != nil {
+		return DatasetStreamResult{}, err
+	}
+	return st.StreamDataset(out, opts)
+}
+
+// checkDatasetFile asserts out holds want and that no part file, temp
+// file or shard checkpoint under dir survived the completed crawl.
+func checkDatasetFile(t *testing.T, label, out, dir string, want []byte) {
+	t.Helper()
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Errorf("%s: dataset differs from batch WriteDataset (want %d bytes, got %d)", label, len(want), len(got))
+	}
+	left, _ := filepath.Glob(out + ".*")
+	if dir != "" {
+		shards, _ := filepath.Glob(filepath.Join(dir, "shard-*"))
+		left = append(left, shards...)
+	}
+	if len(left) != 0 {
+		t.Errorf("%s: left behind after completion: %v", label, left)
+	}
+}
+
+// TestStreamDatasetMatchesBatch locks in the engine's dataset step: the
+// dataset file is byte-identical to WriteDataset over the equivalent
+// batch crawl, the result counts match the batch analysis, and no part
+// file survives completion.
+func TestStreamDatasetMatchesBatch(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	cfg := streamConfig(2, 0, "flaky")
+	want, batch := batchDataset(t, cfg)
+	out := filepath.Join(t.TempDir(), "dataset.jsonl")
+	res, err := streamDataset(cfg, out, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDatasetFile(t, "uninterrupted", out, "", want)
+	if res.Records != batch.Analysis.TotalCrawled {
+		t.Errorf("res.Records = %d, want %d", res.Records, batch.Analysis.TotalCrawled)
+	}
+	if res.Failed != batch.Analysis.TotalFailed() {
+		t.Errorf("res.Failed = %d, want %d", res.Failed, batch.Analysis.TotalFailed())
+	}
+}
+
+// TestStreamDatasetKillResume kills a checkpointed dataset crawl mid-run
+// and reruns the same options over the checkpoint directory: the final
+// file must be byte-identical to an uninterrupted crawl, with shard
+// checkpoints and part files cleaned up.
+func TestStreamDatasetKillResume(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	cfg := streamConfig(3, 0, "flaky")
+	want, batch := batchDataset(t, cfg)
+	total := batch.Analysis.TotalCrawled
+	const every = 17
+	for _, cut := range []int{3, total / 3, total * 2 / 3} {
+		dir := t.TempDir()
+		out := filepath.Join(dir, "dataset.jsonl")
+		ckpt := filepath.Join(dir, "ckpt")
+		opts := RunOptions{CheckpointDir: ckpt, CheckpointEvery: every, AbortAfter: cut}
+		if _, err := streamDataset(cfg, out, opts); !errors.Is(err, ErrAborted) {
+			t.Fatalf("cut=%d: got error %v, want ErrAborted", cut, err)
+		}
+		if shards, _ := filepath.Glob(filepath.Join(ckpt, "shard-*.ckpt")); cut >= every*len(batch.Exchanges) && len(shards) == 0 {
+			t.Fatalf("cut=%d: no shard checkpoint on disk with interval %d", cut, every)
+		}
+		opts.AbortAfter = 0
+		res, err := streamDataset(cfg, out, opts)
+		if err != nil {
+			t.Fatalf("cut=%d: resumed crawl: %v", cut, err)
+		}
+		checkDatasetFile(t, "resumed", out, ckpt, want)
+		if res.Records != total || res.Failed != batch.Analysis.TotalFailed() {
+			t.Errorf("cut=%d: result %+v, want %d records, %d failed", cut, res, total, batch.Analysis.TotalFailed())
+		}
+	}
+}
+
+// TestStreamDatasetRejectsAnalysisCheckpoint ensures the two per-shard
+// checkpoint kinds cannot be crossed: an analysis (kind-3) shard must not
+// resume a dataset crawl, and a dataset (kind-2) cursor must not resume
+// an analysis run or feed a merge-only pass.
+func TestStreamDatasetRejectsAnalysisCheckpoint(t *testing.T) {
+	cfg := streamConfig(1, 4, "")
+	dir := t.TempDir()
+	anDir := filepath.Join(dir, "analysis")
+	_, err := RunStudyStream(cfg, RunOptions{CheckpointDir: anDir, CheckpointEvery: 5, AbortAfter: 40})
+	if !errors.Is(err, ErrAborted) {
+		t.Fatal(err)
+	}
+	if shards, _ := filepath.Glob(filepath.Join(anDir, "shard-*.ckpt")); len(shards) == 0 {
+		t.Fatal("no shard checkpoint on disk after the kill")
+	}
+	_, err = streamDataset(cfg, filepath.Join(dir, "d.jsonl"), RunOptions{CheckpointDir: anDir})
+	if err == nil || !strings.Contains(err.Error(), "shard checkpoint, not a dataset one") {
+		t.Errorf("dataset crawl over analysis checkpoints: got %v, want kind refusal", err)
+	}
+
+	crDir := filepath.Join(dir, "crawl")
+	_, err = streamDataset(cfg, filepath.Join(dir, "d2.jsonl"), RunOptions{CheckpointDir: crDir, CheckpointEvery: 5, AbortAfter: 40})
+	if !errors.Is(err, ErrAborted) {
+		t.Fatal(err)
+	}
+	if _, err := RunStudyStream(cfg, RunOptions{CheckpointDir: crDir}); err == nil ||
+		!strings.Contains(err.Error(), "dataset checkpoint, not a shard one") {
+		t.Errorf("analysis over dataset checkpoints: got %v, want kind refusal", err)
+	}
+	if _, err := MergeShardStudy(cfg, crDir); err == nil {
+		t.Error("merge-only pass accepted dataset checkpoints, want error")
+	}
+
+	// Analysis-only options have no meaning for a dataset crawl, and kept
+	// cursors would outlive the parts they point into.
+	for name, opts := range map[string]RunOptions{
+		"Only":           {CheckpointDir: t.TempDir(), Only: []int{0}},
+		"KeepShards":     {CheckpointDir: t.TempDir(), KeepShards: true},
+		"Preload":        {Preload: &EpochDelta{}},
+		"WriteDeltaPath": {WriteDeltaPath: filepath.Join(dir, "delta")},
+	} {
+		if _, err := streamDataset(cfg, filepath.Join(dir, "d3.jsonl"), opts); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: got %v, want refusal naming it", name, err)
+		}
+	}
+}
+
+// TestStreamDatasetPartRecovery covers the two resume cases of a part
+// file against its checkpointed offset: a torn tail past the offset (an
+// uncheckpointed write cut short by the kill) is cut away and the final
+// dataset is byte-identical; a part shorter than the offset lost
+// checkpointed records, so the resume is refused with an error naming
+// the file.
+func TestStreamDatasetPartRecovery(t *testing.T) {
+	cfg := streamConfig(3, 2, "flaky")
+	want, _ := batchDataset(t, cfg)
+	kill := func(t *testing.T) (out, ckpt, part string, offset int64) {
+		dir := t.TempDir()
+		out, ckpt = filepath.Join(dir, "dataset.jsonl"), filepath.Join(dir, "ckpt")
+		if _, err := streamDataset(cfg, out, RunOptions{CheckpointDir: ckpt, CheckpointEvery: 7, AbortAfter: 200}); !errors.Is(err, ErrAborted) {
+			t.Fatalf("got %v, want ErrAborted", err)
+		}
+		shards, _ := filepath.Glob(filepath.Join(ckpt, "shard-*.ckpt"))
+		if len(shards) == 0 {
+			t.Fatal("no shard checkpoint after the kill")
+		}
+		ck, err := LoadCheckpoint(shards[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, ckpt, partPath(out, ck.cursor.index), ck.cursor.bytes
+	}
+
+	t.Run("torn tail", func(t *testing.T) {
+		out, ckpt, part, offset := kill(t)
+		if err := os.Truncate(part, offset); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(part, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.WriteString(`{"exchange":"torn`)
+		f.Close()
+		if _, err := streamDataset(cfg, out, RunOptions{CheckpointDir: ckpt}); err != nil {
+			t.Fatal(err)
+		}
+		checkDatasetFile(t, "torn tail", out, ckpt, want)
+	})
+	t.Run("short part", func(t *testing.T) {
+		out, ckpt, part, offset := kill(t)
+		if err := os.Truncate(part, offset-1); err != nil {
+			t.Fatal(err)
+		}
+		_, err := streamDataset(cfg, out, RunOptions{CheckpointDir: ckpt})
+		if err == nil || !strings.Contains(err.Error(), part) || !strings.Contains(err.Error(), "refusing to resume") {
+			t.Fatalf("got %v, want a refusal naming %s", err, part)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Error("refused resume wrote the dataset")
+		}
+	})
+}
+
+// TestStreamDatasetFailsBeforeCrawl: an output path whose part files
+// cannot be created, and a checkpoint directory that is a regular file,
+// fail before any exchange is crawled.
+func TestStreamDatasetFailsBeforeCrawl(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		out  string
+		opts RunOptions
+	}{
+		"unwritable out":     {filepath.Join(dir, "missing", "ds.jsonl"), RunOptions{}},
+		"checkpoint is file": {filepath.Join(dir, "ds.jsonl"), RunOptions{CheckpointDir: file}},
+	} {
+		cfg := streamConfig(1, 2, "")
+		cfg.Metrics = obs.NewRegistry()
+		if _, err := streamDataset(cfg, c.out, c.opts); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if n := cfg.Metrics.Counter("crawl.urls").Value(); n != 0 {
+			t.Errorf("%s: crawled %d URLs before failing", name, n)
+		}
+	}
+}

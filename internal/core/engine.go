@@ -19,19 +19,23 @@ import (
 // The study engine. Every path that turns records into an Analysis —
 // Study.RunStream (a live crawl), Analyzer.Analyze (recorded crawls, so
 // Study.Run and slumscan), and the longitudinal runner (one engine run
-// per epoch) — partitions the work by exchange: shard i is exchange i's
-// record stream, crawled or replayed, scanned and folded inline by one
-// of W worker goroutines pulling shards off a shared queue. The queue is
-// ordered longest-plan-first, so a straggler shard starts as early as
-// possible and a worker that finishes a short shard immediately takes
-// the next one. Every worker scans through one shared single-flight
-// verdict cache, so hit/miss totals are deterministic. With a checkpoint
-// directory each shard periodically persists its own kind-3 SLUMCKPT
-// file, so a run can be killed anywhere and a later invocation — with
-// any worker count — resumes every shard from its last durable prefix.
-// Finished shards merge through the snapshot algebra in shard.go into an
-// Analysis that is identical for every worker count, kill point and
-// record source. DESIGN.md states the full contract.
+// per epoch) — and the dataset crawl (Study.StreamDataset) partition the
+// work by exchange: shard i is exchange i's record stream, crawled or
+// replayed by one of W worker goroutines pulling shards off a shared
+// queue. The queue is ordered longest-plan-first, so a straggler shard
+// starts as early as possible and a worker that finishes a short shard
+// immediately takes the next one. Each record then goes through the
+// run's per-record step: an analysis run scans it through one shared
+// single-flight verdict cache (so hit/miss totals are deterministic) and
+// folds it; a dataset crawl encodes it as a JSONL line and appends it to
+// the shard's part file. With a checkpoint directory each shard
+// periodically persists its own SLUMCKPT file — kind 3 for a fold, kind
+// 2 for a part-file cursor — so a run can be killed anywhere and a later
+// invocation, with any worker count, resumes every shard from its last
+// durable prefix. Finished analysis shards merge through the snapshot
+// algebra in shard.go into an Analysis that is identical for every worker
+// count, kill point and record source; finished dataset parts join in
+// exchange order. DESIGN.md states the full contract.
 
 // ErrAborted reports that a run was stopped by RunOptions.AbortAfter —
 // the deterministic stand-in for a kill signal used by the kill/resume
@@ -44,11 +48,12 @@ var ErrAborted = errors.New("core: run aborted")
 // (abort, or a sibling shard's failure); it never escapes the engine.
 var errStopped = errors.New("core: run stopped")
 
-// RunOptions tunes one engine run of a study (Study.RunStream).
+// RunOptions tunes one engine run of a study (Study.RunStream,
+// Study.StreamDataset).
 type RunOptions struct {
 	// CheckpointDir, when non-empty, enables per-shard checkpointing:
-	// every CheckpointEvery folded records a shard rewrites its kind-3
-	// checkpoint at ShardPath(CheckpointDir, i), and a completed shard
+	// every CheckpointEvery records a shard rewrites its checkpoint at
+	// ShardPath(CheckpointDir, i), and a completed shard
 	// always persists its final state before the merge. Shard files
 	// already in the directory are always resumed (missing files start
 	// fresh), so the same invocation serves a first run and every rerun
@@ -101,13 +106,16 @@ type shardRun struct {
 	idx     int // exchange / shard index
 	name    string
 	planned int // the shard's total record count
-	fold    *foldState
+	// The per-record step: an analysis shard folds into fold, a dataset
+	// shard appends to part. Exactly one is set.
+	fold *foldState
+	part *datasetPart
 	// visits records the shortener traffic a live crawl drives (see
 	// shardVisitRecorder); recorded sources leave it empty.
 	visits  map[string]*shardVisit
-	startAt int // records [0, startAt) are restored, replayed, not folded
+	startAt int // records [0, startAt) are restored, replayed, not stepped
 	seen    int // records delivered by the source so far
-	folded  int // records folded by this process
+	folded  int // records stepped (folded or written) by this process
 }
 
 func newShardRun(an *Analyzer, idx int, name string, kind exchange.Kind, planned int) *shardRun {
@@ -120,12 +128,14 @@ func newShardRun(an *Analyzer, idx int, name string, kind exchange.Kind, planned
 
 func (sr *shardRun) snapshot(nShards int) *shardSnapshot {
 	return &shardSnapshot{
-		index:   sr.idx,
-		shards:  nShards,
-		planned: sr.planned,
-		fold:    sr.fold.snapshot(),
-		visits:  sr.visits,
+		shardSlot: sr.slot(nShards),
+		fold:      sr.fold.snapshot(),
+		visits:    sr.visits,
 	}
+}
+
+func (sr *shardRun) slot(nShards int) shardSlot {
+	return shardSlot{index: sr.idx, shards: nShards, planned: sr.planned}
 }
 
 // shardSource delivers one shard's records, in order, to sink, stopping
@@ -144,9 +154,10 @@ type engine struct {
 	cache   *VerdictCache
 	opts    RunOptions
 	id      runIdentity
+	runs    []*shardRun
 	nShards int
 	every   int
-	// toFold is the number of records this run folds if it completes;
+	// toFold is the number of records this run steps if it completes;
 	// AbortAfter only fires while some remain.
 	toFold   int64
 	folded   atomic.Int64
@@ -164,9 +175,48 @@ func (e *engine) stop() { e.stopOnce.Do(func() { close(e.stopC) }) }
 // files. cache may be nil (caching disabled).
 func (an *Analyzer) runEngine(runs []*shardRun, nShards int, src shardSource, cache *VerdictCache,
 	opts RunOptions, id runIdentity) (*Analysis, error) {
-	partial := len(runs) != nShards
+	e, err := an.newEngine(runs, nShards, cache, opts, id)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.execute(src); err != nil {
+		return nil, err
+	}
+	if len(runs) != nShards {
+		return nil, nil
+	}
+
+	snaps := make([]*shardSnapshot, len(runs))
+	for i, sr := range runs {
+		snaps[i] = sr.snapshot(nShards)
+	}
+	fs, err := mergeFold(snaps)
+	if err != nil {
+		return nil, err
+	}
+	cstats := CacheStats{}
+	if cache != nil {
+		cstats = cache.Stats()
+	}
+	an.Metrics.Counter("pipeline.cache.hits").Add(int64(cstats.Hits))
+	an.Metrics.Counter("pipeline.cache.misses").Add(int64(cstats.Misses))
+	// One aggregate-stage span per exchange: the fold itself runs inline
+	// with the scan and is unattributable to one interval.
+	for _, sr := range runs {
+		an.Tracer.Start(sr.name, obs.StageAggregate).End()
+	}
+	e.removeShards()
+	return fs.finish(cstats), nil
+}
+
+// newEngine prepares a run over runs — any subset of an nShards
+// partition: it creates the checkpoint directory and resumes every shard
+// that has a checkpoint there. Nothing is crawled or read yet, so a bad
+// directory fails before any work.
+func (an *Analyzer) newEngine(runs []*shardRun, nShards int, cache *VerdictCache,
+	opts RunOptions, id runIdentity) (*engine, error) {
 	dir := opts.CheckpointDir
-	if partial && dir == "" {
+	if len(runs) != nShards && dir == "" {
 		return nil, fmt.Errorf("core: a shard-subset run needs a checkpoint dir — its shard files are the output")
 	}
 	if dir != "" {
@@ -177,7 +227,7 @@ func (an *Analyzer) runEngine(runs []*shardRun, nShards int, src shardSource, ca
 			return nil, err
 		}
 	}
-	e := &engine{an: an, cache: cache, opts: opts, id: id, nShards: nShards,
+	e := &engine{an: an, cache: cache, opts: opts, id: id, runs: runs, nShards: nShards,
 		every: opts.CheckpointEvery, stopC: make(chan struct{})}
 	if e.every <= 0 {
 		e.every = 5000
@@ -188,18 +238,25 @@ func (an *Analyzer) runEngine(runs []*shardRun, nShards int, src shardSource, ca
 		e.toFold += int64(sr.planned - sr.startAt)
 	}
 	an.Metrics.Counter("pipeline.checkpoint.resumed_records").Add(int64(resumed))
+	return e, nil
+}
 
+// execute runs every shard through its source and the per-record step
+// on W workers, and returns once all are complete or the run stopped:
+// ErrAborted after AbortAfter, otherwise the first shard failure.
+func (e *engine) execute(src shardSource) error {
+	an := e.an
 	workers := an.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	an.Metrics.Gauge("pipeline.workers.configured").Set(int64(workers))
-	an.Metrics.Gauge("pipeline.shards").Set(int64(len(runs)))
+	an.Metrics.Gauge("pipeline.shards").Set(int64(len(e.runs)))
 
 	// Longest-plan-first: the biggest shard is claimed first, so the
 	// wall clock approaches max(longest shard, total/W) instead of
 	// whatever an arbitrary order leaves for last.
-	order := append([]*shardRun(nil), runs...)
+	order := append([]*shardRun(nil), e.runs...)
 	sort.SliceStable(order, func(a, b int) bool {
 		if order[a].planned != order[b].planned {
 			return order[a].planned > order[b].planned
@@ -243,42 +300,24 @@ func (an *Analyzer) runEngine(runs []*shardRun, nShards int, src shardSource, ca
 	e.stop()
 
 	if firstErr != nil {
-		return nil, firstErr
+		return firstErr
 	}
 	if e.aborted.Load() {
-		return nil, fmt.Errorf("%w after %d records (checkpoints: %s)", ErrAborted, e.folded.Load(), dir)
+		return fmt.Errorf("%w after %d records (checkpoints: %s)", ErrAborted, e.folded.Load(), e.opts.CheckpointDir)
 	}
-	if partial {
-		return nil, nil
-	}
+	return nil
+}
 
-	snaps := make([]*shardSnapshot, len(runs))
-	for i, sr := range runs {
-		snaps[i] = sr.snapshot(nShards)
+// removeShards deletes a complete run's shard checkpoints, unless
+// KeepShards: shard files exist exactly while a run is interrupted and
+// resumable.
+func (e *engine) removeShards() {
+	if e.opts.CheckpointDir == "" || e.opts.KeepShards {
+		return
 	}
-	fs, err := mergeFold(snaps)
-	if err != nil {
-		return nil, err
+	for _, sr := range e.runs {
+		os.Remove(ShardPath(e.opts.CheckpointDir, sr.idx))
 	}
-	cstats := CacheStats{}
-	if cache != nil {
-		cstats = cache.Stats()
-	}
-	an.Metrics.Counter("pipeline.cache.hits").Add(int64(cstats.Hits))
-	an.Metrics.Counter("pipeline.cache.misses").Add(int64(cstats.Misses))
-	// One aggregate-stage span per exchange: the fold itself runs inline
-	// with the scan and is unattributable to one interval.
-	for _, sr := range runs {
-		an.Tracer.Start(sr.name, obs.StageAggregate).End()
-	}
-	if dir != "" && !opts.KeepShards {
-		// The run is complete and merged: shard files exist exactly while
-		// a run is interrupted and resumable.
-		for _, sr := range runs {
-			os.Remove(ShardPath(dir, sr.idx))
-		}
-	}
-	return fs.finish(cstats), nil
 }
 
 // resumeShards restores every shard that has a checkpoint under dir.
@@ -294,6 +333,12 @@ func resumeShards(runs []*shardRun, nShards int, dir string, id runIdentity) err
 		if err := validateShard(ck, sr, nShards, id); err != nil {
 			return err
 		}
+		if sr.part != nil {
+			c := ck.cursor
+			sr.part.failed, sr.part.bytes = c.failed, c.bytes
+			sr.startAt = c.records
+			continue
+		}
 		if err := sr.fold.restore(ck.shard.fold); err != nil {
 			return err
 		}
@@ -307,10 +352,15 @@ func resumeShards(runs []*shardRun, nShards int, dir string, id runIdentity) err
 }
 
 // validateShard checks a loaded checkpoint against the run and the shard
-// slot it is about to resume.
+// slot it is about to resume: its kind must match the run's per-record
+// step, and its seed, configuration, slot and exchange the run's.
 func validateShard(ck *Checkpoint, sr *shardRun, nShards int, id runIdentity) error {
-	if ck.kind != ckptShard {
-		return fmt.Errorf("core: %s is a %s checkpoint, not a shard one", ShardPath("", sr.idx), ck.KindName())
+	want := ckptShard
+	if sr.part != nil {
+		want = ckptDataset
+	}
+	if ck.kind != want {
+		return fmt.Errorf("core: %s is a %s checkpoint, not a %s one", ShardPath("", sr.idx), ck.kind, want)
 	}
 	if ck.Seed != id.seed {
 		return fmt.Errorf("core: shard %d checkpoint was taken under seed %d, not %d — refusing to resume", sr.idx, ck.Seed, id.seed)
@@ -319,15 +369,23 @@ func validateShard(ck *Checkpoint, sr *shardRun, nShards int, id runIdentity) er
 		return fmt.Errorf("core: shard %d checkpoint config hash %016x does not match current configuration %016x "+
 			"(scale/pools/faults/retries/epochs must match the original run) — refusing to resume", sr.idx, ck.ConfigHash, id.cfgHash)
 	}
-	s := ck.shard
+	var (
+		s    shardSlot
+		name string
+	)
+	if want == ckptDataset {
+		s, name = ck.cursor.shardSlot, ck.cursor.exchange
+	} else {
+		s, name = ck.shard.shardSlot, ck.shard.name()
+	}
 	if s.index != sr.idx {
 		return fmt.Errorf("core: shard file for index %d claims index %d", sr.idx, s.index)
 	}
 	if s.shards != nShards {
 		return fmt.Errorf("core: shard %d belongs to a %d-shard partition, run has %d", sr.idx, s.shards, nShards)
 	}
-	if s.name() != sr.name {
-		return fmt.Errorf("core: shard %d is exchange %q, run has %q", sr.idx, s.name(), sr.name)
+	if name != sr.name {
+		return fmt.Errorf("core: shard %d is exchange %q, run has %q", sr.idx, name, sr.name)
 	}
 	if s.planned != sr.planned {
 		return fmt.Errorf("core: shard %d plans %d records, run plans %d", sr.idx, s.planned, sr.planned)
@@ -336,13 +394,18 @@ func validateShard(ck *Checkpoint, sr *shardRun, nShards int, id runIdentity) er
 }
 
 // runShard executes one shard's pipeline on the calling worker: pull its
-// records from the source, scan each through the shared cache, fold into
-// the shard's single-exchange accumulator, and checkpoint periodically.
-// Returns errStopped when the run-wide stop fired (abort or a sibling's
-// failure) — never a shard-local error disguised as one.
+// records from the source, put each through the per-record step (step),
+// and checkpoint periodically. Returns errStopped when the run-wide stop
+// fired (abort or a sibling's failure) — never a shard-local error
+// disguised as one.
 func (e *engine) runShard(sr *shardRun, src shardSource) error {
 	an := e.an
-	var ckptErr error
+	var stepErr error
+	fail := func(err error) error {
+		stepErr = err
+		e.stop()
+		return errStopped
+	}
 	sink := func(rec *crawler.Record) error {
 		select {
 		case <-e.stopC:
@@ -354,19 +417,19 @@ func (e *engine) runShard(sr *shardRun, src shardSource) error {
 		if pos < sr.startAt {
 			// Covered by the restored checkpoint: replayed (a live crawl
 			// still fetches it, keeping the virtual clock and the
-			// shortener counters exact) but never re-folded.
+			// shortener counters exact) but never stepped again.
 			an.Metrics.Counter("pipeline.skipped").Inc()
 			return nil
 		}
-		sr.fold.fold(0, rec, an.scanOne(e.cache, sr.name, rec))
+		if err := e.step(sr, rec); err != nil {
+			return fail(err)
+		}
 		sr.folded++
 		an.Metrics.Counter("pipeline.records").Inc()
 		total := e.folded.Add(1)
 		if e.opts.CheckpointDir != "" && (sr.startAt+sr.folded)%e.every == 0 {
 			if err := e.writeShard(sr); err != nil {
-				ckptErr = err
-				e.stop()
-				return errStopped
+				return fail(err)
 			}
 			an.Metrics.Counter("pipeline.checkpoint.writes").Inc()
 		}
@@ -378,8 +441,8 @@ func (e *engine) runShard(sr *shardRun, src shardSource) error {
 		return nil
 	}
 	err := src(sr, sink)
-	if ckptErr != nil {
-		return ckptErr
+	if stepErr != nil {
+		return stepErr
 	}
 	if err != nil {
 		if errors.Is(err, errStopped) {
@@ -398,10 +461,29 @@ func (e *engine) runShard(sr *shardRun, src shardSource) error {
 	return nil
 }
 
-// writeShard atomically persists a shard's current state.
+// step is the per-record work of the run: scan→fold for an analysis
+// shard, encode→append for a dataset shard.
+func (e *engine) step(sr *shardRun, rec *crawler.Record) error {
+	if sr.part != nil {
+		return sr.part.append(rec)
+	}
+	sr.fold.fold(0, rec, e.an.scanOne(e.cache, sr.name, rec))
+	return nil
+}
+
+// writeShard atomically persists a shard's current state: a fold
+// snapshot (kind 3), or a dataset cursor (kind 2) once the part file is
+// synced, so the recorded offset never points past the part's durable
+// length.
 func (e *engine) writeShard(sr *shardRun) error {
-	return writeCheckpointFile(ShardPath(e.opts.CheckpointDir, sr.idx), ckptShard,
-		e.id.seed, e.id.cfgHash, encodeShardPayload(sr.snapshot(e.nShards)))
+	path := ShardPath(e.opts.CheckpointDir, sr.idx)
+	if sr.part == nil {
+		return writeCheckpointFile(path, ckptShard, e.id.seed, e.id.cfgHash, encodeShardPayload(sr.snapshot(e.nShards)))
+	}
+	if err := sr.part.f.Sync(); err != nil {
+		return fmt.Errorf("core: sync %s: %w", sr.part.f.Name(), err)
+	}
+	return writeCheckpointFile(path, ckptDataset, e.id.seed, e.id.cfgHash, encodeCursorPayload(sr.cursor(e.nShards)))
 }
 
 // newCache returns the run-scoped verdict cache, or nil when disabled.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -68,8 +69,9 @@ func checkTableIV(t *testing.T, label string, ref, got *Study) {
 // TestStreamResumeDeterminism is the one engine invariance matrix. For
 // seeds 1..5 and every combination of
 //
-//   - source: recorded crawls (Analyzer.Analyze) or a live crawl
-//     (Study.RunStream);
+//   - source: recorded crawls (Analyzer.Analyze), a live crawl
+//     (Study.RunStream), or a live crawl through the dataset step
+//     (Study.StreamDataset);
 //   - workers: 1, 2 or 8;
 //   - faults: off or flaky;
 //   - run: uninterrupted, or killed at a seeded record count and resumed
@@ -78,7 +80,8 @@ func checkTableIV(t *testing.T, label string, ref, got *Study) {
 // the Analysis must be deeply equal to the reference — recorded crawls,
 // one worker — with cache statistics included for uninterrupted runs
 // (a resumed run never re-scans restored records). Live runs must also
-// reproduce Table IV and leave no shard files behind.
+// reproduce Table IV and leave no shard files behind. A dataset run's
+// bytes must equal WriteDataset over the reference's crawls.
 func TestStreamResumeDeterminism(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		for _, profile := range []string{"", "flaky"} {
@@ -108,7 +111,7 @@ func checkEngineCases(t *testing.T, ref *Study, seed uint64, workers int, profil
 		an.Workers = w
 		return &an
 	}
-	for _, source := range []string{"recorded", "live"} {
+	for _, source := range []string{"recorded", "live", "dataset"} {
 		for _, killed := range []bool{false, true} {
 			rng := simrand.New(seed*1117 + uint64(workers)).Sub("cut:" + source + ":" + profile)
 			cut := 1 + rng.Intn(total-1)
@@ -122,6 +125,10 @@ func checkEngineCases(t *testing.T, ref *Study, seed uint64, workers int, profil
 			var got *Analysis
 			var live *Study
 			var err error
+			if source == "dataset" {
+				checkDatasetCase(t, label, ref, cfg, opts, killed, resumeWorkers)
+				continue
+			}
 			switch {
 			case source == "recorded" && !killed:
 				got = recorded(workers).Analyze(ref.Crawls)
@@ -161,6 +168,35 @@ func checkEngineCases(t *testing.T, ref *Study, seed uint64, workers int, profil
 			}
 		}
 	}
+}
+
+// checkDatasetCase runs one dataset leaf of the engine matrix: a dataset
+// crawl, uninterrupted or killed under opts and resumed with
+// resumeWorkers, must write exactly WriteDataset(ref.Crawls).
+func checkDatasetCase(t *testing.T, label string, ref *Study, cfg StudyConfig, opts RunOptions,
+	killed bool, resumeWorkers int) {
+	var want bytes.Buffer
+	if err := WriteDataset(&want, ref.Crawls); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "dataset.jsonl")
+	if !killed {
+		opts = RunOptions{}
+	} else {
+		if _, err := streamDataset(cfg, out, opts); !errors.Is(err, ErrAborted) {
+			t.Fatalf("%s: killed run returned %v, want ErrAborted", label, err)
+		}
+		opts.AbortAfter = 0
+		cfg.Workers = resumeWorkers
+	}
+	res, err := streamDataset(cfg, out, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if res.Records != ref.Analysis.TotalCrawled || res.Failed != ref.Analysis.TotalFailed() {
+		t.Errorf("%s: result %+v, want %d records, %d failed", label, res, ref.Analysis.TotalCrawled, ref.Analysis.TotalFailed())
+	}
+	checkDatasetFile(t, label, out, opts.CheckpointDir, want.Bytes())
 }
 
 // TestStreamMatchesBatch locks in the Study-level face of the engine: a
@@ -533,7 +569,7 @@ func TestFleetShardFilesSurviveKeep(t *testing.T) {
 		if ck.KindName() != "shard" {
 			t.Errorf("shard %d: kind %s, want shard", i, ck.KindName())
 		}
-		if got, want := ck.Records(), st.Steps[i]; got != want {
+		if got, want := ck.shard.folded(), st.Steps[i]; got != want {
 			t.Errorf("shard %d: %d records, want %d", i, got, want)
 		}
 		sr := newShardRun(nil, i, ex.Config().Name, ex.Config().Kind, st.Steps[i])

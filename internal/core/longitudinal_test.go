@@ -37,8 +37,11 @@ func TestCheckpointHashRefusesLongitudinalMismatch(t *testing.T) {
 	base.Epochs = 4
 	base.Epoch = 1
 	base.BlacklistDecay = 0.1
-	ck := &Checkpoint{Seed: base.Seed, ConfigHash: base.checkpointHash(), kind: ckptShard}
-	if err := ck.Validate(base); err != nil {
+	ck := &Checkpoint{Seed: base.Seed, ConfigHash: base.checkpointHash(), kind: ckptShard, shard: sampleShard()}
+	validate := func(cfg StudyConfig) error {
+		return validateShard(ck, sampleRun(false), 2, runIdentity{cfg.Seed, cfg.checkpointHash()})
+	}
+	if err := validate(base); err != nil {
 		t.Fatalf("checkpoint does not validate against its own config: %v", err)
 	}
 	mutations := []struct {
@@ -54,7 +57,7 @@ func TestCheckpointHashRefusesLongitudinalMismatch(t *testing.T) {
 	for _, m := range mutations {
 		cfg := base
 		m.mut(&cfg)
-		if err := ck.Validate(cfg); err == nil {
+		if err := validate(cfg); err == nil {
 			t.Errorf("checkpoint accepted a run with mismatched %s", m.name)
 		}
 	}

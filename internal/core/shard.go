@@ -40,20 +40,26 @@ type shardVisit struct {
 	countries map[string]int
 }
 
-// shardSnapshot is the serializable image of one shard: which slice of
-// the partition it is, how far it got, its single-exchange fold state,
-// and its shortener visit deltas.
-type shardSnapshot struct {
+// shardSlot is the header every per-shard checkpoint (kinds 2 and 3)
+// starts with: which slice of the partition the shard is.
+type shardSlot struct {
 	// index identifies the shard (== the exchange's crawl-order index);
 	// shards is the partition size it belongs to. Merging shards from
 	// different partitions is refused.
 	index  int
 	shards int
 	// planned is the shard's total record budget (the exchange's step
-	// count); the fold's progress cursor never exceeds it. A shard is
-	// complete — and only then mergeable into a final report — when
-	// folded() == planned.
+	// count); the shard's progress never exceeds it. A shard is complete
+	// — and only then mergeable or joinable — when its progress equals
+	// planned.
 	planned int
+}
+
+// shardSnapshot is the serializable image of one analysis shard: its
+// slot, its single-exchange fold state (whose folded count is the
+// shard's progress), and its shortener visit deltas.
+type shardSnapshot struct {
+	shardSlot
 	// fold holds exactly one exchange's accumulator.
 	fold *foldSnapshot
 	// visits maps canonical short URLs to the traffic this shard's crawl
@@ -84,11 +90,33 @@ func (s *shardSnapshot) counters() map[string]int64 {
 
 // ---- codec ----
 
-func encodeShardPayload(s *shardSnapshot) []byte {
-	w := &ckptWriter{}
+func (w *ckptWriter) slot(s shardSlot) {
 	w.count(s.index)
 	w.count(s.shards)
 	w.count(s.planned)
+}
+
+func (r *ckptReader) slot() (shardSlot, error) {
+	var s shardSlot
+	for _, p := range []*int{&s.index, &s.shards, &s.planned} {
+		v, err := r.count(0)
+		if err != nil {
+			return s, err
+		}
+		*p = v
+	}
+	if s.shards < 1 {
+		return s, fmt.Errorf("core: shard: partition size %d must be >= 1", s.shards)
+	}
+	if s.index >= s.shards {
+		return s, fmt.Errorf("core: shard: index %d out of range for %d shards", s.index, s.shards)
+	}
+	return s, nil
+}
+
+func encodeShardPayload(s *shardSnapshot) []byte {
+	w := &ckptWriter{}
+	w.slot(s.shardSlot)
 	w.buf = append(w.buf, encodeFoldPayload(s.fold)...)
 	urls := make([]string, 0, len(s.visits))
 	for u := range s.visits {
@@ -112,20 +140,8 @@ func encodeShardPayload(s *shardSnapshot) []byte {
 func decodeShardPayload(r *ckptReader) (*shardSnapshot, error) {
 	s := &shardSnapshot{}
 	var err error
-	if s.index, err = r.count(0); err != nil {
+	if s.shardSlot, err = r.slot(); err != nil {
 		return nil, err
-	}
-	if s.shards, err = r.count(0); err != nil {
-		return nil, err
-	}
-	if s.planned, err = r.count(0); err != nil {
-		return nil, err
-	}
-	if s.shards < 1 {
-		return nil, fmt.Errorf("core: shard: partition size %d must be >= 1", s.shards)
-	}
-	if s.index >= s.shards {
-		return nil, fmt.Errorf("core: shard: index %d out of range for %d shards", s.index, s.shards)
 	}
 	if s.fold, err = decodeFoldPayload(r); err != nil {
 		return nil, err

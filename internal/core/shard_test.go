@@ -20,9 +20,7 @@ func testShardSnap(index, shards, planned, folded int, name string) *shardSnapsh
 		bits[i/8] |= 1 << (i % 8)
 	}
 	return &shardSnapshot{
-		index:   index,
-		shards:  shards,
-		planned: planned,
+		shardSlot: shardSlot{index: index, shards: shards, planned: planned},
 		fold: &foldSnapshot{
 			exchanges: []exchangeSnap{{
 				name: name, kind: index % 3, folded: folded, self: folded,
@@ -60,8 +58,8 @@ func TestShardRoundTrip(t *testing.T) {
 	if ck.KindName() != "shard" || ck.Seed != 11 || ck.ConfigHash != 22 {
 		t.Fatalf("frame fields: kind=%s seed=%d hash=%d", ck.KindName(), ck.Seed, ck.ConfigHash)
 	}
-	if ck.Records() != 30 {
-		t.Errorf("Records() = %d, want 30", ck.Records())
+	if ck.shard.folded() != 30 {
+		t.Errorf("folded() = %d, want 30", ck.shard.folded())
 	}
 	got := ck.shard
 	if got.index != 2 || got.shards != 9 || got.planned != 50 || got.name() != "trafficholder" {
@@ -156,7 +154,7 @@ func TestShardMergerRefusals(t *testing.T) {
 	})
 	t.Run("wrong kind", func(t *testing.T) {
 		m := NewShardMerger()
-		if err := m.Add(&Checkpoint{kind: ckptCrawl}); err == nil || !strings.Contains(err.Error(), "not a shard checkpoint") {
+		if err := m.Add(&Checkpoint{kind: ckptDataset}); err == nil || !strings.Contains(err.Error(), "not a shard checkpoint") {
 			t.Errorf("got %v, want kind refusal", err)
 		}
 		if err := m.Add(nil); err == nil {

@@ -250,14 +250,26 @@ func (st *Study) BuildClassifier() *Classifier {
 	return &Classifier{ExchangeHosts: hosts, PopularHosts: st.Universe.PopularHosts}
 }
 
-// Run crawls every exchange, keeps the crawls (records and HAR) in
-// st.Crawls, then analyzes them through the engine with the recorded
-// source. When a fault profile is configured, only the crawl transport
-// is degraded: analysis-time network access (scanner UA fetches,
-// sub-resource pulls) runs against the clean universe, which is what
-// keeps verdicts on successfully-fetched URLs byte-identical to a
-// fault-free run.
+// Run crawls every exchange (Crawl), then analyzes the kept crawls
+// through the engine with the recorded source. When a fault profile is
+// configured, only the crawl transport is degraded: analysis-time network
+// access (scanner UA fetches, sub-resource pulls) runs against the clean
+// universe, which is what keeps verdicts on successfully-fetched URLs
+// byte-identical to a fault-free run.
 func (st *Study) Run() error {
+	if err := st.Crawl(); err != nil {
+		return err
+	}
+	analyzeStart := time.Now()
+	st.Analysis = st.Analyzer.Analyze(st.Crawls)
+	st.Config.Metrics.Histogram("study.analyze_seconds").Observe(time.Since(analyzeStart).Seconds())
+	st.publishRenderMetrics()
+	return nil
+}
+
+// Crawl is the collection half of Run: it crawls every exchange and keeps
+// the crawls (records and HAR) in st.Crawls without analyzing them.
+func (st *Study) Crawl() error {
 	if st.Config.DriveShortenerTraffic {
 		st.driveShortenerTraffic()
 	}
@@ -269,16 +281,15 @@ func (st *Study) Run() error {
 	crawlWall := time.Since(crawlStart)
 	st.Config.Metrics.Histogram("study.crawl_seconds").Observe(crawlWall.Seconds())
 	st.Crawls = crawls
-
-	analyzeStart := time.Now()
-	st.Analysis = st.Analyzer.Analyze(crawls)
-	st.Config.Metrics.Histogram("study.analyze_seconds").Observe(time.Since(analyzeStart).Seconds())
 	// Crawl throughput in whole URLs/sec of wall time — a gauge, and like
 	// all gauges timing-dependent (never asserted exactly).
 	if secs := crawlWall.Seconds(); secs > 0 && st.Config.Metrics != nil {
-		st.Config.Metrics.Gauge("study.crawl_urls_per_sec").Set(int64(float64(st.Analysis.TotalCrawled) / secs))
+		urls := 0
+		for _, c := range crawls {
+			urls += len(c.Records)
+		}
+		st.Config.Metrics.Gauge("study.crawl_urls_per_sec").Set(int64(float64(urls) / secs))
 	}
-	st.publishRenderMetrics()
 	return nil
 }
 
@@ -301,10 +312,11 @@ func (st *Study) publishRenderMetrics() {
 }
 
 // transport assembles the crawl-path transport: the virtual internet,
-// wrapped in the configured fault injector when a profile is set. Run
-// and the dataset crawl go through exactly this stack, and RunStream
-// through the same stack around a visit recorder, which is what makes
-// their fetch streams — and therefore their reports — interchangeable.
+// wrapped in the configured fault injector when a profile is set. Crawl
+// goes through exactly this stack, and the engine's live source
+// (RunStream, StreamDataset) through the same stack around a visit
+// recorder, which is what makes their fetch streams — and therefore
+// their reports and datasets — interchangeable.
 func (st *Study) transport() httpsim.RoundTripper {
 	return st.transportOver(st.Universe.Internet)
 }

@@ -404,48 +404,18 @@ func CrawlAll(exchanges []*exchange.Exchange, transport httpsim.RoundTripper, st
 	return out, nil
 }
 
-// CrawlAllStream measures every exchange concurrently, like CrawlAll, but
-// hands each record to sink as it is produced instead of accumulating
-// crawls: nothing is retained, so memory stays constant in the crawl
-// length. sink is called from one goroutine per exchange — concurrently
-// across exchanges, strictly in sequence order within one — and must be
-// safe for that pattern. Account and IP assignment per exchange is
-// identical to CrawlAll, so the record streams match batch crawls
-// byte for byte.
-func CrawlAllStream(exchanges []*exchange.Exchange, transport httpsim.RoundTripper, steps []int,
-	base Options, sink func(exIdx int, rec *Record) error) error {
-	if len(exchanges) != len(steps) {
-		return errors.New("crawler: exchanges/steps length mismatch")
-	}
-	errs := make([]error, len(exchanges))
-	var wg sync.WaitGroup
-	for i, ex := range exchanges {
-		i, ex := i, ex
-		opts := perExchangeOptions(base, i, steps[i])
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _, errs[i] = CrawlExchangeStream(ex, transport, opts, func(rec *Record) error {
-				return sink(i, rec)
-			})
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
 // ExchangeOptions derives the i-th exchange's crawl options from the base
-// — the same derivation CrawlAll and CrawlAllStream apply internally —
-// exported so external coordinators (the core fleet scheduler) that crawl
-// exchanges one at a time produce record streams identical to a full
-// concurrent crawl, shard by shard.
+// — the same derivation CrawlAll applies internally — exported so
+// external coordinators (the core study engine) that crawl exchanges one
+// at a time produce record streams identical to a full concurrent crawl,
+// shard by shard.
 func ExchangeOptions(base Options, i, steps int) Options {
 	return perExchangeOptions(base, i, steps)
 }
 
 // perExchangeOptions derives the i-th exchange's crawl options from the
 // base: its own step budget, account and IP. Shared by CrawlAll and
-// CrawlAllStream so both produce identical record streams.
+// ExchangeOptions so both produce identical record streams.
 func perExchangeOptions(base Options, i, steps int) Options {
 	opts := base
 	opts.Steps = steps
