@@ -70,8 +70,12 @@ func TestScanFromHARArchives(t *testing.T) {
 	cfg := core.DefaultStudyConfig()
 	cfg.Seed = 4
 	cfg.Scale = 900
-	st, err := core.RunStudy(cfg)
+	// The archives slumcrawl -hardir writes: Study.Crawl captures HAR.
+	st, err := core.NewStudy(cfg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Crawl(); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range st.Crawls {

@@ -144,11 +144,7 @@ func run(args []string) error {
 	fmt.Printf("scan API: POST http://%s/api/v1/scan   GET http://%s/api/v1/jobs/{id}\n", *addr, *addr)
 	fmt.Printf("debug endpoints: http://%s/debug/metrics  http://%s/debug/pprof/\n", *addr, *addr)
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           serveHandler(serve.APIHandler(scanSrv), transport, registry, tracer),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	srv := newHTTPServer(*addr, serveHandler(serve.APIHandler(scanSrv), transport, registry, tracer))
 
 	// Graceful drain: on SIGINT/SIGTERM stop accepting, let in-flight HTTP
 	// requests and every admitted scan job finish, then exit.
@@ -170,6 +166,30 @@ func run(args []string) error {
 			return shutdownErr
 		}
 		return nil
+	}
+}
+
+// The listener's connection bounds. A slow or stalled client holds a
+// connection for at most these spans. The write timeout outlasts the 30 s
+// default of /debug/pprof/profile, which refuses a duration at or above
+// it.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the listener for addr with the connection bounds
+// above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

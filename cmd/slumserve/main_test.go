@@ -8,6 +8,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/httpsim"
@@ -273,4 +274,26 @@ func TestMain(m *testing.M) {
 		os.Stdout = null
 	}
 	os.Exit(m.Run())
+}
+
+// TestHTTPServerBounds checks that every connection phase of the listener
+// is bounded, and that a default 30 s CPU profile fits the write timeout.
+func TestHTTPServerBounds(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	for name, d := range map[string]time.Duration{
+		"ReadHeaderTimeout": srv.ReadHeaderTimeout,
+		"ReadTimeout":       srv.ReadTimeout,
+		"WriteTimeout":      srv.WriteTimeout,
+		"IdleTimeout":       srv.IdleTimeout,
+	} {
+		if d <= 0 {
+			t.Errorf("%s = %v, want a positive bound", name, d)
+		}
+	}
+	if srv.ReadHeaderTimeout > srv.ReadTimeout {
+		t.Errorf("ReadHeaderTimeout %v exceeds ReadTimeout %v", srv.ReadHeaderTimeout, srv.ReadTimeout)
+	}
+	if srv.WriteTimeout <= 30*time.Second {
+		t.Errorf("WriteTimeout %v does not outlast the 30 s default pprof profile", srv.WriteTimeout)
+	}
 }

@@ -541,15 +541,23 @@ var _ = simrand.New // keep import if unused in some builds
 
 func TestHARReanalysisMatchesOriginal(t *testing.T) {
 	// The paper's workflow: analysis runs offline from capture archives.
-	// Reconstructing crawls from the HAR logs and re-running the pipeline
-	// must reproduce the original verdict counts.
+	// Reconstructing crawls from the HAR logs that Study.Crawl captures
+	// (slumcrawl -hardir's path) and re-running the pipeline must
+	// reproduce the one-pass Run's verdict counts.
 	st := sharedStudy(t)
+	cr, err := NewStudy(st.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cr.Crawl(); err != nil {
+		t.Fatal(err)
+	}
 	var rebuilt []*crawler.Crawl
-	for i, c := range st.Crawls {
+	for i, c := range cr.Crawls {
 		if c.HAR == nil {
 			t.Fatal("crawl missing HAR")
 		}
-		rc, err := CrawlFromHAR(c.Exchange, st.Specs[i].Kind, c.HAR)
+		rc, err := CrawlFromHAR(c.Exchange, cr.Specs[i].Kind, c.HAR)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -561,7 +569,7 @@ func TestHARReanalysisMatchesOriginal(t *testing.T) {
 		}
 		rebuilt = append(rebuilt, rc)
 	}
-	re := st.Analyzer.Analyze(rebuilt)
+	re := cr.Analyzer.Analyze(rebuilt)
 	orig := st.Analysis
 	if re.TotalMalicious != orig.TotalMalicious {
 		t.Fatalf("HAR re-analysis malicious = %d, original = %d",

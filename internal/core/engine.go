@@ -17,9 +17,9 @@ import (
 )
 
 // The study engine. Every path that turns records into an Analysis —
-// Study.RunStream (a live crawl), Analyzer.Analyze (recorded crawls, so
-// Study.Run and slumscan), and the longitudinal runner (one engine run
-// per epoch) — and the dataset crawl (Study.StreamDataset) partition the
+// Study.Run and Study.RunStream (a live crawl), Analyzer.Analyze
+// (recorded crawls, so slumscan), and the longitudinal runner (one engine
+// run per epoch) — and the dataset crawl (Study.StreamDataset) partition the
 // work by exchange: shard i is exchange i's record stream, crawled or
 // replayed by one of W worker goroutines pulling shards off a shared
 // queue. The queue is ordered longest-plan-first, so a straggler shard
@@ -534,7 +534,11 @@ func (an *Analyzer) analyzeRecorded(crawls []*crawler.Crawl, opts RunOptions, id
 // aggregate state), not O(URLs), and st.Crawls stays empty. On success
 // with a full scope, st.Analysis is identical to Study.Run's, except
 // that a resumed run's CacheStats cover only this process's scans.
-func (st *Study) RunStream(opts RunOptions) error {
+func (st *Study) RunStream(opts RunOptions) error { return st.runLive(opts, false) }
+
+// runLive is the one live engine run behind Run and RunStream. With keep
+// set, every shard's source also appends its records to st.Crawls.
+func (st *Study) runLive(opts RunOptions, keep bool) error {
 	an := st.Analyzer
 	names, kinds := st.exchangeNamesKinds()
 	scope, err := shardScope(opts.Only, len(names))
@@ -562,8 +566,13 @@ func (st *Study) RunStream(opts RunOptions) error {
 		st.driveShortenerTraffic()
 	}
 
+	src := st.liveSource
+	if keep {
+		st.Crawls = make([]*crawler.Crawl, len(names))
+		src = st.keepingSource
+	}
 	start := time.Now()
-	a, err := an.runEngine(runs, len(names), st.liveSource, cache, opts,
+	a, err := an.runEngine(runs, len(names), src, cache, opts,
 		runIdentity{st.Config.Seed, st.Config.checkpointHash()})
 	st.folded = 0
 	for _, sr := range runs {
@@ -596,14 +605,38 @@ func (st *Study) RunStream(opts RunOptions) error {
 }
 
 // liveSource crawls shard sr's exchange session, handing each record to
-// sink as it is fetched. Recorder inside, fault injector outside:
-// synthesized faults never reach the services, so they must not be
-// recorded as visits either.
+// sink as it is fetched.
 func (st *Study) liveSource(sr *shardRun, sink func(*crawler.Record) error) error {
+	_, _, err := st.crawlShard(sr, sink)
+	return err
+}
+
+// keepingSource is liveSource that also keeps every stepped record, and
+// the crawl window, in st.Crawls[sr.idx] — the shard's own slot, written
+// only by the worker running it.
+func (st *Study) keepingSource(sr *shardRun, sink func(*crawler.Record) error) error {
+	c := &crawler.Crawl{Exchange: sr.name, Kind: st.Exchanges[sr.idx].Config().Kind,
+		Records: make([]crawler.Record, 0, st.Steps[sr.idx])}
+	st.Crawls[sr.idx] = c
+	started, ended, err := st.crawlShard(sr, func(rec *crawler.Record) error {
+		if err := sink(rec); err != nil {
+			return err
+		}
+		c.Records = append(c.Records, *rec)
+		return nil
+	})
+	c.Started, c.Ended = started, ended
+	return err
+}
+
+// crawlShard runs shard sr's exchange session through the crawl-path
+// stack and returns its virtual crawl window. Recorder inside, fault
+// injector outside: synthesized faults never reach the services, so they
+// must not be recorded as visits either.
+func (st *Study) crawlShard(sr *shardRun, sink func(*crawler.Record) error) (started, ended time.Time, err error) {
 	recorder := &shardVisitRecorder{inner: st.Universe.Internet, reg: st.Universe.Shorteners, visits: sr.visits}
 	exOpts := crawler.ExchangeOptions(st.crawlOptions(), sr.idx, st.Steps[sr.idx])
-	_, _, err := crawler.CrawlExchangeStream(st.Exchanges[sr.idx], st.transportOver(recorder), exOpts, sink)
-	return err
+	return crawler.CrawlExchangeStream(st.Exchanges[sr.idx], st.transportOver(recorder), exOpts, sink)
 }
 
 // shardScope validates and normalizes an Only selection: indices must be

@@ -28,6 +28,22 @@ func streamConfig(seed uint64, workers int, profile string) StudyConfig {
 	return cfg
 }
 
+// crawlThenAnalyze is the independent oracle for the one-pass Run: the
+// collection half (Study.Crawl — every exchange crawled concurrently by
+// crawler.CrawlAll, with HAR capture) followed by Analyzer.Analyze over
+// the kept crawls as recorded shards.
+func crawlThenAnalyze(cfg StudyConfig) (*Study, error) {
+	st, err := NewStudy(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.Crawl(); err != nil {
+		return nil, err
+	}
+	st.Analysis = st.Analyzer.Analyze(st.Crawls)
+	return st, nil
+}
+
 // stripCacheStats clears cache traffic, which a resumed run legitimately
 // under-reports (it never scans the pre-checkpoint records).
 func stripCacheStats(a *Analysis) *Analysis {
@@ -77,15 +93,15 @@ func checkTableIV(t *testing.T, label string, ref, got *Study) {
 //   - run: uninterrupted, or killed at a seeded record count and resumed
 //     from its shard checkpoints with a different worker count,
 //
-// the Analysis must be deeply equal to the reference — recorded crawls,
-// one worker — with cache statistics included for uninterrupted runs
+// the Analysis must be deeply equal to the reference — crawlThenAnalyze
+// at one worker — with cache statistics included for uninterrupted runs
 // (a resumed run never re-scans restored records). Live runs must also
 // reproduce Table IV and leave no shard files behind. A dataset run's
 // bytes must equal WriteDataset over the reference's crawls.
 func TestStreamResumeDeterminism(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		for _, profile := range []string{"", "flaky"} {
-			ref, err := RunStudy(streamConfig(seed, 1, profile))
+			ref, err := crawlThenAnalyze(streamConfig(seed, 1, profile))
 			if err != nil {
 				t.Fatalf("seed=%d profile=%s: reference: %v", seed, orName(profile), err)
 			}
@@ -199,17 +215,22 @@ func checkDatasetCase(t *testing.T, label string, ref *Study, cfg StudyConfig, o
 	checkDatasetFile(t, label, out, opts.CheckpointDir, want.Bytes())
 }
 
-// TestStreamMatchesBatch locks in the Study-level face of the engine: a
-// live RunStream produces an Analysis deeply equal to the batch Run's —
-// cache totals included — for every worker count and fault profile,
-// while only the batch run keeps its crawls (records and HAR) on the
-// Study.
+// TestStreamMatchesBatch locks in the Study-level face of the engine
+// against the crawlThenAnalyze oracle, for every worker count and fault
+// profile: the one-pass Run and a live RunStream both produce its
+// Analysis, cache totals included; Run keeps exactly the oracle's crawls
+// — records, Started and Ended — but no HAR, which only Study.Crawl
+// builds; RunStream keeps no crawls.
 func TestStreamMatchesBatch(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	for _, profile := range []string{"", "flaky"} {
 		for _, workers := range []int{1, 8} {
 			label := fmt.Sprintf("workers=%d profile=%s", workers, orName(profile))
 			cfg := streamConfig(3, workers, profile)
+			ref, err := crawlThenAnalyze(cfg)
+			if err != nil {
+				t.Fatalf("%s: oracle: %v", label, err)
+			}
 			batch, err := RunStudy(cfg)
 			if err != nil {
 				t.Fatalf("%s: batch run: %v", label, err)
@@ -218,19 +239,30 @@ func TestStreamMatchesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: stream run: %v", label, err)
 			}
-			if len(batch.Crawls) != len(batch.Exchanges) {
-				t.Fatalf("%s: batch run kept %d crawls, want %d", label, len(batch.Crawls), len(batch.Exchanges))
+			if len(batch.Crawls) != len(ref.Crawls) {
+				t.Fatalf("%s: batch run kept %d crawls, want %d", label, len(batch.Crawls), len(ref.Crawls))
 			}
-			for _, c := range batch.Crawls {
-				if len(c.Records) == 0 || c.HAR == nil {
-					t.Errorf("%s: batch crawl of %s lacks records or HAR", label, c.Exchange)
+			for i, c := range batch.Crawls {
+				want := *ref.Crawls[i]
+				if want.HAR == nil {
+					t.Errorf("%s: Study.Crawl of %s built no HAR", label, want.Exchange)
+				}
+				if c.HAR != nil {
+					t.Errorf("%s: batch run of %s built HAR", label, c.Exchange)
+				}
+				want.HAR = nil
+				if !reflect.DeepEqual(*c, want) {
+					t.Errorf("%s: batch crawl of %s differs from Study.Crawl's", label, c.Exchange)
 				}
 			}
 			if len(stream.Crawls) != 0 {
 				t.Errorf("%s: streaming run retained %d crawls, want none", label, len(stream.Crawls))
 			}
-			if !reflect.DeepEqual(batch.Analysis, stream.Analysis) {
-				t.Errorf("%s: streaming Analysis differs from batch", label)
+			if !reflect.DeepEqual(ref.Analysis, batch.Analysis) {
+				t.Errorf("%s: batch Analysis differs from the oracle", label)
+			}
+			if !reflect.DeepEqual(ref.Analysis, stream.Analysis) {
+				t.Errorf("%s: streaming Analysis differs from the oracle", label)
 			}
 		}
 	}

@@ -112,8 +112,10 @@ type Study struct {
 	Steps     []int
 	Detector  *Detector
 	Analyzer  *Analyzer
-	Crawls    []*crawler.Crawl
-	Analysis  *Analysis
+	// Crawls holds one crawl per exchange after Run (records and crawl
+	// window, no HAR) or Crawl (records and HAR); RunStream keeps none.
+	Crawls   []*crawler.Crawl
+	Analysis *Analysis
 	// WrittenDelta holds the epoch delta RunStream wrote to
 	// RunOptions.WriteDeltaPath, if any. The longitudinal runner
 	// preloads the next epoch from it directly, skipping the disk
@@ -250,25 +252,21 @@ func (st *Study) BuildClassifier() *Classifier {
 	return &Classifier{ExchangeHosts: hosts, PopularHosts: st.Universe.PopularHosts}
 }
 
-// Run crawls every exchange (Crawl), then analyzes the kept crawls
-// through the engine with the recorded source. When a fault profile is
-// configured, only the crawl transport is degraded: analysis-time network
-// access (scanner UA fetches, sub-resource pulls) runs against the clean
-// universe, which is what keeps verdicts on successfully-fetched URLs
-// byte-identical to a fault-free run.
-func (st *Study) Run() error {
-	if err := st.Crawl(); err != nil {
-		return err
-	}
-	analyzeStart := time.Now()
-	st.Analysis = st.Analyzer.Analyze(st.Crawls)
-	st.Config.Metrics.Histogram("study.analyze_seconds").Observe(time.Since(analyzeStart).Seconds())
-	st.publishRenderMetrics()
-	return nil
-}
+// Run executes the study as one engine run over a live crawl — the same
+// pass as RunStream — and also keeps every record: st.Crawls holds each
+// exchange's records and crawl window, without HAR (only Crawl builds
+// HAR). When a fault profile is configured, only the crawl transport is
+// degraded: analysis-time network access (scanner UA fetches,
+// sub-resource pulls) runs against the clean universe, which is what
+// keeps verdicts on successfully-fetched URLs byte-identical to a
+// fault-free run.
+func (st *Study) Run() error { return st.runLive(RunOptions{}, true) }
 
-// Crawl is the collection half of Run: it crawls every exchange and keeps
-// the crawls (records and HAR) in st.Crawls without analyzing them.
+// Crawl is the collection half of the study, for HAR capture (slumcrawl
+// -hardir): it crawls every exchange concurrently with crawler.CrawlAll
+// and keeps the crawls — records and HAR — in st.Crawls without
+// analyzing them. Analyzer.Analyze over those crawls gives Run's
+// Analysis.
 func (st *Study) Crawl() error {
 	if st.Config.DriveShortenerTraffic {
 		st.driveShortenerTraffic()
@@ -382,7 +380,8 @@ func (st *Study) driveShortenerTraffic() {
 	}
 }
 
-// RunStudy is the one-call entry point used by commands and benchmarks.
+// RunStudy is the one-call batch entry point used by tests, examples and
+// benchmarks: build the study, then Run it, keeping every record.
 func RunStudy(cfg StudyConfig) (*Study, error) {
 	st, err := NewStudy(cfg)
 	if err != nil {

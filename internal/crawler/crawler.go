@@ -210,6 +210,7 @@ func CrawlExchange(ex *exchange.Exchange, transport httpsim.RoundTripper, opts O
 	out := &Crawl{
 		Exchange: ex.Config().Name,
 		Kind:     ex.Config().Kind,
+		Records:  make([]Record, 0, max(opts.Steps, 0)),
 	}
 	var harb *har.Builder
 	if opts.CaptureHAR {
