@@ -6,7 +6,7 @@
 //
 //	slumreport [-seed N] [-scale N] [-workers N] [-faults PROFILE] [-retries N] [-table N] [-figure N] [-json] [-metrics]
 //	           [-js-fuel N] [-js-heap N] [-checkpoint DIR] [-checkpoint-every N] [-shards LIST] [-merge] [-keep-shards]
-//	           [-epochs N] [-churn F] [-blacklist-lag N] [-blacklist-decay F] [-delta-dir DIR] [-serial-rebuild]
+//	           [-epochs N] [-churn F] [-blacklist-lag N] [-blacklist-decay F] [-delta-dir DIR]
 //
 // With no -table/-figure selection, everything is printed. -scale divides
 // the paper's crawl volumes (default 20: ~50k URLs, seconds of runtime;
@@ -54,12 +54,11 @@
 // re-crawl. Multi-epoch runs take the incremental fast path
 // automatically: each epoch's universe is advanced from the previous
 // one's (only churned sites are rebuilt, rendered pages are reused) and
-// the next epoch is prepared while the current one runs. No flag
-// enables this; -serial-rebuild opts out, regenerating every epoch from
-// scratch, for byte-identity comparisons against the fast path (output
-// is identical either way, only slower). -checkpoint composes with
-// -epochs (one DIR/epochNNN subdirectory per epoch; interrupted studies
-// resume on relaunch), while -json, -shards and -merge do not.
+// the next epoch is prepared while the current one runs; the output is
+// byte-identical to regenerating every epoch from scratch. -checkpoint
+// composes with -epochs (one DIR/epochNNN subdirectory per epoch;
+// interrupted studies resume on relaunch), while -json, -shards and
+// -merge do not.
 package main
 
 import (
@@ -109,7 +108,6 @@ func run(args []string, out io.Writer) error {
 	blLag := fs.Int("blacklist-lag", 0, "epochs the blacklist databases and threat feed lag behind ground truth")
 	blDecay := fs.Float64("blacklist-decay", 0, "per-epoch-of-staleness erosion rate of lagged blacklist entries")
 	deltaDir := fs.String("delta-dir", "", "directory for epoch deltas; enables incremental re-crawl between epochs")
-	serialRebuild := fs.Bool("serial-rebuild", false, "longitudinal: rebuild every epoch's universe from scratch instead of advancing incrementally (slower; byte-identical output)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -153,14 +151,11 @@ func run(args []string, out io.Writer) error {
 		}
 		return runLongitudinal(cfg, out, longitudinalFlags{
 			deltaDir: *deltaDir, run: ropts, table: *table, figure: *figure,
-			asJSON: *asJSON, withMetrics: *withMetrics, serialRebuild: *serialRebuild,
+			asJSON: *asJSON, withMetrics: *withMetrics,
 		})
 	}
 	if *deltaDir != "" {
 		return fmt.Errorf("-delta-dir requires -epochs > 1")
-	}
-	if *serialRebuild {
-		return fmt.Errorf("-serial-rebuild requires -epochs > 1")
 	}
 	var st *core.Study
 	if *merge {
@@ -242,9 +237,6 @@ type longitudinalFlags struct {
 	figure      int
 	asJSON      bool
 	withMetrics bool
-	// serialRebuild regenerates each epoch's universe from scratch (the
-	// pre-incremental behaviour) — the diff leg CI pins the fast path with.
-	serialRebuild bool
 }
 
 // runLongitudinal executes a multi-epoch study and prints one report
@@ -260,9 +252,8 @@ func runLongitudinal(cfg core.StudyConfig, out io.Writer, lf longitudinalFlags) 
 	fmt.Fprintf(os.Stderr, "running longitudinal study: seed=%d scale=%d epochs=%d churn=%g lag=%d (~%d URLs/epoch)...\n",
 		cfg.Seed, cfg.Scale, cfg.Epochs, cfg.ChurnFrac, cfg.BlacklistLag, 1003087/cfg.Scale)
 	res, err := core.RunLongitudinalStudy(cfg, core.LongitudinalOptions{
-		DeltaDir:      lf.deltaDir,
-		SerialRebuild: lf.serialRebuild,
-		Run:           lf.run,
+		DeltaDir: lf.deltaDir,
+		Run:      lf.run,
 	})
 	if err != nil {
 		return err

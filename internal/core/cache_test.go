@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -247,7 +248,129 @@ func TestShardedCacheConcurrentStress(t *testing.T) {
 	if s.Hits+s.Misses != 8*500 {
 		t.Fatalf("hits+misses = %d, want %d", s.Hits+s.Misses, 8*500)
 	}
-	if s.Entries > 32+8 { // per-shard rounding can overshoot by at most one per shard
+	if s.Entries > 32 {
 		t.Fatalf("cache holds %d entries, capacity 32 across 8 shards", s.Entries)
+	}
+}
+
+// TestShardedCacheCapacityIsTotal is the regression test for per-stripe
+// rounding: Capacity is the budget across all stripes, so a capacity
+// below the stripe count, or one that does not divide evenly, must still
+// bound the live entries. Before the fix every stripe got
+// max(1, ceil(Capacity/stripes)) entries: 16 live entries for Capacity
+// 1, 2 or 5, and 4112 for 4097.
+func TestShardedCacheCapacityIsTotal(t *testing.T) {
+	for _, capacity := range []int{1, 2, 5, 4097} {
+		c := NewShardedVerdictCache(ShardedCacheConfig{Capacity: capacity})
+		for i := 0; i < 20000; i++ {
+			c.GetOrCompute(fmt.Sprintf("http://site-%d.sim/", i), func() Verdict { return Verdict{} })
+		}
+		if n := c.Len(); n > capacity {
+			t.Errorf("capacity %d: %d live entries", capacity, n)
+		}
+	}
+}
+
+// TestShardedCachePreloadedFirstLookup: concurrent first lookups of a
+// preloaded key, through Get and GetOrCompute alike, charge exactly one
+// miss between them (what a full run would have recorded for the key)
+// and never run compute.
+func TestShardedCachePreloadedFirstLookup(t *testing.T) {
+	c := NewShardedVerdictCache(ShardedCacheConfig{})
+	c.Preload([]DeltaVerdict{{Key: "http://seeded.sim/", Malicious: true, Category: string(CatBlacklisted)}})
+	var computes atomic.Int64
+	const callers = 16
+	var wg sync.WaitGroup
+	results := make([]Verdict, callers)
+	for i := 0; i < callers; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 0 {
+				results[i], _ = c.Get("http://seeded.sim/")
+				return
+			}
+			results[i], _ = c.GetOrCompute("http://seeded.sim/", func() Verdict {
+				computes.Add(1)
+				return Verdict{}
+			})
+		}()
+	}
+	wg.Wait()
+	if n := computes.Load(); n != 0 {
+		t.Fatalf("compute ran %d times for a preloaded key", n)
+	}
+	for i, v := range results {
+		if !v.Malicious || v.Category != CatBlacklisted {
+			t.Fatalf("caller %d got %+v, want the preloaded verdict", i, v)
+		}
+	}
+	if s := c.Stats(); s.Misses != 1 || s.Hits != callers-1 {
+		t.Fatalf("stats = %+v, want 1 miss and %d hits", s, callers-1)
+	}
+}
+
+// TestShardedCacheExport: Export is key-sorted and holds every computed
+// entry plus every preloaded entry that was looked up, but no preloaded
+// entry that never was.
+func TestShardedCacheExport(t *testing.T) {
+	c := NewShardedVerdictCache(ShardedCacheConfig{Shards: 4, Capacity: 64})
+	c.Preload([]DeltaVerdict{
+		{Key: "c-touched", Malicious: true, Category: string(CatBlacklisted)},
+		{Key: "a-untouched"},
+	})
+	c.GetOrCompute("z-computed", func() Verdict { return Verdict{Malicious: true, Category: CatJavaScript} })
+	c.GetOrCompute("b-computed", func() Verdict { return Verdict{} })
+	c.Get("c-touched")
+	want := []DeltaVerdict{
+		{Key: "b-computed"},
+		{Key: "c-touched", Malicious: true, Category: string(CatBlacklisted)},
+		{Key: "z-computed", Malicious: true, Category: string(CatJavaScript)},
+	}
+	if got := c.Export(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Export = %+v, want %+v", got, want)
+	}
+}
+
+// TestShardedCachePreloadSkipsPresent: Preload leaves keys already in
+// the cache (computed, or seeded earlier in the same slice) untouched and
+// returns how many entries it seeded.
+func TestShardedCachePreloadSkipsPresent(t *testing.T) {
+	c := NewShardedVerdictCache(ShardedCacheConfig{})
+	c.GetOrCompute("present", func() Verdict { return Verdict{VTPositives: 7} })
+	n := c.Preload([]DeltaVerdict{{Key: "present", Malicious: true}, {Key: "new"}, {Key: "new", Malicious: true}})
+	if n != 1 {
+		t.Fatalf("Preload seeded %d entries, want 1", n)
+	}
+	if v, _ := c.Get("present"); v.Malicious || v.VTPositives != 7 {
+		t.Fatalf("preload overwrote a computed entry: %+v", v)
+	}
+	if v, _ := c.Get("new"); v.Malicious {
+		t.Fatalf("a repeated key overwrote the first preload: %+v", v)
+	}
+	if s := c.Stats(); s.Entries != 2 {
+		t.Fatalf("cache holds %d entries, want 2", s.Entries)
+	}
+}
+
+// TestEngineCacheNeverEvicts: the engine sizes its cache to every record
+// it can step plus the preload, so a run that fills it to that bound —
+// every record a distinct key — evicts nothing and its CacheStats stay
+// exact.
+func TestEngineCacheNeverEvicts(t *testing.T) {
+	runs := []*shardRun{{planned: 3}, {planned: 5}, {planned: 0}}
+	const preload = 4
+	delta := &EpochDelta{}
+	for i := 0; i < preload; i++ {
+		delta.Verdicts = append(delta.Verdicts, DeltaVerdict{Key: fmt.Sprintf("seed-%d", i)})
+	}
+	c := (&Analyzer{}).newCache(runs, delta)
+	c.Preload(delta.Verdicts)
+	for i := 0; i < 3+5; i++ {
+		c.GetOrCompute(fmt.Sprintf("rec-%d", i), func() Verdict { return Verdict{} })
+	}
+	if s := c.Stats(); s.Evictions != 0 || s.Entries != 3+5+preload {
+		t.Fatalf("stats = %+v, want 0 evictions and %d entries", s, 3+5+preload)
 	}
 }

@@ -150,8 +150,10 @@ type runIdentity struct {
 
 // engine is one run's shared state across its shard workers.
 type engine struct {
-	an      *Analyzer
-	cache   *VerdictCache
+	an    *Analyzer
+	cache *ShardedVerdictCache // nil when caching is disabled
+	// keys memoizes the cache keys of the records this run scans.
+	keys    keyMemo
 	opts    RunOptions
 	id      runIdentity
 	runs    []*shardRun
@@ -173,7 +175,7 @@ func (e *engine) stop() { e.stopOnce.Do(func() { close(e.stopC) }) }
 // partition — and, when runs cover the whole partition, returns their
 // merged Analysis; a subset run returns nil after persisting its shard
 // files. cache may be nil (caching disabled).
-func (an *Analyzer) runEngine(runs []*shardRun, nShards int, src shardSource, cache *VerdictCache,
+func (an *Analyzer) runEngine(runs []*shardRun, nShards int, src shardSource, cache *ShardedVerdictCache,
 	opts RunOptions, id runIdentity) (*Analysis, error) {
 	e, err := an.newEngine(runs, nShards, cache, opts, id)
 	if err != nil {
@@ -196,7 +198,8 @@ func (an *Analyzer) runEngine(runs []*shardRun, nShards int, src shardSource, ca
 	}
 	cstats := CacheStats{}
 	if cache != nil {
-		cstats = cache.Stats()
+		s := cache.Stats()
+		cstats = CacheStats{Hits: int(s.Hits), Misses: int(s.Misses)}
 	}
 	an.Metrics.Counter("pipeline.cache.hits").Add(int64(cstats.Hits))
 	an.Metrics.Counter("pipeline.cache.misses").Add(int64(cstats.Misses))
@@ -213,7 +216,7 @@ func (an *Analyzer) runEngine(runs []*shardRun, nShards int, src shardSource, ca
 // partition: it creates the checkpoint directory and resumes every shard
 // that has a checkpoint there. Nothing is crawled or read yet, so a bad
 // directory fails before any work.
-func (an *Analyzer) newEngine(runs []*shardRun, nShards int, cache *VerdictCache,
+func (an *Analyzer) newEngine(runs []*shardRun, nShards int, cache *ShardedVerdictCache,
 	opts RunOptions, id runIdentity) (*engine, error) {
 	dir := opts.CheckpointDir
 	if len(runs) != nShards && dir == "" {
@@ -467,7 +470,7 @@ func (e *engine) step(sr *shardRun, rec *crawler.Record) error {
 	if sr.part != nil {
 		return sr.part.append(rec)
 	}
-	sr.fold.fold(0, rec, e.an.scanOne(e.cache, sr.name, rec))
+	sr.fold.fold(0, rec, e.an.scanOne(e.cache, &e.keys, sr.name, rec))
 	return nil
 }
 
@@ -486,12 +489,22 @@ func (e *engine) writeShard(sr *shardRun) error {
 	return writeCheckpointFile(path, ckptDataset, e.id.seed, e.id.cfgHash, encodeCursorPayload(sr.cursor(e.nShards)))
 }
 
-// newCache returns the run-scoped verdict cache, or nil when disabled.
-func (an *Analyzer) newCache() *VerdictCache {
+// newCache returns the run-scoped verdict cache, or nil when disabled:
+// one stripe whose capacity covers every record runs can step plus the
+// preload's verdicts. Each record creates at most one entry, so nothing
+// is ever evicted and CacheStats stay exact.
+func (an *Analyzer) newCache(runs []*shardRun, preload *EpochDelta) *ShardedVerdictCache {
 	if an.DisableCache {
 		return nil
 	}
-	return NewVerdictCache()
+	capacity := 0
+	if preload != nil {
+		capacity = len(preload.Verdicts)
+	}
+	for _, sr := range runs {
+		capacity += sr.planned
+	}
+	return NewShardedVerdictCache(ShardedCacheConfig{Shards: 1, Capacity: capacity})
 }
 
 // Analyze runs the engine over recorded crawls, one shard per crawl, and
@@ -524,7 +537,7 @@ func (an *Analyzer) analyzeRecorded(crawls []*crawler.Crawl, opts RunOptions, id
 		}
 		return nil
 	}
-	return an.runEngine(runs, len(runs), src, an.newCache(), opts, id)
+	return an.runEngine(runs, len(runs), src, an.newCache(runs, nil), opts, id)
 }
 
 // RunStream executes the study as one engine run over a live crawl:
@@ -550,7 +563,7 @@ func (st *Study) runLive(opts RunOptions, keep bool) error {
 		runs[p] = newShardRun(an, i, names[i], kinds[i], st.Steps[i])
 	}
 
-	cache := an.newCache()
+	cache := an.newCache(runs, opts.Preload)
 	if opts.WriteDeltaPath != "" && cache == nil {
 		return fmt.Errorf("core: epoch delta output requires the verdict cache")
 	}

@@ -31,13 +31,6 @@ type LongitudinalOptions struct {
 	// writes epochNNN.slumdelta into the directory and epoch N+1 seeds
 	// its verdict cache from epoch N's file. Requires the verdict cache.
 	DeltaDir string
-	// SerialRebuild disables the incremental fast path: every epoch's
-	// universe is regenerated from scratch, no epoch is prefetched, and
-	// delta preloads are re-read from disk instead of passed through in
-	// memory. Output is byte-identical either way — this exists so the
-	// equivalence tests, the epoch-soak diff leg and the benchmark
-	// baseline can pin the fast path against the rebuild-everything one.
-	SerialRebuild bool
 	// Run is the base engine configuration. CheckpointDir, when set,
 	// holds one subdirectory per epoch (epoch000, epoch001, ...) of shard
 	// checkpoints, resumed automatically (epochs that completed have
@@ -131,14 +124,15 @@ func epochCheckpointDir(dir string, epoch int) string {
 // behaviour. On abort the partial result accumulated so far is returned
 // alongside the error.
 //
-// Unless SerialRebuild is set the runner is incremental and pipelined:
-// epoch e+1's universe is derived from epoch e's via web.AdvanceEpoch
-// (O(changed sites), shared render cache) on a background goroutine
-// WHILE epoch e streams, and in delta mode the just-written delta is
-// handed to the next epoch in memory instead of being re-read from
-// disk. None of this changes any output byte: epochs still run one
-// after another, checkpoints and kill-resume behave as before, and the
-// delta file on disk remains authoritative for resumed processes.
+// The runner is incremental and pipelined: epoch e+1's universe is
+// derived from epoch e's via web.AdvanceEpoch (O(changed sites), shared
+// render cache) on a background goroutine WHILE epoch e streams, and in
+// delta mode the delta epoch e just wrote is handed to epoch e+1 in
+// memory. A relaunched study re-runs every epoch from 0, so that delta
+// is always this process's own. None of this changes any output byte:
+// epochs still run one after another, checkpoints and kill-resume behave
+// as before, and the delta files match a from-scratch rebuild of every
+// epoch that reloads each preload from disk.
 func RunLongitudinalStudy(cfg StudyConfig, opts LongitudinalOptions) (*LongitudinalResult, error) {
 	if opts.Run.Preload != nil || opts.Run.WriteDeltaPath != "" || len(opts.Run.Only) > 0 {
 		return nil, errors.New("core: longitudinal runner owns Preload/WriteDeltaPath/Only — leave them unset")
@@ -207,7 +201,7 @@ func RunLongitudinalStudy(cfg StudyConfig, opts LongitudinalOptions) (*Longitudi
 		// makes the next universe dead weight, so don't build it (the
 		// check ignores any resume credit — the rare skipped prefetch
 		// after a resume just falls back to NewStudy at the loop top).
-		if e+1 < epochs && !opts.SerialRebuild && (budget <= 0 || folded+epochSteps < budget) {
+		if e+1 < epochs && (budget <= 0 || folded+epochSteps < budget) {
 			ch := make(chan built, 1)
 			pending = ch
 			go func(next StudyConfig, prev *Study) {
@@ -224,24 +218,10 @@ func RunLongitudinalStudy(cfg StudyConfig, opts LongitudinalOptions) (*Longitudi
 		}
 		if opts.DeltaDir != "" {
 			ropts.WriteDeltaPath = DeltaPath(opts.DeltaDir, e)
-			if e > 0 {
-				if prevDelta != nil && !opts.SerialRebuild {
-					// The previous epoch of this very process wrote the
-					// delta; hand it over in memory. The provenance checks
-					// ValidateDelta runs on loaded files hold trivially.
-					ropts.Preload = prevDelta
-				} else {
-					ck, err := LoadCheckpoint(DeltaPath(opts.DeltaDir, e-1))
-					if err != nil {
-						return res, fmt.Errorf("core: epoch %d: load prior delta: %w", e, err)
-					}
-					d, err := ck.ValidateDelta(ecfg)
-					if err != nil {
-						return res, fmt.Errorf("core: epoch %d: %w", e, err)
-					}
-					ropts.Preload = d
-				}
-			}
+			// The previous epoch of this very process wrote the delta;
+			// hand it over in memory. The provenance checks ValidateDelta
+			// runs on loaded files hold trivially.
+			ropts.Preload = prevDelta
 		}
 		// The engine never aborts on a run's final record, so an epoch
 		// that exactly exhausts the budget completes normally and the

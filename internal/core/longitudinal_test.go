@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -250,41 +252,94 @@ func TestLongitudinalBudgetBoundaryAbort(t *testing.T) {
 	}
 }
 
+// rebuildEveryEpoch is the from-scratch oracle for RunLongitudinalStudy
+// in delta mode: each epoch's study is built anew by NewStudy (no
+// universe advance, no prefetch), and each preload is read back from the
+// delta file the previous epoch wrote, through LoadCheckpoint and
+// ValidateDelta, instead of being handed over in memory.
+func rebuildEveryEpoch(t *testing.T, cfg StudyConfig, deltaDir string) *LongitudinalResult {
+	t.Helper()
+	res := &LongitudinalResult{Config: cfg}
+	for e := 0; e < cfg.Epochs; e++ {
+		ecfg := cfg
+		ecfg.Epoch = e
+		st, err := NewStudy(ecfg)
+		if err != nil {
+			t.Fatalf("oracle epoch %d: %v", e, err)
+		}
+		opts := RunOptions{WriteDeltaPath: DeltaPath(deltaDir, e)}
+		if e > 0 {
+			ck, err := LoadCheckpoint(DeltaPath(deltaDir, e-1))
+			if err != nil {
+				t.Fatalf("oracle epoch %d: %v", e, err)
+			}
+			if opts.Preload, err = ck.ValidateDelta(ecfg); err != nil {
+				t.Fatalf("oracle epoch %d: %v", e, err)
+			}
+		}
+		if err := st.RunStream(opts); err != nil {
+			t.Fatalf("oracle epoch %d: %v", e, err)
+		}
+		res.Epochs = append(res.Epochs, outcomeOf(st))
+	}
+	return res
+}
+
 // TestLongitudinalIncrementalInvariance pins the incremental fast path
-// three ways: (1) per-epoch outcomes are deeply equal to a SerialRebuild
-// run (from-scratch universes, no pipelining, disk-only deltas); (2) the
-// render-memo and universe-advance counters are schedule-invariant
-// across worker counts; (3) the fast path is non-vacuous — universes
-// advance instead of regenerating, and cross-epoch render reuse strictly
-// beats the rebuild path's hit/miss split.
+// three ways: (1) per-epoch outcomes are deeply equal, and every delta
+// file byte-identical, to the rebuildEveryEpoch oracle (from-scratch
+// universes, no pipelining, disk-only deltas); (2) the render-memo and
+// universe-advance counters are schedule-invariant across worker counts;
+// (3) the fast path is non-vacuous — universes advance instead of
+// regenerating, and cross-epoch render reuse strictly beats the
+// oracle's hit/miss split.
 func TestLongitudinalIncrementalInvariance(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	watched := []string{
 		"web.render.hits", "web.render.misses", "web.render.uncached", "web.render.retired",
 		"study.universe.advanced", "study.universe.advance_fallback",
 	}
-	run := func(workers int, serial bool) (*LongitudinalResult, map[string]int64) {
-		t.Helper()
-		reg := obs.NewRegistry()
-		cfg := longitudinalConfig(8, workers)
-		cfg.Metrics = reg
-		res, err := RunLongitudinalStudy(cfg, LongitudinalOptions{DeltaDir: t.TempDir(), SerialRebuild: serial})
-		if err != nil {
-			t.Fatalf("workers=%d serial=%v: %v", workers, serial, err)
-		}
+	counters := func(reg *obs.Registry) map[string]int64 {
 		vals := map[string]int64{}
 		for _, c := range watched {
 			vals[c] = reg.Counter(c).Value()
 		}
-		return res, vals
+		return vals
 	}
-	fast1, cFast1 := run(1, false)
-	fast8, cFast8 := run(8, false)
-	slow1, cSlow1 := run(1, true)
+	run := func(workers int, deltaDir string) (*LongitudinalResult, map[string]int64) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		cfg := longitudinalConfig(8, workers)
+		cfg.Metrics = reg
+		res, err := RunLongitudinalStudy(cfg, LongitudinalOptions{DeltaDir: deltaDir})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res, counters(reg)
+	}
+	fastDir, slowDir := t.TempDir(), t.TempDir()
+	fast1, cFast1 := run(1, fastDir)
+	fast8, cFast8 := run(8, t.TempDir())
+	reg := obs.NewRegistry()
+	ocfg := longitudinalConfig(8, 1)
+	ocfg.Metrics = reg
+	slow1 := rebuildEveryEpoch(t, ocfg, slowDir)
+	cSlow1 := counters(reg)
 
 	for i := range fast1.Epochs {
 		if !reflect.DeepEqual(fast1.Epochs[i], slow1.Epochs[i]) {
-			t.Errorf("epoch %d: incremental outcome differs from serial rebuild", i)
+			t.Errorf("epoch %d: incremental outcome differs from the from-scratch rebuild", i)
+		}
+		fastDelta, err := os.ReadFile(DeltaPath(fastDir, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		slowDelta, err := os.ReadFile(DeltaPath(slowDir, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fastDelta, slowDelta) {
+			t.Errorf("epoch %d: incremental delta file differs from the from-scratch rebuild's", i)
 		}
 		if !reflect.DeepEqual(fast1.Epochs[i], fast8.Epochs[i]) {
 			t.Errorf("epoch %d: incremental outcome differs across worker counts", i)
@@ -299,7 +354,7 @@ func TestLongitudinalIncrementalInvariance(t *testing.T) {
 			cFast1["study.universe.advanced"], cFast1["study.universe.advance_fallback"], epochs-1)
 	}
 	if cSlow1["study.universe.advanced"] != 0 {
-		t.Errorf("serial rebuild advanced %d universes, want 0", cSlow1["study.universe.advanced"])
+		t.Errorf("from-scratch rebuild advanced %d universes, want 0", cSlow1["study.universe.advanced"])
 	}
 	if cFast1["web.render.uncached"] != 0 || cSlow1["web.render.uncached"] != 0 {
 		t.Fatalf("render caches hit capacity (uncached fast=%d slow=%d) — hit/miss splits are no longer exact",
@@ -309,7 +364,7 @@ func TestLongitudinalIncrementalInvariance(t *testing.T) {
 		t.Error("no render misses at all — the counters are disconnected")
 	}
 	if cFast1["web.render.misses"] >= cSlow1["web.render.misses"] {
-		t.Errorf("incremental path rendered %d pages, serial rebuild %d — cross-epoch reuse is vacuous",
+		t.Errorf("incremental path rendered %d pages, from-scratch rebuild %d — cross-epoch reuse is vacuous",
 			cFast1["web.render.misses"], cSlow1["web.render.misses"])
 	}
 	if cFast1["web.render.retired"] == 0 {

@@ -164,7 +164,8 @@ func TestVerdictCacheSingleFlight(t *testing.T) {
 		t.Fatal("no regular record with a body")
 	}
 
-	cache := NewVerdictCache()
+	cache := NewShardedVerdictCache(ShardedCacheConfig{Shards: 1, Capacity: 1})
+	var keys keyMemo
 	const callers = 16
 	var wg sync.WaitGroup
 	verdicts := make([]Verdict, callers)
@@ -172,7 +173,7 @@ func TestVerdictCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			verdicts[i] = st.Analyzer.inspect(cache, rec)
+			verdicts[i] = st.Analyzer.inspect(cache, &keys, rec)
 		}(i)
 	}
 	wg.Wait()

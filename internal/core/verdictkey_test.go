@@ -49,17 +49,17 @@ func TestVerdictKeyNormalizesEntryURL(t *testing.T) {
 		t.Fatalf("equivalent entry URLs produced %d distinct cache keys: %v", len(keys), keys)
 	}
 
-	// And the single-flight cache consequently reuses the slot: the second
-	// equivalent record is a hit, not a second miss.
-	cache := NewVerdictCache()
+	// And the single-flight cache consequently reuses the entry: the
+	// second equivalent record is a hit, not a second miss.
+	cache := NewShardedVerdictCache(ShardedCacheConfig{Shards: 1, Capacity: 2})
 	recA, recB := base, base
 	recA.EntryURL = variants[0]
 	recB.EntryURL = variants[1]
-	if _, existed := cache.entry(verdictKey(&recA)); existed {
-		t.Fatal("fresh cache reported an existing slot")
+	if _, hit := cache.GetOrCompute(verdictKey(&recA), func() Verdict { return Verdict{} }); hit {
+		t.Fatal("fresh cache reported a hit")
 	}
-	if _, existed := cache.entry(verdictKey(&recB)); !existed {
-		t.Fatal("equivalent entry URL allocated a second cache slot (cache miss double-count)")
+	if _, hit := cache.GetOrCompute(verdictKey(&recB), func() Verdict { return Verdict{} }); !hit {
+		t.Fatal("equivalent entry URL allocated a second cache entry (cache miss double-count)")
 	}
 }
 
