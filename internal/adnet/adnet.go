@@ -241,8 +241,12 @@ func (a *Audience) Visit(pageURL, viewerIP, country, referrer string, dwell time
 	}
 	doc := htmlparse.Parse(string(resp.Body))
 	fired := 0
-	for _, el := range doc.ByTag("iframe") {
-		src := el.Attrs["src"]
+	for i := range doc.Elements {
+		el := &doc.Elements[i]
+		if el.Tag != "iframe" {
+			continue
+		}
+		src := el.Get("src")
 		p, err := urlutil.Parse(src)
 		if err != nil || !a.AdHosts[p.Host] {
 			continue

@@ -11,6 +11,8 @@
 package core
 
 import (
+	"sync"
+
 	"repro/internal/blacklist"
 	"repro/internal/crawler"
 	"repro/internal/httpsim"
@@ -59,6 +61,11 @@ type Classifier struct {
 	// PopularHosts is the well-known-site list (Google/Facebook/YouTube
 	// analogs).
 	PopularHosts map[string]bool
+
+	// exDomains maps exchange name -> the registered domain of its home
+	// page, derived from ExchangeHosts on the first Classify.
+	exOnce    sync.Once
+	exDomains map[string]string
 }
 
 // Classify returns the referral class of one record. Fetch failures are
@@ -69,18 +76,34 @@ func (c *Classifier) Classify(rec crawler.Record) ReferralClass {
 	if rec.FetchErr != "" {
 		return Failed
 	}
-	exHost := c.ExchangeHosts[rec.Exchange]
-	if exHost != "" && urlutil.SameSite(rec.EntryURL, "http://"+exHost+"/") {
-		return Self
-	}
 	p, err := urlutil.Parse(rec.EntryURL)
 	if err != nil {
 		return Regular
 	}
-	if c.PopularHosts[p.Host] || c.PopularHosts[urlutil.RegisteredDomain(p.Host)] {
+	domain := urlutil.RegisteredDomain(p.Host)
+	// Self: the entry shares a registered domain with the exchange's
+	// home page (urlutil.SameSite against "http://<host>/").
+	if exDomain := c.exchangeDomain(rec.Exchange); exDomain != "" && domain == exDomain {
+		return Self
+	}
+	if c.PopularHosts[p.Host] || c.PopularHosts[domain] {
 		return Popular
 	}
 	return Regular
+}
+
+// exchangeDomain returns the registered domain of the named exchange's
+// home page, or "" for an unknown exchange or an unparseable host.
+func (c *Classifier) exchangeDomain(exchange string) string {
+	c.exOnce.Do(func() {
+		c.exDomains = make(map[string]string, len(c.ExchangeHosts))
+		for name, host := range c.ExchangeHosts {
+			if host != "" {
+				c.exDomains[name] = urlutil.DomainOf("http://" + host + "/")
+			}
+		}
+	})
+	return c.exDomains[exchange]
 }
 
 // Category is the Table III malware category.

@@ -403,6 +403,7 @@ func validateShard(ck *Checkpoint, sr *shardRun, nShards int, id runIdentity) er
 // disguised as one.
 func (e *engine) runShard(sr *shardRun, src shardSource) error {
 	an := e.an
+	counters := newRecordCounters(an.Metrics)
 	var stepErr error
 	fail := func(err error) error {
 		stepErr = err
@@ -424,11 +425,11 @@ func (e *engine) runShard(sr *shardRun, src shardSource) error {
 			an.Metrics.Counter("pipeline.skipped").Inc()
 			return nil
 		}
-		if err := e.step(sr, rec); err != nil {
+		if err := e.step(sr, rec, counters); err != nil {
 			return fail(err)
 		}
 		sr.folded++
-		an.Metrics.Counter("pipeline.records").Inc()
+		counters.records.Inc()
 		total := e.folded.Add(1)
 		if e.opts.CheckpointDir != "" && (sr.startAt+sr.folded)%e.every == 0 {
 			if err := e.writeShard(sr); err != nil {
@@ -466,11 +467,13 @@ func (e *engine) runShard(sr *shardRun, src shardSource) error {
 
 // step is the per-record work of the run: scan→fold for an analysis
 // shard, encode→append for a dataset shard.
-func (e *engine) step(sr *shardRun, rec *crawler.Record) error {
+func (e *engine) step(sr *shardRun, rec *crawler.Record, counters *recordCounters) error {
 	if sr.part != nil {
 		return sr.part.append(rec)
 	}
-	sr.fold.fold(0, rec, e.an.scanOne(e.cache, &e.keys, sr.name, rec))
+	o := e.an.scanOne(e.cache, &e.keys, sr.name, rec)
+	counters.classified[o.class].Inc()
+	sr.fold.fold(0, rec, o)
 	return nil
 }
 

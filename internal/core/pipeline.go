@@ -134,6 +134,21 @@ func (an *Analyzer) inspect(cache *ShardedVerdictCache, keys *keyMemo, rec *craw
 	return v
 }
 
+// recordCounters are one shard worker's per-record metric handles:
+// pipeline.records and pipeline.classified.<class>, indexed by class.
+type recordCounters struct {
+	records    obs.LazyCounter
+	classified [Failed + 1]obs.LazyCounter
+}
+
+func newRecordCounters(reg *obs.Registry) *recordCounters {
+	rc := &recordCounters{records: reg.Lazy("pipeline.records")}
+	for c := Self; c <= Failed; c++ {
+		rc.classified[c] = reg.Lazy("pipeline.classified." + c.String())
+	}
+	return rc
+}
+
 // recOutcome is the per-record result of the parallel scan phase.
 type recOutcome struct {
 	class ReferralClass
@@ -146,7 +161,6 @@ func (an *Analyzer) scanOne(cache *ShardedVerdictCache, keys *keyMemo, exchangeN
 	span := an.Tracer.Start(exchangeName, obs.StageClassify)
 	o := recOutcome{class: an.Classifier.Classify(*rec)}
 	span.End()
-	an.Metrics.Counter("pipeline.classified." + o.class.String()).Inc()
 	if o.class == Regular {
 		scan := an.Tracer.Start(exchangeName, obs.StageScan)
 		o.v = an.inspect(cache, keys, rec)

@@ -273,8 +273,14 @@ func crawlExchange(ex *exchange.Exchange, transport httpsim.RoundTripper, opts O
 	case opts.FetchBudget == 0:
 		client.Budget = 15 * time.Second
 	}
-	name := ex.Config().Name
+	name, kind, home := ex.Config().Name, ex.Config().Kind, ex.HomeURL()
 	clock := opts.Start
+	urls := opts.Metrics.Lazy("crawl.urls")
+	fetchAttempts := opts.Metrics.Lazy("crawl.fetch_attempts")
+	fetched := opts.Metrics.Lazy("crawl.fetched")
+	// One record serves every step: visit sees it only for the duration
+	// of the call, and every consumer copies what it keeps.
+	var rec Record
 
 	for i := 0; i < opts.Steps; i++ {
 		// Manual-surf exchanges gate each step behind a CAPTCHA; the
@@ -289,9 +295,9 @@ func crawlExchange(ex *exchange.Exchange, transport httpsim.RoundTripper, opts O
 			return time.Time{}, time.Time{}, fmt.Errorf("crawler: step %d on %s: %w", i, name, err)
 		}
 
-		rec := Record{
+		rec = Record{
 			Exchange:  name,
-			Kind:      ex.Config().Kind,
+			Kind:      kind,
 			Seq:       i,
 			Timestamp: clock,
 			EntryURL:  step.URL,
@@ -300,14 +306,14 @@ func crawlExchange(ex *exchange.Exchange, transport httpsim.RoundTripper, opts O
 		// Fetch with bounded retry. A failure here is always isolated to
 		// this URL: the surf session continues, the failure is recorded,
 		// and the step's credit is still claimed below.
-		opts.Metrics.Counter("crawl.urls").Inc()
+		urls.Inc()
 		fetchSpan := opts.Tracer.Start(name, obs.StageFetch)
 		var res *httpsim.Result
 		var ferr error
 		attempt := 1
 		for {
-			opts.Metrics.Counter("crawl.fetch_attempts").Inc()
-			res, ferr = client.Do(step.URL, BrowserUA, ex.HomeURL(), attempt)
+			fetchAttempts.Inc()
+			res, ferr = client.Do(step.URL, BrowserUA, home, attempt)
 			if ferr == nil && res.Final != nil && transient5xx(res.Final.StatusCode) {
 				ferr = fmt.Errorf("%w: http %d from %s", errTransient5xx,
 					res.Final.StatusCode, res.FinalURL)
@@ -347,7 +353,7 @@ func crawlExchange(ex *exchange.Exchange, transport httpsim.RoundTripper, opts O
 				}
 			}
 		} else {
-			opts.Metrics.Counter("crawl.fetched").Inc()
+			fetched.Inc()
 			rec.FinalURL = res.FinalURL
 			rec.Redirects = res.Redirects()
 			rec.Status = res.Final.StatusCode

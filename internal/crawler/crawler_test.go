@@ -2,12 +2,14 @@ package crawler
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/exchange"
 	"repro/internal/har"
+	"repro/internal/httpsim"
 	"repro/internal/simrand"
 	"repro/internal/web"
 )
@@ -183,6 +185,51 @@ func TestCrawlWithoutBodiesOrHAR(t *testing.T) {
 		if len(r.Body) != 0 {
 			t.Fatal("body kept despite KeepBodies=false")
 		}
+	}
+}
+
+// TestCrawlRecordsAreIndependent checks the records CrawlExchange returns
+// after the crawl loop reuses one Record for every step: each is a copy of
+// its own, so mutating one leaves the rest unchanged, and no field of a
+// failed step leaks into the next one or back.
+func TestCrawlRecordsAreIndependent(t *testing.T) {
+	u, ex := setup(t, exchange.AutoSurf)
+	profile, ok := httpsim.ProfileByName("flaky")
+	if !ok {
+		t.Fatal("no flaky fault profile")
+	}
+	opts := DefaultOptions(400)
+	opts.Retries = 0
+	crawl, err := CrawlExchange(ex, httpsim.NewFaultInjector(u.Internet, profile, 3), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]Record(nil), crawl.Records...)
+	failed := 0
+	for i, r := range crawl.Records {
+		if r.Seq != i {
+			t.Fatalf("record %d has Seq %d", i, r.Seq)
+		}
+		if r.FetchErr != "" {
+			failed++
+			if r.Body != nil || r.ErrKind == "" {
+				t.Fatalf("failed record %d: body %d bytes, kind %q", i, len(r.Body), r.ErrKind)
+			}
+		} else if r.ErrKind != "" || len(r.Body) == 0 {
+			t.Fatalf("fetched record %d: kind %q, body %d bytes", i, r.ErrKind, len(r.Body))
+		}
+	}
+	if failed == 0 || failed == len(crawl.Records) {
+		t.Fatalf("%d of %d fetches failed; want a mix", failed, len(crawl.Records))
+	}
+	for i := range crawl.Records {
+		crawl.Records[i] = Record{Seq: -1, EntryURL: "mutated", FetchErr: "mutated"}
+		for j := range crawl.Records {
+			if j != i && !reflect.DeepEqual(crawl.Records[j], want[j]) {
+				t.Fatalf("mutating record %d changed record %d", i, j)
+			}
+		}
+		crawl.Records[i] = want[i]
 	}
 }
 

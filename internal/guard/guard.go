@@ -81,18 +81,23 @@ func (g *SurfGuard) CheckPage(rawURL string, body []byte) Decision {
 	}
 	doc := htmlparse.Parse(string(body))
 	hasTimer := false
-	for _, el := range doc.Elements {
-		id := strings.ToLower(el.Attrs["id"])
+	for i := range doc.Elements {
+		el := &doc.Elements[i]
+		id := strings.ToLower(el.Get("id"))
 		if strings.Contains(id, "timer") || id == "t" || strings.Contains(id, "surfbar") ||
-			strings.Contains(strings.ToLower(el.Attrs["class"]), "surfbar") {
+			strings.Contains(strings.ToLower(el.Get("class")), "surfbar") {
 			hasTimer = true
 			break
 		}
 	}
 	hasRotationFrame := false
-	for _, el := range doc.ByTag("iframe") {
-		id := strings.ToLower(el.Attrs["id"])
-		w := strings.TrimSpace(el.Attrs["width"])
+	for i := range doc.Elements {
+		el := &doc.Elements[i]
+		if el.Tag != "iframe" {
+			continue
+		}
+		id := strings.ToLower(el.Get("id"))
+		w := strings.TrimSpace(el.Get("width"))
 		if strings.Contains(id, "surf") || w == "100%" {
 			hasRotationFrame = true
 			break

@@ -32,16 +32,22 @@ func FuzzTokenize(f *testing.F) {
 		if doc == nil {
 			t.Fatal("Parse returned nil document")
 		}
-		for _, tag := range []string{"iframe", "script", "a", "embed", "object", "meta", "title"} {
-			for _, el := range doc.ByTag(tag) {
-				if el.Tag != tag {
-					t.Fatalf("ByTag(%q) returned element with tag %q", tag, el.Tag)
+		for i := range doc.Elements {
+			el := &doc.Elements[i]
+			seen := map[string]bool{}
+			for _, a := range el.Attrs {
+				if seen[a.Name] {
+					t.Fatalf("element %d repeats attribute %q", i, a.Name)
 				}
-				ParseStyle(el.Attrs["style"])
-				PixelValue(el.Attrs["width"])
-				PixelValue(el.Attrs["height"])
-				el.Attr("hidden")
+				seen[a.Name] = true
+				if v, ok := el.Attr(a.Name); !ok || v != a.Value {
+					t.Fatalf("Attr(%q) = %q, %v; want %q", a.Name, v, ok, a.Value)
+				}
 			}
+			ParseStyle(el.Get("style"))
+			PixelValue(el.Get("width"))
+			PixelValue(el.Get("height"))
+			el.Attr("hidden")
 		}
 		doc.First("title")
 		doc.InlineScripts()

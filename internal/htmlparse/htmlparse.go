@@ -21,11 +21,12 @@ import (
 type Element struct {
 	// Tag is the lowercased tag name ("iframe", "script", ...).
 	Tag string
-	// Attrs maps lowercased attribute names to their (unquoted) values.
-	// Valueless attributes map to "". The map is nil for attribute-less
-	// elements — reads stay safe, and most elements on real pages carry no
-	// attributes, so the parser skips the map allocation entirely.
-	Attrs map[string]string
+	// Attrs lists the element's attributes in source order, with
+	// lowercased names and unquoted values; valueless attributes have
+	// value "". A repeated name appears once, holding its last value. The
+	// slice is nil for attribute-less elements and shares one backing
+	// array with every other element of the document.
+	Attrs []Attr
 	// Text is the raw text between an element's open and close tag. It is
 	// only populated for HTML raw-text elements, whose content is not
 	// markup: script, style, title, textarea.
@@ -36,11 +37,27 @@ type Element struct {
 	Offset int
 }
 
+// Attr is one attribute of an Element.
+type Attr struct {
+	Name, Value string
+}
+
 // Attr returns the value of the named attribute (lowercase) and whether it
 // was present.
 func (e *Element) Attr(name string) (string, bool) {
-	v, ok := e.Attrs[name]
-	return v, ok
+	for _, a := range e.Attrs {
+		if a.Name == name {
+			return a.Value, true
+		}
+	}
+	return "", false
+}
+
+// Get returns the value of the named attribute (lowercase), or "" when it
+// is absent.
+func (e *Element) Get(name string) string {
+	v, _ := e.Attr(name)
+	return v
 }
 
 // Document is the flat parse of an HTML page.
@@ -61,8 +78,19 @@ var bodyTags = map[string]bool{
 
 // Parse tokenizes src into a flat Document. It never fails: arbitrarily
 // broken markup yields a best-effort element list.
+//
+// Besides the Document, Parse allocates its element slice once, sized to
+// the number of '<' followed by a tag-name byte (every element starts at
+// one), and one attribute slab that every element's Attrs slices.
 func Parse(src string) *Document {
 	doc := &Document{Raw: src}
+	var attrs []Attr
+	if n := maxElements(src); n > 0 {
+		doc.Elements = make([]Element, 0, n)
+		// Most elements carry at most one attribute; the slab grows past
+		// that only on attribute-heavy markup.
+		attrs = make([]Attr, 0, n)
+	}
 	i := 0
 	n := len(src)
 	for i < n {
@@ -95,7 +123,7 @@ func Parse(src string) *Document {
 			}
 			i = pos + end + 1
 		default:
-			el, next, ok := parseTag(src, pos)
+			el, next, ok := parseTag(src, pos, &attrs)
 			if !ok {
 				i = pos + 1
 				continue
@@ -109,12 +137,41 @@ func Parse(src string) *Document {
 			doc.Elements = append(doc.Elements, el)
 		}
 	}
+	// The slab may have moved as it grew: point every element's run of
+	// attributes, which follow each other in document order, at the final
+	// array, capped so an append through one element cannot reach the next.
+	off := 0
+	for k := range doc.Elements {
+		el := &doc.Elements[k]
+		if m := len(el.Attrs); m > 0 {
+			el.Attrs = attrs[off : off+m : off+m]
+			off += m
+		}
+	}
 	return doc
+}
+
+// maxElements bounds the number of elements Parse can find in src: one
+// per '<' followed by a tag-name byte.
+func maxElements(src string) int {
+	n := 0
+	for i := 0; ; {
+		lt := strings.IndexByte(src[i:], '<')
+		if lt < 0 {
+			return n
+		}
+		i += lt + 1
+		if i < len(src) && isNameByte(src[i]) {
+			n++
+		}
+	}
 }
 
 // parseTag parses an opening tag starting at src[pos] == '<'. It returns
 // the element, the offset just past '>', and whether a valid tag was found.
-func parseTag(src string, pos int) (Element, int, bool) {
+// The element's attributes are appended to *attrs, and el.Attrs slices
+// them there; Parse re-points it once the slab stops growing.
+func parseTag(src string, pos int, attrs *[]Attr) (Element, int, bool) {
 	i := pos + 1
 	n := len(src)
 	start := i
@@ -128,11 +185,17 @@ func parseTag(src string, pos int) (Element, int, bool) {
 		Tag:    strings.ToLower(src[start:i]),
 		Offset: pos,
 	}
+	first := len(*attrs)
 	setAttr := func(name, val string) {
-		if el.Attrs == nil {
-			el.Attrs = make(map[string]string, 4)
+		own := (*attrs)[first:]
+		for k := range own {
+			if own[k].Name == name {
+				own[k].Value = val
+				return
+			}
 		}
-		el.Attrs[name] = val
+		*attrs = append(*attrs, Attr{name, val})
+		el.Attrs = (*attrs)[first:]
 	}
 	for i < n {
 		// Skip whitespace.
@@ -256,17 +319,6 @@ func isSpace(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
 }
 
-// ByTag returns all elements with the given lowercase tag name.
-func (d *Document) ByTag(tag string) []Element {
-	var out []Element
-	for _, el := range d.Elements {
-		if el.Tag == tag {
-			out = append(out, el)
-		}
-	}
-	return out
-}
-
 // First returns the first element with the tag, or nil.
 func (d *Document) First(tag string) *Element {
 	for i := range d.Elements {
@@ -281,8 +333,12 @@ func (d *Document) First(tag string) *Element {
 // attribute.
 func (d *Document) InlineScripts() []string {
 	var out []string
-	for _, el := range d.ByTag("script") {
-		if _, ok := el.Attrs["src"]; !ok && strings.TrimSpace(el.Text) != "" {
+	for i := range d.Elements {
+		el := &d.Elements[i]
+		if el.Tag != "script" {
+			continue
+		}
+		if _, ok := el.Attr("src"); !ok && strings.TrimSpace(el.Text) != "" {
 			out = append(out, el.Text)
 		}
 	}
@@ -292,8 +348,12 @@ func (d *Document) InlineScripts() []string {
 // ScriptSrcs returns the src attributes of all external script elements.
 func (d *Document) ScriptSrcs() []string {
 	var out []string
-	for _, el := range d.ByTag("script") {
-		if src, ok := el.Attrs["src"]; ok && src != "" {
+	for i := range d.Elements {
+		el := &d.Elements[i]
+		if el.Tag != "script" {
+			continue
+		}
+		if src := el.Get("src"); src != "" {
 			out = append(out, strings.TrimSpace(src))
 		}
 	}
@@ -304,11 +364,12 @@ func (d *Document) ScriptSrcs() []string {
 // element, or "" if none. Meta refresh is the final hop of the Figure 4
 // redirection chain.
 func (d *Document) MetaRefresh() string {
-	for _, el := range d.ByTag("meta") {
-		if !strings.EqualFold(el.Attrs["http-equiv"], "refresh") {
+	for i := range d.Elements {
+		el := &d.Elements[i]
+		if el.Tag != "meta" || !strings.EqualFold(el.Get("http-equiv"), "refresh") {
 			continue
 		}
-		content := el.Attrs["content"]
+		content := el.Get("content")
 		// Format: "5; url=http://target/".
 		if semi := strings.IndexByte(content, ';'); semi >= 0 {
 			rest := strings.TrimSpace(content[semi+1:])
@@ -324,8 +385,12 @@ func (d *Document) MetaRefresh() string {
 // Links returns the href attributes of all anchors.
 func (d *Document) Links() []string {
 	var out []string
-	for _, el := range d.ByTag("a") {
-		if href, ok := el.Attrs["href"]; ok && href != "" {
+	for i := range d.Elements {
+		el := &d.Elements[i]
+		if el.Tag != "a" {
+			continue
+		}
+		if href := el.Get("href"); href != "" {
 			out = append(out, strings.TrimSpace(href))
 		}
 	}

@@ -6,6 +6,17 @@ import (
 	"testing/quick"
 )
 
+// byTag returns the elements with the given tag, in document order.
+func byTag(doc *Document, tag string) []*Element {
+	var out []*Element
+	for i := range doc.Elements {
+		if doc.Elements[i].Tag == tag {
+			out = append(out, &doc.Elements[i])
+		}
+	}
+	return out
+}
+
 func TestParseSimplePage(t *testing.T) {
 	doc := Parse(`<html><head><title>Hi</title></head>
 <body><p>text</p><a href="http://x.com/a">link</a></body></html>`)
@@ -24,19 +35,19 @@ func TestIframeAttributes(t *testing.T) {
  src="http://zfiyayeshira.blogspot.com/" style="border:8 solid #990000;" width="1">
 </iframe>`
 	doc := Parse(src)
-	iframes := doc.ByTag("iframe")
+	iframes := byTag(doc, "iframe")
 	if len(iframes) != 1 {
 		t.Fatalf("iframes = %d, want 1", len(iframes))
 	}
 	f := iframes[0]
-	if f.Attrs["height"] != "1" || f.Attrs["width"] != "1" {
+	if f.Get("height") != "1" || f.Get("width") != "1" {
 		t.Fatalf("geometry attrs = %v", f.Attrs)
 	}
-	if f.Attrs["src"] != "http://zfiyayeshira.blogspot.com/" {
-		t.Fatalf("src = %q", f.Attrs["src"])
+	if f.Get("src") != "http://zfiyayeshira.blogspot.com/" {
+		t.Fatalf("src = %q", f.Get("src"))
 	}
-	if f.Attrs["scrolling"] != "NO" {
-		t.Fatalf("scrolling = %q (case must be preserved in values)", f.Attrs["scrolling"])
+	if f.Get("scrolling") != "NO" {
+		t.Fatalf("scrolling = %q (case must be preserved in values)", f.Get("scrolling"))
 	}
 }
 
@@ -49,8 +60,8 @@ func TestTransparentIframe(t *testing.T) {
 	if f == nil {
 		t.Fatal("no iframe parsed")
 	}
-	if f.Attrs["allowtransparency"] != "true" {
-		t.Fatalf("allowtransparency = %q", f.Attrs["allowtransparency"])
+	if f.Get("allowtransparency") != "true" {
+		t.Fatalf("allowtransparency = %q", f.Get("allowtransparency"))
 	}
 }
 
@@ -72,10 +83,10 @@ func TestScriptBodyNotParsedAsHTML(t *testing.T) {
 	// The iframe inside document.write must not appear as an element.
 	src := `<script>document.write('<iframe src="http://evil/x">')</script><p>after</p>`
 	doc := Parse(src)
-	if len(doc.ByTag("iframe")) != 0 {
+	if len(byTag(doc, "iframe")) != 0 {
 		t.Fatal("iframe inside script body must not be parsed as an element")
 	}
-	if len(doc.ByTag("p")) != 1 {
+	if len(byTag(doc, "p")) != 1 {
 		t.Fatal("element after script body lost")
 	}
 }
@@ -103,17 +114,17 @@ func TestMetaRefreshAbsent(t *testing.T) {
 
 func TestCommentsSkipped(t *testing.T) {
 	doc := Parse(`<!-- <iframe src="http://evil/"> --><p>ok</p>`)
-	if len(doc.ByTag("iframe")) != 0 {
+	if len(byTag(doc, "iframe")) != 0 {
 		t.Fatal("commented-out iframe must be ignored")
 	}
-	if len(doc.ByTag("p")) != 1 {
+	if len(byTag(doc, "p")) != 1 {
 		t.Fatal("content after comment lost")
 	}
 }
 
 func TestUnterminatedComment(t *testing.T) {
 	doc := Parse(`<p>before</p><!-- unterminated <iframe src="x">`)
-	if len(doc.ByTag("p")) != 1 || len(doc.ByTag("iframe")) != 0 {
+	if len(byTag(doc, "p")) != 1 || len(byTag(doc, "iframe")) != 0 {
 		t.Fatalf("unterminated comment handling wrong: %+v", doc.Elements)
 	}
 }
@@ -146,7 +157,7 @@ func TestValuelessAndUnquotedAttrs(t *testing.T) {
 	if _, ok := f.Attr("hidden"); !ok {
 		t.Fatal("valueless attr lost")
 	}
-	if f.Attrs["width"] != "1" || f.Attrs["src"] != "http://e.com/x" {
+	if f.Get("width") != "1" || f.Get("src") != "http://e.com/x" {
 		t.Fatalf("unquoted attrs = %v", f.Attrs)
 	}
 }
@@ -179,11 +190,11 @@ func TestDeceptiveDownloadSnippet(t *testing.T) {
 	if anchor == nil {
 		t.Fatal("anchor not parsed")
 	}
-	if anchor.Attrs["data-dm-title"] != "Flash Player" {
-		t.Fatalf("data-dm-title = %q", anchor.Attrs["data-dm-title"])
+	if anchor.Get("data-dm-title") != "Flash Player" {
+		t.Fatalf("data-dm-title = %q", anchor.Get("data-dm-title"))
 	}
-	if !strings.HasPrefix(anchor.Attrs["href"], "data:text/html") {
-		t.Fatalf("href = %q", anchor.Attrs["href"])
+	if !strings.HasPrefix(anchor.Get("href"), "data:text/html") {
+		t.Fatalf("href = %q", anchor.Get("href"))
 	}
 }
 

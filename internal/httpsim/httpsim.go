@@ -217,7 +217,8 @@ type Client struct {
 }
 
 // RoundTripper is the single-exchange transport interface. *Internet
-// implements it.
+// implements it. The Request is valid only for the duration of the call:
+// Client.Do reuses one Request across the hops of a fetch.
 type RoundTripper interface {
 	RoundTrip(req *Request) (*Response, error)
 }
@@ -243,7 +244,12 @@ func (c *Client) Get(url, userAgent, referrer string) (*Result, error) {
 // on error the returned Result carries the hops completed so far, letting
 // callers account for partial chains.
 func (c *Client) Do(url, userAgent, referrer string, attempt int) (*Result, error) {
-	res := &Result{}
+	// One allocation per fetch: the Result, room for a single-hop chain
+	// and the hop Request live together. Nothing lives on the Client,
+	// which concurrent callers share.
+	f := &fetch{}
+	res := &f.res
+	res.Chain = f.hop[:0]
 	// Loop detection needs the set of prior hop URLs; single-hop fetches —
 	// the overwhelming majority — never need the map, so allocate it only
 	// once a redirect is actually followed.
@@ -273,7 +279,8 @@ func (c *Client) Do(url, userAgent, referrer string, attempt int) (*Result, erro
 			seen[norm] = true
 		}
 
-		resp, err := c.transport.RoundTrip(&Request{URL: current, UserAgent: userAgent, Referrer: ref, Attempt: attempt})
+		f.req = Request{URL: current, UserAgent: userAgent, Referrer: ref, Attempt: attempt}
+		resp, err := c.transport.RoundTrip(&f.req)
 		if err != nil {
 			return res, err
 		}
@@ -320,6 +327,13 @@ func (c *Client) Do(url, userAgent, referrer string, attempt int) (*Result, erro
 		current = next
 	}
 	return res, ErrTooManyRedirects
+}
+
+// fetch is the single allocation behind one Client.Do call.
+type fetch struct {
+	res Result
+	hop [1]Hop
+	req Request
 }
 
 func isHTML(contentType string) bool {

@@ -166,7 +166,10 @@ func ExecuteBudget(src string, b Budget) (*Trace, error) {
 
 func newInterp(m *meter) *interp {
 	in := &interp{trace: &Trace{}, m: m}
-	in.global = &env{vars: make(map[string]value)}
+	// installGlobals declares 24 names; 26 is the most that four map
+	// buckets hold before the table grows, which leaves room for a short
+	// script's own variables.
+	in.global = &env{vars: make(map[string]value, 26)}
 	in.installGlobals()
 	return in
 }
@@ -1074,68 +1077,37 @@ func clamp(v, lo, hi int) int {
 	return v
 }
 
-func (in *interp) installGlobals() {
-	g := in.global
-
-	// location object (shared by window.location and document.location).
-	in.location = newObject("location")
-	in.location.props["href"] = "http://sandbox.invalid/"
-	in.location.props["hostname"] = "sandbox.invalid"
-	in.location.props["protocol"] = "http:"
-
-	// document.
-	in.document = newObject("document")
-	in.document.props["location"] = in.location
-	in.document.props["cookie"] = ""
-	in.document.props["referrer"] = ""
-	in.document.props["write"] = &nativeFn{name: "write", fn: nativeDocumentWrite}
-	in.document.props["writeln"] = &nativeFn{name: "writeln", fn: nativeDocumentWrite}
-	in.document.props["getElementById"] = &nativeFn{name: "getElementById", fn: func(in *interp, _ value, _ []value) (value, error) {
-		el := newObject("element")
-		el.props["style"] = newObject("style")
-		return el, nil
+// The built-in functions every interpreter installs. A nativeFn carries
+// no mutable state (scripts cannot set properties on functions), so one
+// value per built-in serves every interpreter. Each install site keeps
+// its own value, so a script comparing two built-ins sees the same
+// identities as when every interpreter allocated its own.
+var (
+	fnDocumentWrite   = &nativeFn{name: "write", fn: nativeDocumentWrite}
+	fnDocumentWriteln = &nativeFn{name: "writeln", fn: nativeDocumentWrite}
+	fnGetElementByID  = &nativeFn{name: "getElementById", fn: func(in *interp, _ value, _ []value) (value, error) {
+		return newElement(), nil
 	}}
-	in.document.props["createElement"] = &nativeFn{name: "createElement", fn: func(in *interp, _ value, args []value) (value, error) {
-		el := newObject("element")
-		el.props["style"] = newObject("style")
+	fnCreateElement = &nativeFn{name: "createElement", fn: func(in *interp, _ value, args []value) (value, error) {
+		el := newElement()
 		if len(args) > 0 {
 			el.props["tagName"] = strings.ToUpper(toString(args[0]))
 		}
 		return el, nil
 	}}
-	in.document.props["getElementsByTagName"] = &nativeFn{name: "getElementsByTagName", fn: func(in *interp, _ value, _ []value) (value, error) {
-		el := newObject("element")
-		el.props["style"] = newObject("style")
-		return &jsArray{elems: []value{el}}, nil
+	fnGetElementsByTagName = &nativeFn{name: "getElementsByTagName", fn: func(in *interp, _ value, _ []value) (value, error) {
+		return &jsArray{elems: []value{newElement()}}, nil
 	}}
-	in.document.props["addEventListener"] = &nativeFn{name: "addEventListener", fn: nativeAddEventListener}
-	in.document.props["attachEvent"] = &nativeFn{name: "attachEvent", fn: nativeAddEventListener}
+	fnDocumentAddEventListener = &nativeFn{name: "addEventListener", fn: nativeAddEventListener}
+	fnDocumentAttachEvent      = &nativeFn{name: "attachEvent", fn: nativeAddEventListener}
 
-	// navigator and screen.
-	nav := newObject("navigator")
-	nav.props["userAgent"] = "Mozilla/5.0 (Windows NT 6.1; rv:38.0) SandboxVM"
-	nav.props["platform"] = "Win32"
-	nav.props["language"] = "en-US"
-	nav.props["plugins"] = &jsArray{}
-	scr := newObject("screen")
-	scr.props["width"] = float64(1920)
-	scr.props["height"] = float64(1080)
-	scr.props["colorDepth"] = float64(24)
+	fnWindowOpen             = &nativeFn{name: "open", fn: nativeWindowOpen}
+	fnSetTimeout             = &nativeFn{name: "setTimeout", fn: nativeSetTimeout}
+	fnSetInterval            = &nativeFn{name: "setInterval", fn: nativeSetTimeout}
+	fnWindowAddEventListener = &nativeFn{name: "addEventListener", fn: nativeAddEventListener}
+	fnWindowAttachEvent      = &nativeFn{name: "attachEvent", fn: nativeAddEventListener}
 
-	// window: aliases the global scope for the APIs we model.
-	in.window = newObject("window")
-	in.window.props["location"] = in.location
-	in.window.props["document"] = in.document
-	in.window.props["navigator"] = nav
-	in.window.props["screen"] = scr
-	in.window.props["open"] = &nativeFn{name: "open", fn: nativeWindowOpen}
-	in.window.props["setTimeout"] = &nativeFn{name: "setTimeout", fn: nativeSetTimeout}
-	in.window.props["setInterval"] = &nativeFn{name: "setInterval", fn: nativeSetTimeout}
-	in.window.props["addEventListener"] = &nativeFn{name: "addEventListener", fn: nativeAddEventListener}
-	in.window.props["attachEvent"] = &nativeFn{name: "attachEvent", fn: nativeAddEventListener}
-
-	ext := newObject("externalinterface")
-	ext.props["call"] = &nativeFn{name: "call", fn: func(in *interp, _ value, args []value) (value, error) {
+	fnExternalCall = &nativeFn{name: "call", fn: func(in *interp, _ value, args []value) (value, error) {
 		name := ""
 		if len(args) > 0 {
 			name = toString(args[0])
@@ -1147,8 +1119,7 @@ func (in *interp) installGlobals() {
 		return jsUndefined{}, nil
 	}}
 
-	stringObj := newObject("object")
-	stringObj.props["fromCharCode"] = &nativeFn{name: "fromCharCode", fn: func(in *interp, _ value, args []value) (value, error) {
+	fnFromCharCode = &nativeFn{name: "fromCharCode", fn: func(in *interp, _ value, args []value) (value, error) {
 		var b strings.Builder
 		for _, a := range args {
 			b.WriteRune(rune(int(toNumber(a))))
@@ -1159,44 +1130,28 @@ func (in *interp) installGlobals() {
 		return b.String(), nil
 	}}
 
-	mathObj := newObject("object")
-	mathObj.props["floor"] = &nativeFn{name: "floor", fn: func(_ *interp, _ value, args []value) (value, error) {
+	fnMathFloor = &nativeFn{name: "floor", fn: func(_ *interp, _ value, args []value) (value, error) {
 		if len(args) == 0 {
 			return math.NaN(), nil
 		}
 		return math.Floor(toNumber(args[0])), nil
 	}}
-	mathObj.props["random"] = &nativeFn{name: "random", fn: func(_ *interp, _ value, _ []value) (value, error) {
+	fnMathRandom = &nativeFn{name: "random", fn: func(_ *interp, _ value, _ []value) (value, error) {
 		return 0.5, nil // deterministic sandbox: same trace every run
 	}}
-	mathObj.props["abs"] = &nativeFn{name: "abs", fn: func(_ *interp, _ value, args []value) (value, error) {
+	fnMathAbs = &nativeFn{name: "abs", fn: func(_ *interp, _ value, args []value) (value, error) {
 		if len(args) == 0 {
 			return math.NaN(), nil
 		}
 		return math.Abs(toNumber(args[0])), nil
 	}}
 
-	g.declare("window", in.window)
-	g.declare("self", in.window)
-	g.declare("top", in.window)
-	g.declare("document", in.document)
-	g.declare("location", in.location)
-	g.declare("navigator", nav)
-	g.declare("screen", scr)
-	g.declare("ExternalInterface", ext)
-	g.declare("String", stringObj)
-	g.declare("Math", mathObj)
-	g.declare("setTimeout", in.window.props["setTimeout"])
-	g.declare("setInterval", in.window.props["setInterval"])
-	g.declare("addEventListener", in.window.props["addEventListener"])
-	g.declare("open", in.window.props["open"])
-
-	g.declare("eval", &nativeFn{name: "eval", fn: nativeEval})
-	g.declare("unescape", &nativeFn{name: "unescape", fn: nativeUnescape})
-	g.declare("escape", &nativeFn{name: "escape", fn: nativeEscape})
-	g.declare("decodeURIComponent", &nativeFn{name: "decodeURIComponent", fn: nativeUnescape})
-	g.declare("encodeURIComponent", &nativeFn{name: "encodeURIComponent", fn: nativeEscape})
-	g.declare("atob", &nativeFn{name: "atob", fn: func(in *interp, _ value, args []value) (value, error) {
+	fnEval               = &nativeFn{name: "eval", fn: nativeEval}
+	fnUnescape           = &nativeFn{name: "unescape", fn: nativeUnescape}
+	fnEscape             = &nativeFn{name: "escape", fn: nativeEscape}
+	fnDecodeURIComponent = &nativeFn{name: "decodeURIComponent", fn: nativeUnescape}
+	fnEncodeURIComponent = &nativeFn{name: "encodeURIComponent", fn: nativeEscape}
+	fnAtob               = &nativeFn{name: "atob", fn: func(in *interp, _ value, args []value) (value, error) {
 		if len(args) == 0 {
 			return "", nil
 		}
@@ -1209,8 +1164,8 @@ func (in *interp) installGlobals() {
 			return "", nil // invalid base64 decodes to empty, not an abort
 		}
 		return string(dec), nil
-	}})
-	g.declare("btoa", &nativeFn{name: "btoa", fn: func(in *interp, _ value, args []value) (value, error) {
+	}}
+	fnBtoa = &nativeFn{name: "btoa", fn: func(in *interp, _ value, args []value) (value, error) {
 		if len(args) == 0 {
 			return "", nil
 		}
@@ -1219,8 +1174,8 @@ func (in *interp) installGlobals() {
 			return nil, err
 		}
 		return base64.StdEncoding.EncodeToString([]byte(s)), nil
-	}})
-	g.declare("parseInt", &nativeFn{name: "parseInt", fn: func(_ *interp, _ value, args []value) (value, error) {
+	}}
+	fnParseInt = &nativeFn{name: "parseInt", fn: func(_ *interp, _ value, args []value) (value, error) {
 		if len(args) == 0 {
 			return math.NaN(), nil
 		}
@@ -1243,17 +1198,112 @@ func (in *interp) installGlobals() {
 			return math.NaN(), nil
 		}
 		return float64(v), nil
-	}})
-	g.declare("alert", &nativeFn{name: "alert", fn: func(_ *interp, _ value, _ []value) (value, error) {
+	}}
+	fnAlert = &nativeFn{name: "alert", fn: func(_ *interp, _ value, _ []value) (value, error) {
 		return jsUndefined{}, nil
-	}})
-	g.declare("console", func() value {
-		c := newObject("object")
-		c.props["log"] = &nativeFn{name: "log", fn: func(_ *interp, _ value, _ []value) (value, error) {
-			return jsUndefined{}, nil
-		}}
-		return c
-	}())
+	}}
+	fnConsoleLog = &nativeFn{name: "log", fn: func(_ *interp, _ value, _ []value) (value, error) {
+		return jsUndefined{}, nil
+	}}
+)
+
+// newElement is the stub DOM element the document's lookups return.
+func newElement() *object {
+	el := newObject("element")
+	el.props["style"] = newObject("style")
+	return el
+}
+
+// newObjectSized is newObject with room for n properties, for host
+// objects whose property count is known up front.
+func newObjectSized(class string, n int) *object {
+	return &object{props: make(map[string]value, n), class: class}
+}
+
+func (in *interp) installGlobals() {
+	g := in.global
+
+	// location object (shared by window.location and document.location).
+	in.location = newObjectSized("location", 3)
+	in.location.props["href"] = "http://sandbox.invalid/"
+	in.location.props["hostname"] = "sandbox.invalid"
+	in.location.props["protocol"] = "http:"
+
+	// document.
+	in.document = newObjectSized("document", 10)
+	in.document.props["location"] = in.location
+	in.document.props["cookie"] = ""
+	in.document.props["referrer"] = ""
+	in.document.props["write"] = fnDocumentWrite
+	in.document.props["writeln"] = fnDocumentWriteln
+	in.document.props["getElementById"] = fnGetElementByID
+	in.document.props["createElement"] = fnCreateElement
+	in.document.props["getElementsByTagName"] = fnGetElementsByTagName
+	in.document.props["addEventListener"] = fnDocumentAddEventListener
+	in.document.props["attachEvent"] = fnDocumentAttachEvent
+
+	// navigator and screen.
+	nav := newObjectSized("navigator", 4)
+	nav.props["userAgent"] = "Mozilla/5.0 (Windows NT 6.1; rv:38.0) SandboxVM"
+	nav.props["platform"] = "Win32"
+	nav.props["language"] = "en-US"
+	nav.props["plugins"] = &jsArray{}
+	scr := newObjectSized("screen", 3)
+	scr.props["width"] = float64(1920)
+	scr.props["height"] = float64(1080)
+	scr.props["colorDepth"] = float64(24)
+
+	// window: aliases the global scope for the APIs we model.
+	in.window = newObjectSized("window", 9)
+	in.window.props["location"] = in.location
+	in.window.props["document"] = in.document
+	in.window.props["navigator"] = nav
+	in.window.props["screen"] = scr
+	in.window.props["open"] = fnWindowOpen
+	in.window.props["setTimeout"] = fnSetTimeout
+	in.window.props["setInterval"] = fnSetInterval
+	in.window.props["addEventListener"] = fnWindowAddEventListener
+	in.window.props["attachEvent"] = fnWindowAttachEvent
+
+	ext := newObjectSized("externalinterface", 1)
+	ext.props["call"] = fnExternalCall
+
+	stringObj := newObjectSized("object", 1)
+	stringObj.props["fromCharCode"] = fnFromCharCode
+
+	mathObj := newObjectSized("object", 3)
+	mathObj.props["floor"] = fnMathFloor
+	mathObj.props["random"] = fnMathRandom
+	mathObj.props["abs"] = fnMathAbs
+
+	console := newObjectSized("object", 1)
+	console.props["log"] = fnConsoleLog
+
+	g.declare("window", in.window)
+	g.declare("self", in.window)
+	g.declare("top", in.window)
+	g.declare("document", in.document)
+	g.declare("location", in.location)
+	g.declare("navigator", nav)
+	g.declare("screen", scr)
+	g.declare("ExternalInterface", ext)
+	g.declare("String", stringObj)
+	g.declare("Math", mathObj)
+	g.declare("setTimeout", fnSetTimeout)
+	g.declare("setInterval", fnSetInterval)
+	g.declare("addEventListener", fnWindowAddEventListener)
+	g.declare("open", fnWindowOpen)
+
+	g.declare("eval", fnEval)
+	g.declare("unescape", fnUnescape)
+	g.declare("escape", fnEscape)
+	g.declare("decodeURIComponent", fnDecodeURIComponent)
+	g.declare("encodeURIComponent", fnEncodeURIComponent)
+	g.declare("atob", fnAtob)
+	g.declare("btoa", fnBtoa)
+	g.declare("parseInt", fnParseInt)
+	g.declare("alert", fnAlert)
+	g.declare("console", console)
 }
 
 func isDigitInBase(c byte, base int) bool {

@@ -112,6 +112,32 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// LazyCounter is a named counter resolved on its first increment and held
+// from then on, so a per-record call site takes the registry's lock once
+// per owner rather than once per event. As with a Registry.Counter call
+// at the event itself, the counter appears in snapshots only once the
+// event has fired. A LazyCounter belongs to one goroutine; on a nil
+// registry it is a no-op.
+type LazyCounter struct {
+	r    *Registry
+	name string
+	c    *Counter
+}
+
+// Lazy returns a LazyCounter for the named counter.
+func (r *Registry) Lazy(name string) LazyCounter { return LazyCounter{r: r, name: name} }
+
+// Inc adds one.
+func (l *LazyCounter) Inc() {
+	if l.c == nil {
+		if l.r == nil {
+			return
+		}
+		l.c = l.r.Counter(l.name)
+	}
+	l.c.Add(1)
+}
+
 // Counter is a monotonically increasing event count. Counters are the
 // deterministic class of metric: equal across worker counts for a fixed
 // seed and configuration.

@@ -232,3 +232,24 @@ func TestHistogramNaNKeepsBounds(t *testing.T) {
 		t.Fatalf("min/max after NaN = %v/%v, want 2/2", s.Min, s.Max)
 	}
 }
+
+// TestLazyCounter checks that a LazyCounter adds to the registry's counter
+// of that name, appears in snapshots only once it has fired, exactly like
+// a Registry.Counter call at the event, and is a no-op on a nil registry.
+func TestLazyCounter(t *testing.T) {
+	r := NewRegistry()
+	l := r.Lazy("x.events")
+	if n := len(r.Snapshot().Counters); n != 0 {
+		t.Fatalf("%d counters registered before the first increment", n)
+	}
+	for i := 0; i < 3; i++ {
+		l.Inc()
+	}
+	r.Counter("x.events").Inc()
+	if got := r.Counter("x.events").Value(); got != 4 {
+		t.Fatalf("x.events = %d, want 4", got)
+	}
+	var nilReg *Registry
+	nl := nilReg.Lazy("x.events")
+	nl.Inc()
+}

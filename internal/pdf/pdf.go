@@ -440,10 +440,7 @@ func xrefBroken(raw string) bool {
 			continue
 		}
 		off, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return true
-		}
-		if off >= len(raw) {
+		if err != nil || off < 0 || off >= len(raw) {
 			return true
 		}
 		// A valid in-use entry points at "N 0 obj".

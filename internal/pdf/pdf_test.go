@@ -212,6 +212,24 @@ func TestParseNeverPanicsOnFuzz(t *testing.T) {
 	}
 }
 
+// TestNegativeXrefOffsetIsBroken pins an input the quick check above only
+// hits by chance: an in-use xref entry with a negative offset is a broken
+// table, not an index into the document.
+func TestNegativeXrefOffsetIsBroken(t *testing.T) {
+	base := string(NewBuilder().AddJavaScriptAction(`app.alert(1);`).Encode())
+	at := strings.Index(base, " 00000 n")
+	if at < 10 {
+		t.Fatal("no in-use xref entry in the encoded document")
+	}
+	data := base[:at-10] + "-000000009" + base[at:]
+	if !xrefBroken(data) {
+		t.Fatal("negative xref offset not reported as broken")
+	}
+	if _, err := Inspect([]byte(data)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func hasMalformation(list []string, want string) bool {
 	for _, m := range list {
 		if m == want {

@@ -129,9 +129,13 @@ func (h *Heuristic) scanHTML(f *Findings, url, body string) {
 	doc := htmlparse.Parse(body)
 
 	// Static hidden iframes (§V-A categories 1 and 2).
-	for _, el := range doc.ByTag("iframe") {
+	for i := range doc.Elements {
+		el := &doc.Elements[i]
+		if el.Tag != "iframe" {
+			continue
+		}
 		if why, hidden := iframeHidden(el); hidden {
-			src := el.Attrs["src"]
+			src := el.Get("src")
 			if isBenignHiddenIframe(src) {
 				// The Google OAuth relay pattern (§V-E): same geometry,
 				// known-good endpoint. Real scanners whitelist it after
@@ -173,25 +177,33 @@ func (h *Heuristic) scanHTML(f *Findings, url, body string) {
 			fetched++
 			h.scanScript(f, resolved, string(resp.Body))
 		}
-		for _, el := range append(doc.ByTag("embed"), doc.ByTag("object")...) {
-			if fetched >= h.MaxResources {
-				break
+		// Every embed, then every object.
+	flash:
+		for _, tag := range [...]string{"embed", "object"} {
+			for i := range doc.Elements {
+				el := &doc.Elements[i]
+				if el.Tag != tag {
+					continue
+				}
+				if fetched >= h.MaxResources {
+					break flash
+				}
+				src := el.Get("src")
+				if src == "" {
+					src = el.Get("data")
+				}
+				if src == "" || !match.HasSuffixFold(src, ".swf") {
+					continue
+				}
+				resp, err := h.ResourceFetcher.RoundTrip(&httpsim.Request{
+					URL: resolveOn(url, src), UserAgent: h.BrowserUA, Referrer: url,
+				})
+				if err != nil || resp.StatusCode != 200 || resp.Truncated() {
+					continue
+				}
+				fetched++
+				h.scanFlash(f, resp.Body)
 			}
-			src := el.Attrs["src"]
-			if src == "" {
-				src = el.Attrs["data"]
-			}
-			if src == "" || !match.HasSuffixFold(src, ".swf") {
-				continue
-			}
-			resp, err := h.ResourceFetcher.RoundTrip(&httpsim.Request{
-				URL: resolveOn(url, src), UserAgent: h.BrowserUA, Referrer: url,
-			})
-			if err != nil || resp.StatusCode != 200 || resp.Truncated() {
-				continue
-			}
-			fetched++
-			h.scanFlash(f, resp.Body)
 		}
 		// Linked documents: PDFs are a drive-by vehicle of their own.
 		for _, href := range doc.Links() {
@@ -260,12 +272,16 @@ func (h *Heuristic) scanScript(f *Findings, pageURL, src string) {
 	// Dynamic findings.
 	for _, frag := range tr.InjectedIframes() {
 		doc := htmlparse.Parse(frag)
-		for _, el := range doc.ByTag("iframe") {
+		for i := range doc.Elements {
+			el := &doc.Elements[i]
+			if el.Tag != "iframe" {
+				continue
+			}
 			why, hidden := iframeHidden(el)
 			if !hidden {
 				continue
 			}
-			src := el.Attrs["src"]
+			src := el.Get("src")
 			if isBenignHiddenIframe(src) {
 				continue
 			}
@@ -338,10 +354,10 @@ func (h *Heuristic) scanFlash(f *Findings, body []byte) {
 }
 
 // iframeHidden classifies an iframe element's visibility.
-func iframeHidden(el htmlparse.Element) (string, bool) {
-	w, wok := htmlparse.PixelValue(el.Attrs["width"])
-	ht, hok := htmlparse.PixelValue(el.Attrs["height"])
-	style := htmlparse.ParseStyle(el.Attrs["style"])
+func iframeHidden(el *htmlparse.Element) (string, bool) {
+	w, wok := htmlparse.PixelValue(el.Get("width"))
+	ht, hok := htmlparse.PixelValue(el.Get("height"))
+	style := htmlparse.ParseStyle(el.Get("style"))
 	if sw, ok := htmlparse.PixelValue(style["width"]); ok {
 		w, wok = sw, true
 	}
@@ -357,7 +373,7 @@ func iframeHidden(el htmlparse.Element) (string, bool) {
 	if _, present := el.Attr("hidden"); present {
 		return "invisible", true
 	}
-	if strings.EqualFold(el.Attrs["allowtransparency"], "true") && wok && w <= 10 {
+	if strings.EqualFold(el.Get("allowtransparency"), "true") && wok && w <= 10 {
 		return "transparent", true
 	}
 	if top, ok := htmlparse.PixelValue(style["top"]); ok && top <= -50 && strings.EqualFold(style["position"], "absolute") {
@@ -382,9 +398,11 @@ func staticIframeStringHidden(src string) (string, bool) {
 		frag = frag[:end+1]
 	}
 	doc := htmlparse.Parse(frag)
-	for _, el := range doc.ByTag("iframe") {
-		if why, hidden := iframeHidden(el); hidden {
-			return why, true
+	for i := range doc.Elements {
+		if el := &doc.Elements[i]; el.Tag == "iframe" {
+			if why, hidden := iframeHidden(el); hidden {
+				return why, true
+			}
 		}
 	}
 	return "", false
@@ -401,10 +419,14 @@ func isBenignHiddenIframe(src string) bool {
 // §V-B: an anchor carrying installer metadata whose href is a data: URL or
 // an executable download.
 func deceptiveDownloadMarkup(doc *htmlparse.Document) bool {
-	for _, el := range doc.ByTag("a") {
-		href := el.Attrs["href"]
-		dataHref := el.Attrs["data-dm-href"]
-		bait := el.Attrs["data-dm-title"] != "" || strings.Contains(el.Attrs["class"], "download_link")
+	for i := range doc.Elements {
+		el := &doc.Elements[i]
+		if el.Tag != "a" {
+			continue
+		}
+		href := el.Get("href")
+		dataHref := el.Get("data-dm-href")
+		bait := el.Get("data-dm-title") != "" || strings.Contains(el.Get("class"), "download_link")
 		executable := match.HasPrefixFold(href, "data:text/html") ||
 			match.ContainsFold(href, ".exe") || match.ContainsFold(dataHref, "download")
 		if bait && executable {

@@ -11,14 +11,14 @@ package simrand
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // Source is a deterministic random source. It is NOT safe for concurrent
-// use; derive per-goroutine sources with Sub.
+// use; derive per-goroutine sources with Sub or Borrow.
 type Source struct {
 	rng  *rand.Rand
 	seed uint64
@@ -42,15 +42,46 @@ func (s *Source) Seed() uint64 { return s.seed }
 // more randomness in one subsystem does not shift another subsystem's
 // stream.
 func (s *Source) Sub(name string) *Source {
-	h := fnv.New64a()
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(s.seed >> (8 * i))
-	}
-	h.Write(buf[:])
-	h.Write([]byte(name))
-	return New(h.Sum64())
+	return New(subSeed(s.seed, name))
 }
+
+// subSeed is the seed of the substream named by the concatenation of
+// parts: FNV-1a over the parent seed's little-endian bytes, then the name.
+func subSeed(seed uint64, parts ...string) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < 8; i++ {
+		h ^= uint64(byte(seed >> (8 * i)))
+		h *= prime64
+	}
+	for _, p := range parts {
+		for i := 0; i < len(p); i++ {
+			h ^= uint64(p[i])
+			h *= prime64
+		}
+	}
+	return h
+}
+
+// sourcePool recycles Sources for Borrow. A math/rand source is ~4.9 KB
+// and seeding one in place yields the same stream as allocating it.
+var sourcePool = sync.Pool{New: func() any { return New(0) }}
+
+// Borrow returns a pooled Source whose stream is identical to
+// s.Sub(parts[0]+parts[1]+...), without allocating the source or the
+// name: rand.Rand.Seed resets the generator and its buffered read
+// position, so a reseeded source draws exactly what a fresh one would,
+// whatever its previous user consumed. The caller owns the Source until
+// it calls Release, and must keep no reference after that.
+func (s *Source) Borrow(parts ...string) *Source {
+	src := sourcePool.Get().(*Source)
+	src.seed = subSeed(s.seed, parts...)
+	src.rng.Seed(int64(src.seed))
+	return src
+}
+
+// Release hands a Source obtained from Borrow back to the pool.
+func (s *Source) Release() { sourcePool.Put(s) }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0, matching
 // math/rand semantics.
@@ -233,30 +264,42 @@ const alphaNum = "abcdefghijklmnopqrstuvwxyz0123456789"
 // maxLen], alternating consonant/vowel clusters. Used for synthetic domain
 // and path names.
 func (s *Source) Word(minLen, maxLen int) string {
+	var buf [16]byte
+	return string(s.AppendWord(buf[:0], minLen, maxLen))
+}
+
+// AppendWord appends the word Word(minLen, maxLen) would return to dst,
+// making exactly the same draws.
+func (s *Source) AppendWord(dst []byte, minLen, maxLen int) []byte {
 	const vowels = "aeiou"
 	const consonants = "bcdfghjklmnpqrstvwxyz"
 	n := s.Range(minLen, maxLen)
-	buf := make([]byte, n)
 	useVowel := s.Bool(0.4)
 	for i := 0; i < n; i++ {
 		if useVowel {
-			buf[i] = vowels[s.Intn(len(vowels))]
+			dst = append(dst, vowels[s.Intn(len(vowels))])
 		} else {
-			buf[i] = consonants[s.Intn(len(consonants))]
+			dst = append(dst, consonants[s.Intn(len(consonants))])
 		}
 		useVowel = !useVowel
 	}
-	return string(buf)
+	return dst
 }
 
 // Token returns a random lowercase alphanumeric token of length n, like
 // the opaque IDs shorteners and ad trackers use.
 func (s *Source) Token(n int) string {
-	buf := make([]byte, n)
-	for i := range buf {
-		buf[i] = alphaNum[s.Intn(len(alphaNum))]
+	var buf [16]byte
+	return string(s.AppendToken(buf[:0], n))
+}
+
+// AppendToken appends the token Token(n) would return to dst, making
+// exactly the same draws.
+func (s *Source) AppendToken(dst []byte, n int) []byte {
+	for i := 0; i < n; i++ {
+		dst = append(dst, alphaNum[s.Intn(len(alphaNum))])
 	}
-	return string(buf)
+	return dst
 }
 
 // LowerToken returns a random lowercase alphabetic token of length n.

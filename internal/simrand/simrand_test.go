@@ -2,6 +2,7 @@ package simrand
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -362,4 +363,85 @@ func TestNewZipfPanicsOnZero(t *testing.T) {
 		}
 	}()
 	NewZipf(New(1), 1.5, 0)
+}
+
+// TestBorrowMatchesSub checks that a pooled, reseeded source draws the
+// same stream as a fresh Sub of the concatenated name, helper by helper,
+// even when its previous user stopped mid-stream. The append forms of
+// Word and Token must also draw exactly what their string forms draw.
+func TestBorrowMatchesSub(t *testing.T) {
+	parent := New(42)
+	weights := NewWeighted([]float64{5, 0, 3, 2})
+	items := []string{"a", "b", "c", "d", "e", "f", "g"}
+	type helper struct {
+		name string
+		draw func(s *Source) any
+		// ref draws the expected value from the fresh source; nil means draw.
+		ref func(s *Source) any
+	}
+	helpers := []helper{
+		{name: "Intn", draw: func(s *Source) any { return s.Intn(1000) }},
+		{name: "Int63", draw: func(s *Source) any { return s.Int63() }},
+		{name: "Float64", draw: func(s *Source) any { return s.Float64() }},
+		{name: "Bool", draw: func(s *Source) any { return s.Bool(0.3) }},
+		{name: "Range", draw: func(s *Source) any { return s.Range(-5, 5) }},
+		{name: "Norm", draw: func(s *Source) any { return s.Norm(10, 2) }},
+		{name: "Exp", draw: func(s *Source) any { return s.Exp(3) }},
+		{name: "Geometric", draw: func(s *Source) any { return s.Geometric(0.2) }},
+		{name: "Perm", draw: func(s *Source) any { return s.Perm(9) }},
+		{name: "Shuffle", draw: func(s *Source) any {
+			out := append([]string(nil), items...)
+			s.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+			return out
+		}},
+		{name: "Pick", draw: func(s *Source) any { return Pick(s, items) }},
+		{name: "PickN", draw: func(s *Source) any { return PickN(s, items, 3) }},
+		{name: "Weighted", draw: func(s *Source) any { return weights.Sample(s) }},
+		{name: "Word", draw: func(s *Source) any { return s.Word(3, 20) }},
+		{name: "Token", draw: func(s *Source) any { return s.Token(24) }},
+		{
+			name: "AppendWord",
+			draw: func(s *Source) any { return string(s.AppendWord([]byte("x"), 3, 20)) },
+			ref:  func(s *Source) any { return "x" + s.Word(3, 20) },
+		},
+		{
+			name: "AppendToken",
+			draw: func(s *Source) any { return string(s.AppendToken([]byte("x"), 24)) },
+			ref:  func(s *Source) any { return "x" + s.Token(24) },
+		},
+	}
+	reused := 0
+	for _, h := range helpers {
+		ref := h.ref
+		if ref == nil {
+			ref = h.draw
+		}
+		for trial := 0; trial < 8; trial++ {
+			// The previous user of the pooled source stops mid-stream.
+			prev := parent.Borrow("previous-user")
+			for i := 0; i < 3+trial*7; i++ {
+				prev.Float64()
+				prev.Int63()
+			}
+			prev.Release()
+
+			got := parent.Borrow("page:", "host.sim", "/p")
+			if got == prev {
+				reused++
+			}
+			want := parent.Sub("page:host.sim/p")
+			if got.Seed() != want.Seed() {
+				t.Fatalf("%s: borrowed seed %d, Sub seed %d", h.name, got.Seed(), want.Seed())
+			}
+			for i := 0; i < 50; i++ {
+				if g, w := h.draw(got), ref(want); !reflect.DeepEqual(g, w) {
+					t.Fatalf("%s trial %d draw %d: borrowed %v, Sub %v", h.name, trial, i, g, w)
+				}
+			}
+			got.Release()
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no Borrow reused a released source; the reseed path went untested")
+	}
 }

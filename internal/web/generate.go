@@ -298,13 +298,16 @@ func (u *Universe) addSite(s *Site) {
 	u.siteByDomain[urlutil.RegisteredDomain(s.Host)] = s
 }
 
-// pageCache memoizes a site's rendered responses. Every handler derives a
-// fresh per-(host, path) rng per request, so a response is a pure function
-// of (site, path, bot-variant): the first render's bytes are every
-// render's bytes. Rendering — rng seeding, word generation, string
-// building — dominated the whole pipeline's CPU and allocation profile
-// before memoization; a cache hit is two map probes and one small struct
-// copy. The cache stores immutable templates and hands each request a
+// pageCache memoizes a site's rendered responses. Every render draws from
+// a pooled source reseeded to the per-(host, path) substream (see
+// simrand.Borrow), so a response is a pure function of (site, path,
+// bot-variant): the first render's bytes are every render's bytes. Each
+// render fills a pooled scratch buffer and is copied once into an
+// exact-size body that belongs to the cache for good (see renderHTML).
+// Rendering — rng seeding, word generation, body building — dominated
+// the whole pipeline's CPU and allocation profile before memoization; a
+// cache hit is two map probes and one small struct copy. The cache
+// stores immutable templates and hands each request a
 // fresh shallow copy, because the transport stamps per-request fields
 // (Latency, default ContentType) onto the returned struct; bodies are
 // shared, which is safe — nothing in the stack mutates body bytes (the
@@ -375,7 +378,7 @@ func (u *Universe) registerSiteHandlers(rng *simrand.Source, ctx renderCtx) {
 			return u.serveSite(s, req, rng, ctx, bridges, cache)
 		})
 		if s.Kind == Redirector {
-			u.registerLandingHost(s, rng, ctx)
+			u.registerLandingHost(s, ctx)
 		}
 	}
 }
@@ -397,26 +400,53 @@ func (u *Universe) serveSite(s *Site, req *httpsim.Request, rng *simrand.Source,
 	bot := s.Cloaked && looksLikeScannerBot(req.UserAgent)
 	return cache.serve(path, bot, func() *httpsim.Response {
 		// Deterministic per-page randomness, independent of request order.
-		pageRng := rng.Sub("page:" + s.Host + path)
+		pageRng := rng.Borrow("page:", s.Host, path)
+		defer pageRng.Release()
 		if bot {
-			return httpsim.HTML(cleanVariant(s, path, pageRng))
+			return renderHTML(func(b []byte) []byte { return cleanVariant(b, s, path, pageRng) })
 		}
 		switch s.Kind {
 		case Benign:
-			return httpsim.HTML(renderBenignPage(s, path, pageRng))
+			return renderHTML(func(b []byte) []byte { return renderBenignPage(b, s, path, pageRng) })
 		case Blacklisted:
-			return httpsim.HTML(renderBlacklistedPage(s, path, pageRng, ctx))
+			return renderHTML(func(b []byte) []byte { return renderBlacklistedPage(b, s, path, pageRng, ctx) })
 		case MaliciousJS:
-			return httpsim.HTML(renderJSMalwarePage(s, path, pageRng, ctx))
+			return renderHTML(func(b []byte) []byte { return renderJSMalwarePage(b, s, path, pageRng, ctx) })
 		case MaliciousFlash:
-			return httpsim.HTML(renderFlashMalwarePage(s, path, pageRng, ctx))
+			return renderHTML(func(b []byte) []byte { return renderFlashMalwarePage(b, s, path, pageRng, ctx) })
 		case Miscellaneous, ShortenedMalicious:
-			return httpsim.HTML(renderMiscMalwarePage(s, path, pageRng))
+			return renderHTML(func(b []byte) []byte { return renderMiscMalwarePage(b, s, path, pageRng) })
 		case Redirector:
 			return u.serveRedirectorHop(s, bridges, pageRng)
 		}
 		return httpsim.NotFound()
 	})
+}
+
+// renderBufs recycles render scratch buffers. A page renders into a
+// pooled buffer and is then copied once into an exact-size body; the
+// body is always a fresh allocation and never goes back to a pool,
+// because the page cache and the record-identity memos downstream name a
+// body by its backing array and length, and a recycled array would hand
+// one page's verdict to another.
+var renderBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+// maxPooledRenderBuf caps the scratch buffers kept for reuse, so one
+// oversized render cannot pin its buffer in the pool.
+const maxPooledRenderBuf = 16 << 10
+
+// renderHTML runs render on a pooled scratch buffer and returns a 200
+// text/html response whose body is an exact-size copy of what it appended.
+func renderHTML(render func(b []byte) []byte) *httpsim.Response {
+	bp := renderBufs.Get().(*[]byte)
+	b := render((*bp)[:0])
+	body := make([]byte, len(b))
+	copy(body, b)
+	if cap(b) <= maxPooledRenderBuf {
+		*bp = b
+		renderBufs.Put(bp)
+	}
+	return &httpsim.Response{StatusCode: 200, ContentType: "text/html", Body: body}
 }
 
 // serveRedirectorHop begins the site's redirect chain: the entry 302s to
@@ -449,15 +479,15 @@ func landingHostForHost(host string) string {
 	return "land-" + strings.ReplaceAll(host, ".", "-") + ".net"
 }
 
-func (u *Universe) registerLandingHost(s *Site, rng *simrand.Source, ctx renderCtx) {
+func (u *Universe) registerLandingHost(s *Site, ctx renderCtx) {
 	host := landingHostFor(s)
 	// The landing page ignores the request entirely, so one cache slot
-	// serves every path; a fresh per-render substream keeps the render a
-	// pure function of the host, reusable across epochs like any page.
+	// serves every path; it draws no randomness, so the render is a pure
+	// function of the host, reusable across epochs like any page.
 	cache := u.renders.site(host)
 	u.Internet.Register(host, func(req *httpsim.Request) *httpsim.Response {
 		return cache.serve("/", false, func() *httpsim.Response {
-			return httpsim.HTML(renderLandingPage(s, rng.Sub("landing:"+host), ctx))
+			return renderHTML(func(b []byte) []byte { return renderLandingPage(b, s, ctx) })
 		})
 	})
 	u.truthByDomain[urlutil.RegisteredDomain(host)] = Redirector

@@ -26,77 +26,105 @@ type renderCtx struct {
 	oauthHost string
 }
 
-// renderBenignPage builds an ordinary content page. A slice of benign
-// sites carries the analytics loader or OAuth relay iframe — the shapes
-// behind the paper's false-positive case studies.
-func renderBenignPage(s *Site, path string, rng *simrand.Source) string {
-	var b strings.Builder
-	title := fmt.Sprintf("%s — %s", strings.Title(strings.SplitN(s.Host, ".", 2)[0]), s.Category)
-	b.WriteString("<html><head><title>")
-	b.WriteString(title)
-	b.WriteString("</title></head><body>\n")
-	b.WriteString(fmt.Sprintf("<h1>%s</h1>\n", title))
+// pageClose ends every rendered page. The body content before it is words
+// of [a-z], host names and fixed markup, so it never contains "</body>":
+// a payload appended just before pageClose lands exactly where inserting
+// it before the page's first "</body>" would put it.
+const pageClose = "</body></html>\n"
+
+// renderBenignPage appends an ordinary content page to b.
+func renderBenignPage(b []byte, s *Site, path string, rng *simrand.Source) []byte {
+	return append(appendBenignBody(b, s, path, rng), pageClose...)
+}
+
+// appendBenignBody appends an ordinary content page up to, not including,
+// pageClose. A slice of benign sites carries the analytics loader or
+// OAuth relay iframe — the shapes behind the paper's false-positive case
+// studies.
+func appendBenignBody(b []byte, s *Site, path string, rng *simrand.Source) []byte {
+	label := s.Host
+	if i := strings.IndexByte(label, '.'); i >= 0 {
+		label = label[:i]
+	}
+	title := strings.Title(label) + " — " + string(s.Category)
+	b = append(b, "<html><head><title>"...)
+	b = append(b, title...)
+	b = append(b, "</title></head><body>\n<h1>"...)
+	b = append(b, title...)
+	b = append(b, "</h1>\n"...)
 	paras := rng.Range(2, 5)
 	for i := 0; i < paras; i++ {
-		b.WriteString("<p>")
+		b = append(b, "<p>"...)
 		words := rng.Range(20, 60)
 		for w := 0; w < words; w++ {
-			b.WriteString(rng.Word(3, 9))
-			b.WriteByte(' ')
+			b = rng.AppendWord(b, 3, 9)
+			b = append(b, ' ')
 		}
-		b.WriteString("</p>\n")
+		b = append(b, "</p>\n"...)
 	}
 	// Same-site navigation links.
 	for _, p := range s.Pages {
 		if p != path {
-			b.WriteString(fmt.Sprintf("<a href=\"http://%s%s\">%s</a>\n", s.Host, p, strings.TrimPrefix(p, "/")))
+			b = append(b, "<a href=\"http://"...)
+			b = append(b, s.Host...)
+			b = append(b, p...)
+			b = append(b, "\">"...)
+			b = append(b, strings.TrimPrefix(p, "/")...)
+			b = append(b, "</a>\n"...)
 		}
 	}
 	if s.HasAnalytics {
-		b.WriteString(analyticsSnippet(s))
+		b = appendAnalyticsSnippet(b, s)
 	}
 	if s.HasOAuthFrame {
-		b.WriteString(oauthRelaySnippet(s))
+		b = appendOAuthRelaySnippet(b, s)
 	}
 	if s.HasBrochure {
-		b.WriteString(fmt.Sprintf("<a href=\"http://%s/brochure.pdf\">Download our brochure (PDF)</a>\n", s.Host))
+		b = append(b, "<a href=\"http://"...)
+		b = append(b, s.Host...)
+		b = append(b, "/brochure.pdf\">Download our brochure (PDF)</a>\n"...)
 	}
-	b.WriteString("</body></html>\n")
-	return b.String()
+	return b
 }
 
-// analyticsSnippet is the Google-Analytics-loader shape of §V-E Code 8.
-func analyticsSnippet(s *Site) string {
-	return `<script>
+// appendAnalyticsSnippet appends the Google-Analytics-loader shape of §V-E
+// Code 8.
+func appendAnalyticsSnippet(b []byte, s *Site) []byte {
+	b = append(b, `<script>
 (function(i,s,o,g,r){i['GoogleAnalyticsObject']=r;})(window,document,'script','//www.simalytics.net/analytics.js','ga');
-ga('create', 'UA-` + fmt.Sprintf("%08d", len(s.Host)*1234567%99999999) + `-1', 'auto');
+ga('create', 'UA-`...)
+	b = fmt.Appendf(b, "%08d", len(s.Host)*1234567%99999999)
+	return append(b, `-1', 'auto');
 ga('send', 'pageview');
 </script>
-`
+`...)
 }
 
-// oauthRelaySnippet is the 1x1 offscreen OAuth relay of §V-E Code 7.
-func oauthRelaySnippet(s *Site) string {
-	return `<iframe name="oauth2relay503410543" id="oauth2relay503410543"
- src="https://accounts.google.sim/o/oauth2/postmessageRelay?parent=http%3A%2F%2F` + s.Host + `#rpctoken=1510319259"
+// appendOAuthRelaySnippet appends the 1x1 offscreen OAuth relay of §V-E
+// Code 7.
+func appendOAuthRelaySnippet(b []byte, s *Site) []byte {
+	b = append(b, `<iframe name="oauth2relay503410543" id="oauth2relay503410543"
+ src="https://accounts.google.sim/o/oauth2/postmessageRelay?parent=http%3A%2F%2F`...)
+	b = append(b, s.Host...)
+	return append(b, `#rpctoken=1510319259"
  tabindex="-1" style="width: 1px; height: 1px; position: absolute; top: -100px;"></iframe>
-`
+`...)
 }
 
-// renderBlacklistedPage builds a page on a blacklisted domain: ordinary
+// renderBlacklistedPage appends a page on a blacklisted domain: ordinary
 // content that monetizes through a bogus ad network. Detection rests on
 // the domain's blacklist presence, not page structure.
-func renderBlacklistedPage(s *Site, path string, rng *simrand.Source, ctx renderCtx) string {
-	base := renderBenignPage(s, path, rng)
-	ad := fmt.Sprintf(`<div class="ad-slot"><iframe src="http://%s/banner?zone=%s&pub=%s" width="468" height="60"></iframe></div>
+func renderBlacklistedPage(b []byte, s *Site, path string, rng *simrand.Source, ctx renderCtx) []byte {
+	b = appendBenignBody(b, s, path, rng)
+	b = fmt.Appendf(b, `<div class="ad-slot"><iframe src="http://%s/banner?zone=%s&pub=%s" width="468" height="60"></iframe></div>
 <!-- %s -->
 `, ctx.adHost, rng.Token(6), s.Host, s.FamilyToken)
-	return strings.Replace(base, "</body>", ad+"</body>", 1)
+	return append(b, pageClose...)
 }
 
-// renderJSMalwarePage builds a MaliciousJS page in the site's variant.
-func renderJSMalwarePage(s *Site, path string, rng *simrand.Source, ctx renderCtx) string {
-	base := renderBenignPage(s, path, rng)
+// renderJSMalwarePage appends a MaliciousJS page in the site's variant.
+func renderJSMalwarePage(b []byte, s *Site, path string, rng *simrand.Source, ctx renderCtx) []byte {
+	b = appendBenignBody(b, s, path, rng)
 	var payload string
 	switch s.Variant {
 	case JSTinyIframe:
@@ -129,7 +157,8 @@ document.addEventListener("mousemove", function() {
 	default:
 		payload = "<!-- " + s.FamilyToken + " -->"
 	}
-	return strings.Replace(base, "</body>", payload+"</body>", 1)
+	b = append(b, payload...)
+	return append(b, pageClose...)
 }
 
 // deceptiveDownloadMarkup is the §V-B fake install prompt: bait text plus
@@ -154,28 +183,33 @@ func deceptiveDownloadMarkup(s *Site, rng *simrand.Source, ctx renderCtx) string
 `, ctx.dropHost, rng.HexToken(24), ctx.dropHost, id, s.FamilyToken)
 }
 
-// renderFlashMalwarePage embeds the AdFlash-style movie from the SWF CDN.
-func renderFlashMalwarePage(s *Site, path string, rng *simrand.Source, ctx renderCtx) string {
-	base := renderBenignPage(s, path, rng)
+// renderFlashMalwarePage appends a page embedding the AdFlash-style movie
+// from the SWF CDN.
+func renderFlashMalwarePage(b []byte, s *Site, path string, rng *simrand.Source, ctx renderCtx) []byte {
+	b = appendBenignBody(b, s, path, rng)
 	n := rng.Range(10, 99)
-	embed := fmt.Sprintf(`<embed src="http://%s/swf/AdFlash%d.swf" type="application/x-shockwave-flash" width="100%%" height="100%%" wmode="transparent"></embed>
+	b = fmt.Appendf(b, `<embed src="http://%s/swf/AdFlash%d.swf" type="application/x-shockwave-flash" width="100%%" height="100%%" wmode="transparent"></embed>
 <!-- %s -->
 `, ctx.swfHost, n, s.FamilyToken)
-	return strings.Replace(base, "</body>", embed+"</body>", 1)
+	return append(b, pageClose...)
 }
 
-// renderMiscMalwarePage builds a page with family markers but no
+// renderMiscMalwarePage appends a page with family markers but no
 // structural category evidence: the Miscellaneous bucket.
-func renderMiscMalwarePage(s *Site, path string, rng *simrand.Source) string {
-	base := renderBenignPage(s, path, rng)
-	marker := fmt.Sprintf("<script>var %s = \"%s\";</script>\n", s.FamilyToken, rng.Token(16))
-	return strings.Replace(base, "</body>", marker+"</body>", 1)
+func renderMiscMalwarePage(b []byte, s *Site, path string, rng *simrand.Source) []byte {
+	b = appendBenignBody(b, s, path, rng)
+	b = append(b, "<script>var "...)
+	b = append(b, s.FamilyToken...)
+	b = append(b, " = \""...)
+	b = rng.AppendToken(b, 16)
+	b = append(b, "\";</script>\n"...)
+	return append(b, pageClose...)
 }
 
-// renderLandingPage is the final page of a redirect chain: an offerwall
-// carrying the family token.
-func renderLandingPage(s *Site, rng *simrand.Source, ctx renderCtx) string {
-	return fmt.Sprintf(`<html><head><title>Special Offer</title></head><body>
+// renderLandingPage appends the final page of a redirect chain: an
+// offerwall carrying the family token.
+func renderLandingPage(b []byte, s *Site, ctx renderCtx) []byte {
+	return fmt.Appendf(b, `<html><head><title>Special Offer</title></head><body>
 <h1>Your download is ready</h1>
 <a href="http://%s/get?f=installer.exe">Download now</a>
 <script>var %s = 1;</script>
@@ -201,11 +235,11 @@ func buildAdFlashMovie(rng *simrand.Source) []byte {
 		Encode()
 }
 
-// cleanVariant strips malicious payloads for cloaked responses: the same
-// page rendered as if it were benign.
-func cleanVariant(s *Site, path string, rng *simrand.Source) string {
+// cleanVariant appends the cloaked response, stripped of malicious
+// payloads: the same page rendered as if it were benign.
+func cleanVariant(b []byte, s *Site, path string, rng *simrand.Source) []byte {
 	clone := *s
 	clone.HasAnalytics = false
 	clone.HasOAuthFrame = false
-	return renderBenignPage(&clone, path, rng)
+	return renderBenignPage(b, &clone, path, rng)
 }
