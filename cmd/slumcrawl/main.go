@@ -2,12 +2,12 @@
 // exchanges, and writes the raw measurement dataset: a JSONL record stream
 // (with page bodies) plus optional per-exchange HAR archives — the data
 // collection half of the study (§III-A). cmd/slumscan runs the analysis
-// half over the emitted dataset.
+// half over the emitted dataset or archives.
 //
 // Usage:
 //
 //	slumcrawl [-seed N] [-scale N] [-workers N] [-faults PROFILE] [-retries N] [-metrics] -out dataset.jsonl
-//	          [-checkpoint DIR] [-checkpoint-every N] | [-hardir DIR]
+//	          [-hardir DIR] [-checkpoint DIR] [-checkpoint-every N]
 //
 // -faults injects deterministic transport faults into the crawl; failed
 // fetches are persisted as records with fetchErr/errKind set, so slumscan
@@ -24,20 +24,23 @@
 // -workers value, writes the byte-identical dataset — and the shard
 // files are deleted on completion.
 //
-// -hardir also writes per-exchange HAR archives. HAR capture needs whole
-// crawls in memory, so that path crawls every exchange first and takes no
-// -checkpoint.
+// -hardir DIR also writes one HAR archive per exchange under DIR, in the
+// same pass: each successful record's HAR page and entries are appended
+// to its exchange's pages and entries parts (DIR/NAME.har.pages and
+// .entries), which are wrapped in the log envelope, fsynced and renamed
+// to DIR/NAME.har when every shard is complete. The HAR parts resume with
+// the dataset's, so -hardir takes -checkpoint and -workers like any crawl;
+// a checkpoint directory written with -hardir is resumed only with it,
+// and one written without only without.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/har"
 	"repro/internal/httpsim"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -58,16 +61,13 @@ func run(args []string) error {
 	faults := fs.String("faults", "", "crawl fault profile: "+strings.Join(httpsim.ProfileNames(), ", "))
 	retries := fs.Int("retries", 2, "crawl retries per URL after the first attempt")
 	out := fs.String("out", "dataset.jsonl", "output dataset path")
-	harDir := fs.String("hardir", "", "directory for per-exchange HAR archives (optional; crawls in memory)")
+	harDir := fs.String("hardir", "", "directory for per-exchange HAR archives (optional)")
 	withMetrics := fs.Bool("metrics", false, "instrument the crawl and print a METRICS section to stdout")
 	ckptDir := fs.String("checkpoint", "", "shard checkpoint directory; enables periodic checkpointing and is always resumed")
 	ckptEvery := fs.Int("checkpoint-every", 5000, "per-shard records between checkpoint writes")
 	abortAfter := fs.Int("abort-after", 0, "testing: abort the crawl after N written records, as a kill would")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *harDir != "" && (*ckptDir != "" || *abortAfter > 0) {
-		return fmt.Errorf("-hardir crawls whole exchanges in memory and takes no -checkpoint or -abort-after")
 	}
 
 	cfg := core.DefaultStudyConfig()
@@ -87,68 +87,18 @@ func run(args []string) error {
 	fmt.Fprintf(os.Stderr, "crawling %d exchanges (seed=%d scale=%d)...\n",
 		len(st.Exchanges), cfg.Seed, cfg.Scale)
 
-	var res core.DatasetStreamResult
-	if *harDir == "" {
-		res, err = st.StreamDataset(*out, core.RunOptions{
-			CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, AbortAfter: *abortAfter})
-	} else {
-		res, err = crawlWithHARs(st, *out, *harDir)
-	}
+	res, err := st.StreamDataset(*out, *harDir, core.RunOptions{
+		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, AbortAfter: *abortAfter})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d records to %s (%d failed fetches)\n", res.Records, *out, res.Failed)
+	if *harDir != "" {
+		fmt.Fprintf(os.Stderr, "wrote HAR archives to %s\n", *harDir)
+	}
 	// Dataset bytes go to -out, so stdout is free for the METRICS section.
 	if *withMetrics {
 		fmt.Println(report.MetricsReport(obs.NewExport(cfg.Metrics, cfg.Tracer)))
 	}
 	return nil
-}
-
-// crawlWithHARs crawls every exchange in memory, then writes the dataset
-// to out and one HAR archive per exchange under harDir.
-func crawlWithHARs(st *core.Study, out, harDir string) (core.DatasetStreamResult, error) {
-	var res core.DatasetStreamResult
-	if err := st.Crawl(); err != nil {
-		return res, err
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return res, err
-	}
-	defer f.Close()
-	if err := core.WriteDataset(f, st.Crawls); err != nil {
-		return res, err
-	}
-	if err := f.Close(); err != nil {
-		return res, err
-	}
-	if err := os.MkdirAll(harDir, 0o755); err != nil {
-		return res, err
-	}
-	for _, c := range st.Crawls {
-		res.Records += len(c.Records)
-		for i := range c.Records {
-			if c.Records[i].FetchErr != "" {
-				res.Failed++
-			}
-		}
-		if c.HAR == nil {
-			continue
-		}
-		name := strings.ToLower(strings.ReplaceAll(c.Exchange, " ", "-")) + ".har"
-		hf, err := os.Create(filepath.Join(harDir, name))
-		if err != nil {
-			return res, err
-		}
-		if err := har.Encode(hf, c.HAR); err != nil {
-			hf.Close()
-			return res, err
-		}
-		if err := hf.Close(); err != nil {
-			return res, err
-		}
-	}
-	fmt.Fprintf(os.Stderr, "wrote HAR archives to %s\n", harDir)
-	return res, nil
 }

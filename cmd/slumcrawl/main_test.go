@@ -25,8 +25,8 @@ func TestCrawlAndArtifacts(t *testing.T) {
 }
 
 // TestBadOutputPath: an output whose part files cannot be created, and
-// a -checkpoint naming an existing regular file, are refused — on either
-// path, and on the engine path before the crawl starts (the core
+// a -checkpoint naming an existing regular file, are refused — with or
+// without -hardir, and before the crawl starts (the core
 // TestStreamDatasetFailsBeforeCrawl pins the ordering).
 func TestBadOutputPath(t *testing.T) {
 	dir := t.TempDir()

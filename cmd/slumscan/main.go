@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	slumscan -in dataset.jsonl [-seed N] [-scale N] [-js-fuel N] [-js-heap N] [-table N] [-figure N] [-metrics]
+//	slumscan -in dataset.jsonl | -hardir DIR [-seed N] [-scale N] [-js-fuel N] [-js-heap N] [-table N] [-figure N] [-metrics]
 package main
 
 import (
@@ -17,16 +17,20 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/crawler"
+	"repro/internal/exchange"
 	"repro/internal/har"
 	"repro/internal/obs"
 	"repro/internal/report"
 )
 
 // loadHARCrawls reconstructs crawls from a directory of per-exchange HAR
-// archives, as slumcrawl -hardir writes them.
+// archives, as slumcrawl -hardir writes them, in the study's exchange
+// order (exchange.PaperSpecs) — the order of a dataset's records, so the
+// report rows come out as slumscan -in prints them.
 func loadHARCrawls(dir string) ([]*crawler.Crawl, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.har"))
 	if err != nil {
@@ -57,6 +61,11 @@ func loadHARCrawls(dir string) ([]*crawler.Crawl, error) {
 		}
 		out = append(out, c)
 	}
+	order := map[string]int{}
+	for i, spec := range exchange.PaperSpecs() {
+		order[spec.Name] = i
+	}
+	sort.SliceStable(out, func(i, j int) bool { return order[out[i].Exchange] < order[out[j].Exchange] })
 	return out, nil
 }
 

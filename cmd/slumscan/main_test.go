@@ -1,36 +1,33 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/har"
 )
 
-func writeDataset(t *testing.T, path string) {
+// crawl writes the seed-4, scale-900 crawl's dataset to path and, unless
+// harDir is empty, its HAR archives under harDir — what slumcrawl writes.
+func crawl(t *testing.T, path, harDir string) {
 	t.Helper()
 	cfg := core.DefaultStudyConfig()
 	cfg.Seed = 4
 	cfg.Scale = 900
-	st, err := core.RunStudy(cfg)
+	st, err := core.NewStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := core.WriteDataset(f, st.Crawls); err != nil {
+	if _, err := st.StreamDataset(path, harDir, core.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestScanDataset(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ds.jsonl")
-	writeDataset(t, path)
+	crawl(t, path, "")
 	if err := run([]string{"-in", path, "-scale", "900", "-seed", "4", "-table", "1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -64,34 +61,7 @@ func TestMain(m *testing.M) {
 func TestScanFromHARArchives(t *testing.T) {
 	dir := t.TempDir()
 	harDir := filepath.Join(dir, "hars")
-	if err := os.MkdirAll(harDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultStudyConfig()
-	cfg.Seed = 4
-	cfg.Scale = 900
-	// The archives slumcrawl -hardir writes: Study.Crawl captures HAR.
-	st, err := core.NewStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Crawl(); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range st.Crawls {
-		if c.HAR == nil {
-			t.Fatal("study crawl missing HAR")
-		}
-		name := filepath.Join(harDir, harFileName(c.Exchange))
-		f, err := os.Create(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := har.Encode(f, c.HAR); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-	}
+	crawl(t, filepath.Join(dir, "ds.jsonl"), harDir)
 	if err := run([]string{"-hardir", harDir, "-scale", "900", "-seed", "4", "-table", "1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -101,17 +71,39 @@ func TestScanFromHARArchives(t *testing.T) {
 	}
 }
 
-func harFileName(exchangeName string) string {
-	out := ""
-	for _, r := range exchangeName {
-		switch {
-		case r == ' ':
-			out += "-"
-		case r >= 'A' && r <= 'Z':
-			out += string(r - 'A' + 'a')
-		default:
-			out += string(r)
-		}
+// TestScanHARMatchesDataset: on a clean crawl, where every fetch succeeds
+// and so has its HAR page, slumscan over the HAR archives prints exactly
+// what it prints over the dataset — every table's rows in the same order.
+func TestScanHARMatchesDataset(t *testing.T) {
+	dir := t.TempDir()
+	ds, harDir := filepath.Join(dir, "ds.jsonl"), filepath.Join(dir, "hars")
+	crawl(t, ds, harDir)
+	want := scanOutput(t, "-in", ds, "-scale", "900", "-seed", "4")
+	got := scanOutput(t, "-hardir", harDir, "-scale", "900", "-seed", "4")
+	if len(want) == 0 || !bytes.Equal(want, got) {
+		t.Errorf("slumscan -hardir printed\n%s\nslumscan -in printed\n%s", got, want)
 	}
-	return out + ".har"
+}
+
+// scanOutput runs slumscan with args and returns what it printed.
+func scanOutput(t *testing.T, args ...string) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "stdout")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = f
+	err = run(args)
+	os.Stdout = stdout
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

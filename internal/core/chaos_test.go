@@ -69,7 +69,7 @@ func runChaos(t testing.TB, seed uint64, profileName string, workers int) *chaos
 	if !profile.Zero() {
 		transport = httpsim.NewFaultInjector(transport, profile, seed+0x5eed)
 	}
-	crawls, err := crawler.CrawlAll(exchanges, transport, []int{60, 40}, crawler.DefaultOptions(0))
+	crawls, err := crawlExchanges(exchanges, transport, []int{60, 40})
 	if err != nil {
 		t.Fatalf("chaos crawl (seed %d, profile %s): %v", seed, profileName, err)
 	}
@@ -83,6 +83,21 @@ func runChaos(t testing.TB, seed uint64, profileName string, workers int) *chaos
 		Workers: workers,
 	}
 	return &chaosRun{crawls: crawls, analysis: an.Analyze(crawls), an: an}
+}
+
+// crawlExchanges crawls each exchange in turn with crawler.CrawlExchange
+// and its crawler.ExchangeOptions — its own step budget, account and IP —
+// as every crawl of a study's exchanges derives them.
+func crawlExchanges(exchanges []*exchange.Exchange, transport httpsim.RoundTripper, steps []int) ([]*crawler.Crawl, error) {
+	crawls := make([]*crawler.Crawl, len(exchanges))
+	for i, ex := range exchanges {
+		c, err := crawler.CrawlExchange(ex, transport, crawler.ExchangeOptions(crawler.DefaultOptions(0), i, steps[i]))
+		if err != nil {
+			return nil, err
+		}
+		crawls[i] = c
+	}
+	return crawls, nil
 }
 
 // checkChaosInvariants verifies one faulty run against its fault-free

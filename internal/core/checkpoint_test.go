@@ -51,7 +51,7 @@ func sampleShard() *shardSnapshot {
 // sampleCursor is a dataset cursor in the same slot as sampleShard.
 func sampleCursor() *datasetCursor {
 	return &datasetCursor{shardSlot: shardSlot{index: 0, shards: 2, planned: 20},
-		exchange: "HitLeap", records: 11, failed: 1, bytes: 9_482_113}
+		exchange: "HitLeap", records: 11, failed: 1, offsets: []int64{9_482_113}}
 }
 
 // sampleRun is the in-flight shard sampleShard and sampleCursor belong to;
@@ -59,7 +59,7 @@ func sampleCursor() *datasetCursor {
 func sampleRun(dataset bool) *shardRun {
 	sr := &shardRun{idx: 0, name: "HitLeap", planned: 20}
 	if dataset {
-		sr.part = &datasetPart{}
+		sr.part = &datasetPart{parts: []*part{{}}}
 	}
 	return sr
 }
@@ -99,8 +99,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		for _, cur := range []*datasetCursor{
 			sampleCursor(),
 			{shardSlot: shardSlot{index: 8, shards: 9, planned: 1 << 21}, exchange: "EasyHits4U",
-				records: 1 << 20, failed: 3, bytes: 1 << 33},
-			{shardSlot: shardSlot{index: 1, shards: 9, planned: 50}, exchange: "Otohits"},
+				records: 1 << 20, failed: 3, offsets: []int64{1 << 33}},
+			{shardSlot: shardSlot{index: 1, shards: 9, planned: 50}, exchange: "Otohits", offsets: []int64{0}},
+			{shardSlot: shardSlot{index: 3, shards: 9, planned: 50}, exchange: "Otohits", records: 7, failed: 2,
+				offsets: []int64{4096, 611, 1 << 35}},
+			{shardSlot: shardSlot{index: 4, shards: 9, planned: 50}, exchange: "Otohits", offsets: []int64{0, 0, 0}},
 		} {
 			img := encodeCheckpoint(ckptDataset, 7, 99, encodeCursorPayload(cur))
 			c, err := decodeCheckpoint(img)
@@ -416,10 +419,12 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(sampleImage())
 	f.Add(encodeCheckpoint(ckptRetiredAnalysis, 0, 0, encodeFoldPayload(&foldSnapshot{})))
 	f.Add(encodeCheckpoint(ckptDataset, 7, 99, encodeCursorPayload(sampleCursor())))
-	f.Add(encodeCheckpoint(ckptDataset, 1, 1, encodeCursorPayload(&datasetCursor{shardSlot: shardSlot{shards: 1}})))
+	f.Add(encodeCheckpoint(ckptDataset, 1, 1, encodeCursorPayload(&datasetCursor{shardSlot: shardSlot{shards: 1}, offsets: []int64{0}})))
 	f.Add([]byte{})
 	f.Add([]byte("SLUMCKPT"))
 	f.Add([]byte("SLUMCKPTxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"))
+	f.Add(encodeCheckpoint(ckptDataset, 7, 99, encodeCursorPayload(&datasetCursor{shardSlot: shardSlot{shards: 1},
+		offsets: []int64{0, 3, 5}})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := decodeCheckpoint(data)
 		if err != nil {

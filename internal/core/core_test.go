@@ -3,10 +3,15 @@ package core
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/crawler"
 	"repro/internal/exchange"
+	"repro/internal/har"
 	"repro/internal/simrand"
 	"repro/internal/stats"
 	"repro/internal/web"
@@ -376,7 +381,7 @@ func TestClassifier(t *testing.T) {
 func TestDatasetRoundTrip(t *testing.T) {
 	st := sharedStudy(t)
 	var buf bytes.Buffer
-	if err := WriteDataset(&buf, st.Crawls); err != nil {
+	if err := writeDataset(&buf, st.Crawls); err != nil {
 		t.Fatal(err)
 	}
 	crawls, err := ReadDataset(&buf)
@@ -541,7 +546,7 @@ var _ = simrand.New // keep import if unused in some builds
 
 func TestHARReanalysisMatchesOriginal(t *testing.T) {
 	// The paper's workflow: analysis runs offline from capture archives.
-	// Reconstructing crawls from the HAR logs that Study.Crawl captures
+	// Reconstructing crawls from the HAR archives a dataset crawl writes
 	// (slumcrawl -hardir's path) and re-running the pipeline must
 	// reproduce the one-pass Run's verdict counts.
 	st := sharedStudy(t)
@@ -549,15 +554,23 @@ func TestHARReanalysisMatchesOriginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cr.Crawl(); err != nil {
+	dir := t.TempDir()
+	harDir := filepath.Join(dir, "hars")
+	if _, err := cr.StreamDataset(filepath.Join(dir, "ds.jsonl"), harDir, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var rebuilt []*crawler.Crawl
-	for i, c := range cr.Crawls {
-		if c.HAR == nil {
-			t.Fatal("crawl missing HAR")
+	for i, c := range st.Crawls {
+		f, err := os.Open(filepath.Join(harDir, HARFileName(c.Exchange)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		rc, err := CrawlFromHAR(c.Exchange, cr.Specs[i].Kind, c.HAR)
+		log, err := har.Decode(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, err := CrawlFromHAR(c.Exchange, cr.Specs[i].Kind, log)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -583,6 +596,46 @@ func TestHARReanalysisMatchesOriginal(t *testing.T) {
 			t.Fatalf("category %s differs: %d vs %d", cat,
 				re.CategoryCounts.Get(string(cat)), orig.CategoryCounts.Get(string(cat)))
 		}
+	}
+}
+
+// TestCrawlFromHARInterleaved: entries of two pages interleaved in the
+// log still group by page — in log order, the last one the final hop —
+// and a page without entries yields no record but keeps its sequence
+// slot.
+func TestCrawlFromHARInterleaved(t *testing.T) {
+	start := time.Date(2015, 6, 1, 12, 0, 0, 0, time.UTC)
+	l := har.NewLog()
+	p1 := har.NewPage(1, "http://one.sim/", start)
+	empty := har.NewPage(2, "http://failed.sim/", start.Add(time.Minute))
+	p2 := har.NewPage(3, "http://two.sim/", start.Add(2*time.Minute))
+	l.Pages = []har.Page{p1, empty, p2}
+	entry := func(page har.Page, url string, status int, text string) har.Entry {
+		return har.Entry{Pageref: page.ID, Request: har.Request{URL: url},
+			Response: har.Response{Status: status, Content: har.Content{MimeType: "text/html", Text: text}}}
+	}
+	l.Entries = []har.Entry{
+		entry(p1, "http://one.sim/", 302, ""),
+		entry(p2, "http://two.sim/", 301, ""),
+		entry(p1, "http://one-land.sim/", 200, "one"),
+		entry(p2, "http://two-hop.sim/", 302, ""),
+		entry(p2, "http://two-land.sim/", 404, "two"),
+	}
+	c, err := CrawlFromHAR("X", exchange.AutoSurf, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []crawler.Record{
+		{Exchange: "X", Kind: exchange.AutoSurf, Seq: 0, Timestamp: start, EntryURL: "http://one.sim/",
+			FinalURL: "http://one-land.sim/", Redirects: 1, Status: 200, ContentType: "text/html", Body: []byte("one")},
+		{Exchange: "X", Kind: exchange.AutoSurf, Seq: 2, Timestamp: start.Add(2 * time.Minute), EntryURL: "http://two.sim/",
+			FinalURL: "http://two-land.sim/", Redirects: 2, Status: 404, ContentType: "text/html", Body: []byte("two")},
+	}
+	if !reflect.DeepEqual(c.Records, want) {
+		t.Fatalf("records:\n got  %+v\n want %+v", c.Records, want)
+	}
+	if !c.Started.Equal(start) || !c.Ended.Equal(start.Add(2*time.Minute)) {
+		t.Errorf("crawl window %v–%v", c.Started, c.Ended)
 	}
 }
 

@@ -1,18 +1,37 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/crawler"
 	"repro/internal/obs"
 	"repro/internal/testutil"
 )
 
-// batchDataset is WriteDataset over a batch crawl of cfg: the bytes every
+// writeDataset is the dataset oracle: the crawls as JSON lines, one
+// record at a time, in crawl order.
+func writeDataset(w io.Writer, crawls []*crawler.Crawl) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for _, c := range crawls {
+		for i := range c.Records {
+			if err := enc.Encode(datasetRecordOf(&c.Records[i])); err != nil {
+				return err
+			}
+		}
+	}
+	return bw.Flush()
+}
+
+// batchDataset is writeDataset over a batch crawl of cfg: the bytes every
 // engine-written dataset must reproduce.
 func batchDataset(t *testing.T, cfg StudyConfig) ([]byte, *Study) {
 	t.Helper()
@@ -21,19 +40,20 @@ func batchDataset(t *testing.T, cfg StudyConfig) ([]byte, *Study) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := WriteDataset(&want, batch.Crawls); err != nil {
+	if err := writeDataset(&want, batch.Crawls); err != nil {
 		t.Fatal(err)
 	}
 	return want.Bytes(), batch
 }
 
-// streamDataset runs one dataset crawl of cfg into out.
-func streamDataset(cfg StudyConfig, out string, opts RunOptions) (DatasetStreamResult, error) {
+// streamDataset runs one dataset crawl of cfg into out, with HAR capture
+// into harDir unless it is empty.
+func streamDataset(cfg StudyConfig, out, harDir string, opts RunOptions) (DatasetStreamResult, error) {
 	st, err := NewStudy(cfg)
 	if err != nil {
 		return DatasetStreamResult{}, err
 	}
-	return st.StreamDataset(out, opts)
+	return st.StreamDataset(out, harDir, opts)
 }
 
 // checkDatasetFile asserts out holds want and that no part file, temp
@@ -45,7 +65,7 @@ func checkDatasetFile(t *testing.T, label, out, dir string, want []byte) {
 		t.Fatalf("%s: %v", label, err)
 	}
 	if !bytes.Equal(want, got) {
-		t.Errorf("%s: dataset differs from batch WriteDataset (want %d bytes, got %d)", label, len(want), len(got))
+		t.Errorf("%s: dataset differs from batch writeDataset (want %d bytes, got %d)", label, len(want), len(got))
 	}
 	left, _ := filepath.Glob(out + ".*")
 	if dir != "" {
@@ -58,7 +78,7 @@ func checkDatasetFile(t *testing.T, label, out, dir string, want []byte) {
 }
 
 // TestStreamDatasetMatchesBatch locks in the engine's dataset step: the
-// dataset file is byte-identical to WriteDataset over the equivalent
+// dataset file is byte-identical to writeDataset over the equivalent
 // batch crawl, the result counts match the batch analysis, and no part
 // file survives completion.
 func TestStreamDatasetMatchesBatch(t *testing.T) {
@@ -66,7 +86,7 @@ func TestStreamDatasetMatchesBatch(t *testing.T) {
 	cfg := streamConfig(2, 0, "flaky")
 	want, batch := batchDataset(t, cfg)
 	out := filepath.Join(t.TempDir(), "dataset.jsonl")
-	res, err := streamDataset(cfg, out, RunOptions{})
+	res, err := streamDataset(cfg, out, "", RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +114,14 @@ func TestStreamDatasetKillResume(t *testing.T) {
 		out := filepath.Join(dir, "dataset.jsonl")
 		ckpt := filepath.Join(dir, "ckpt")
 		opts := RunOptions{CheckpointDir: ckpt, CheckpointEvery: every, AbortAfter: cut}
-		if _, err := streamDataset(cfg, out, opts); !errors.Is(err, ErrAborted) {
+		if _, err := streamDataset(cfg, out, "", opts); !errors.Is(err, ErrAborted) {
 			t.Fatalf("cut=%d: got error %v, want ErrAborted", cut, err)
 		}
 		if shards, _ := filepath.Glob(filepath.Join(ckpt, "shard-*.ckpt")); cut >= every*len(batch.Exchanges) && len(shards) == 0 {
 			t.Fatalf("cut=%d: no shard checkpoint on disk with interval %d", cut, every)
 		}
 		opts.AbortAfter = 0
-		res, err := streamDataset(cfg, out, opts)
+		res, err := streamDataset(cfg, out, "", opts)
 		if err != nil {
 			t.Fatalf("cut=%d: resumed crawl: %v", cut, err)
 		}
@@ -127,13 +147,13 @@ func TestStreamDatasetRejectsAnalysisCheckpoint(t *testing.T) {
 	if shards, _ := filepath.Glob(filepath.Join(anDir, "shard-*.ckpt")); len(shards) == 0 {
 		t.Fatal("no shard checkpoint on disk after the kill")
 	}
-	_, err = streamDataset(cfg, filepath.Join(dir, "d.jsonl"), RunOptions{CheckpointDir: anDir})
+	_, err = streamDataset(cfg, filepath.Join(dir, "d.jsonl"), "", RunOptions{CheckpointDir: anDir})
 	if err == nil || !strings.Contains(err.Error(), "shard checkpoint, not a dataset one") {
 		t.Errorf("dataset crawl over analysis checkpoints: got %v, want kind refusal", err)
 	}
 
 	crDir := filepath.Join(dir, "crawl")
-	_, err = streamDataset(cfg, filepath.Join(dir, "d2.jsonl"), RunOptions{CheckpointDir: crDir, CheckpointEvery: 5, AbortAfter: 40})
+	_, err = streamDataset(cfg, filepath.Join(dir, "d2.jsonl"), "", RunOptions{CheckpointDir: crDir, CheckpointEvery: 5, AbortAfter: 40})
 	if !errors.Is(err, ErrAborted) {
 		t.Fatal(err)
 	}
@@ -153,25 +173,66 @@ func TestStreamDatasetRejectsAnalysisCheckpoint(t *testing.T) {
 		"Preload":        {Preload: &EpochDelta{}},
 		"WriteDeltaPath": {WriteDeltaPath: filepath.Join(dir, "delta")},
 	} {
-		if _, err := streamDataset(cfg, filepath.Join(dir, "d3.jsonl"), opts); err == nil || !strings.Contains(err.Error(), name) {
+		if _, err := streamDataset(cfg, filepath.Join(dir, "d3.jsonl"), "", opts); err == nil || !strings.Contains(err.Error(), name) {
 			t.Errorf("%s: got %v, want refusal naming it", name, err)
 		}
 	}
 }
 
-// TestStreamDatasetPartRecovery covers the two resume cases of a part
-// file against its checkpointed offset: a torn tail past the offset (an
+// TestStreamDatasetRejectsHARBoundary: a cursor written without HAR
+// capture must not resume a crawl that captures HAR, and the reverse —
+// either way one side has no parts for the other's offsets.
+func TestStreamDatasetRejectsHARBoundary(t *testing.T) {
+	cfg := streamConfig(1, 4, "")
+	for _, written := range []string{"", "hars"} {
+		dir := t.TempDir()
+		out, ckpt := filepath.Join(dir, "d.jsonl"), filepath.Join(dir, "ckpt")
+		harDir := func(name string) string {
+			if name == "" {
+				return ""
+			}
+			return filepath.Join(dir, name)
+		}
+		opts := RunOptions{CheckpointDir: ckpt, CheckpointEvery: 5, AbortAfter: 40}
+		if _, err := streamDataset(cfg, out, harDir(written), opts); !errors.Is(err, ErrAborted) {
+			t.Fatal(err)
+		}
+		resumed := "hars"
+		if written != "" {
+			resumed = ""
+		}
+		_, err := streamDataset(cfg, out, harDir(resumed), RunOptions{CheckpointDir: ckpt})
+		if err == nil || !strings.Contains(err.Error(), "HAR capture") || !strings.Contains(err.Error(), "refusing to resume") {
+			t.Errorf("cursor with HAR capture %t resumed by a crawl with %t: got %v, want refusal",
+				written != "", resumed != "", err)
+		}
+	}
+}
+
+// TestStreamDatasetPartRecovery covers the two resume cases of each part
+// file — the JSONL part and the HAR pages and entries parts — against
+// its checkpointed offset: a torn tail past the offset (an
 // uncheckpointed write cut short by the kill) is cut away and the final
-// dataset is byte-identical; a part shorter than the offset lost
-// checkpointed records, so the resume is refused with an error naming
-// the file.
+// dataset and archives are byte-identical; a part shorter than the
+// offset lost checkpointed records, so the resume is refused with an
+// error naming the file.
 func TestStreamDatasetPartRecovery(t *testing.T) {
 	cfg := streamConfig(3, 2, "flaky")
-	want, _ := batchDataset(t, cfg)
-	kill := func(t *testing.T) (out, ckpt, part string, offset int64) {
+	ref, err := crawlThenAnalyze(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := writeDataset(&want, ref.Crawls); err != nil {
+		t.Fatal(err)
+	}
+	// kill runs a crawl into a fresh directory until AbortAfter and
+	// returns the chosen part of the first checkpointed shard and its
+	// recorded offset.
+	kill := func(t *testing.T, which string) (out, harDir, ckpt, path string, offset int64) {
 		dir := t.TempDir()
-		out, ckpt = filepath.Join(dir, "dataset.jsonl"), filepath.Join(dir, "ckpt")
-		if _, err := streamDataset(cfg, out, RunOptions{CheckpointDir: ckpt, CheckpointEvery: 7, AbortAfter: 200}); !errors.Is(err, ErrAborted) {
+		out, harDir, ckpt = filepath.Join(dir, "dataset.jsonl"), filepath.Join(dir, "hars"), filepath.Join(dir, "ckpt")
+		if _, err := streamDataset(cfg, out, harDir, RunOptions{CheckpointDir: ckpt, CheckpointEvery: 7, AbortAfter: 200}); !errors.Is(err, ErrAborted) {
 			t.Fatalf("got %v, want ErrAborted", err)
 		}
 		shards, _ := filepath.Glob(filepath.Join(ckpt, "shard-*.ckpt"))
@@ -182,36 +243,58 @@ func TestStreamDatasetPartRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out, ckpt, partPath(out, ck.cursor.index), ck.cursor.bytes
+		c := ck.cursor
+		archive := filepath.Join(harDir, HARFileName(c.exchange))
+		switch which {
+		case "dataset":
+			path, offset = partPath(out, c.index), c.offsets[0]
+		case "pages":
+			path, offset = archive+".pages", c.offsets[1]
+		default:
+			path, offset = archive+".entries", c.offsets[2]
+		}
+		if offset == 0 {
+			t.Fatalf("%s part of %s checkpointed empty", which, c.exchange)
+		}
+		return out, harDir, ckpt, path, offset
 	}
 
+	parts := []string{"dataset", "pages", "entries"}
 	t.Run("torn tail", func(t *testing.T) {
-		out, ckpt, part, offset := kill(t)
-		if err := os.Truncate(part, offset); err != nil {
-			t.Fatal(err)
+		for _, which := range parts {
+			out, harDir, ckpt, path, offset := kill(t, which)
+			if err := os.Truncate(path, offset); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.WriteString(`{"torn`)
+			f.Close()
+			if _, err := streamDataset(cfg, out, harDir, RunOptions{CheckpointDir: ckpt}); err != nil {
+				t.Fatal(err)
+			}
+			checkDatasetFile(t, which+" torn tail", out, ckpt, want.Bytes())
+			checkHARDir(t, which+" torn tail", harDir, ref)
 		}
-		f, err := os.OpenFile(part, os.O_WRONLY|os.O_APPEND, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.WriteString(`{"exchange":"torn`)
-		f.Close()
-		if _, err := streamDataset(cfg, out, RunOptions{CheckpointDir: ckpt}); err != nil {
-			t.Fatal(err)
-		}
-		checkDatasetFile(t, "torn tail", out, ckpt, want)
 	})
 	t.Run("short part", func(t *testing.T) {
-		out, ckpt, part, offset := kill(t)
-		if err := os.Truncate(part, offset-1); err != nil {
-			t.Fatal(err)
-		}
-		_, err := streamDataset(cfg, out, RunOptions{CheckpointDir: ckpt})
-		if err == nil || !strings.Contains(err.Error(), part) || !strings.Contains(err.Error(), "refusing to resume") {
-			t.Fatalf("got %v, want a refusal naming %s", err, part)
-		}
-		if _, err := os.Stat(out); !os.IsNotExist(err) {
-			t.Error("refused resume wrote the dataset")
+		for _, which := range parts {
+			out, harDir, ckpt, path, offset := kill(t, which)
+			if err := os.Truncate(path, offset-1); err != nil {
+				t.Fatal(err)
+			}
+			_, err := streamDataset(cfg, out, harDir, RunOptions{CheckpointDir: ckpt})
+			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "refusing to resume") {
+				t.Fatalf("%s: got %v, want a refusal naming %s", which, err, path)
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Errorf("%s: refused resume wrote the dataset", which)
+			}
+			if hars, _ := filepath.Glob(filepath.Join(harDir, "*.har")); len(hars) != 0 {
+				t.Errorf("%s: refused resume wrote archives: %v", which, hars)
+			}
 		}
 	})
 }
@@ -234,7 +317,7 @@ func TestStreamDatasetFailsBeforeCrawl(t *testing.T) {
 	} {
 		cfg := streamConfig(1, 2, "")
 		cfg.Metrics = obs.NewRegistry()
-		if _, err := streamDataset(cfg, c.out, c.opts); err == nil {
+		if _, err := streamDataset(cfg, c.out, "", c.opts); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 		if n := cfg.Metrics.Counter("crawl.urls").Value(); n != 0 {

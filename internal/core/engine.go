@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/crawler"
 	"repro/internal/exchange"
+	"repro/internal/httpsim"
 	"repro/internal/obs"
 )
 
@@ -139,8 +140,9 @@ func (sr *shardRun) slot(nShards int) shardSlot {
 }
 
 // shardSource delivers one shard's records, in order, to sink, stopping
-// at the first error sink returns.
-type shardSource func(sr *shardRun, sink func(*crawler.Record) error) error
+// at the first error sink returns. A live source hands over each fetch
+// result and page clock with its record; a recorded one passes nil.
+type shardSource func(sr *shardRun, sink crawler.Sink) error
 
 // runIdentity is the provenance stamped into, and checked against, every
 // shard checkpoint of a run.
@@ -337,9 +339,8 @@ func resumeShards(runs []*shardRun, nShards int, dir string, id runIdentity) err
 			return err
 		}
 		if sr.part != nil {
-			c := ck.cursor
-			sr.part.failed, sr.part.bytes = c.failed, c.bytes
-			sr.startAt = c.records
+			sr.part.restore(ck.cursor)
+			sr.startAt = ck.cursor.records
 			continue
 		}
 		if err := sr.fold.restore(ck.shard.fold); err != nil {
@@ -356,7 +357,8 @@ func resumeShards(runs []*shardRun, nShards int, dir string, id runIdentity) err
 
 // validateShard checks a loaded checkpoint against the run and the shard
 // slot it is about to resume: its kind must match the run's per-record
-// step, and its seed, configuration, slot and exchange the run's.
+// step, a dataset cursor's HAR capture the crawl's, and its seed,
+// configuration, slot and exchange the run's.
 func validateShard(ck *Checkpoint, sr *shardRun, nShards int, id runIdentity) error {
 	want := ckptShard
 	if sr.part != nil {
@@ -364,6 +366,10 @@ func validateShard(ck *Checkpoint, sr *shardRun, nShards int, id runIdentity) er
 	}
 	if ck.kind != want {
 		return fmt.Errorf("core: %s is a %s checkpoint, not a %s one", ShardPath("", sr.idx), ck.kind, want)
+	}
+	if want == ckptDataset && len(ck.cursor.offsets) != len(sr.part.parts) {
+		return fmt.Errorf("core: shard %d cursor has HAR capture %t, this crawl %t — refusing to resume",
+			sr.idx, len(ck.cursor.offsets) > 1, len(sr.part.parts) > 1)
 	}
 	if ck.Seed != id.seed {
 		return fmt.Errorf("core: shard %d checkpoint was taken under seed %d, not %d — refusing to resume", sr.idx, ck.Seed, id.seed)
@@ -410,7 +416,7 @@ func (e *engine) runShard(sr *shardRun, src shardSource) error {
 		e.stop()
 		return errStopped
 	}
-	sink := func(rec *crawler.Record) error {
+	sink := func(rec *crawler.Record, res *httpsim.Result, pageClock time.Time) error {
 		select {
 		case <-e.stopC:
 			return errStopped
@@ -425,7 +431,7 @@ func (e *engine) runShard(sr *shardRun, src shardSource) error {
 			an.Metrics.Counter("pipeline.skipped").Inc()
 			return nil
 		}
-		if err := e.step(sr, rec, counters); err != nil {
+		if err := e.step(sr, rec, res, pageClock, counters); err != nil {
 			return fail(err)
 		}
 		sr.folded++
@@ -466,10 +472,12 @@ func (e *engine) runShard(sr *shardRun, src shardSource) error {
 }
 
 // step is the per-record work of the run: scan→fold for an analysis
-// shard, encode→append for a dataset shard.
-func (e *engine) step(sr *shardRun, rec *crawler.Record, counters *recordCounters) error {
+// shard, encode→append for a dataset shard (res and pageClock feed its
+// HAR capture).
+func (e *engine) step(sr *shardRun, rec *crawler.Record, res *httpsim.Result, pageClock time.Time,
+	counters *recordCounters) error {
 	if sr.part != nil {
-		return sr.part.append(rec)
+		return sr.part.append(rec, res, pageClock)
 	}
 	o := e.an.scanOne(e.cache, &e.keys, sr.name, rec)
 	counters.classified[o.class].Inc()
@@ -478,16 +486,18 @@ func (e *engine) step(sr *shardRun, rec *crawler.Record, counters *recordCounter
 }
 
 // writeShard atomically persists a shard's current state: a fold
-// snapshot (kind 3), or a dataset cursor (kind 2) once the part file is
-// synced, so the recorded offset never points past the part's durable
+// snapshot (kind 3), or a dataset cursor (kind 2) once the part files
+// are synced, so no recorded offset points past its part's durable
 // length.
 func (e *engine) writeShard(sr *shardRun) error {
 	path := ShardPath(e.opts.CheckpointDir, sr.idx)
 	if sr.part == nil {
 		return writeCheckpointFile(path, ckptShard, e.id.seed, e.id.cfgHash, encodeShardPayload(sr.snapshot(e.nShards)))
 	}
-	if err := sr.part.f.Sync(); err != nil {
-		return fmt.Errorf("core: sync %s: %w", sr.part.f.Name(), err)
+	for _, q := range sr.part.parts {
+		if err := q.f.Sync(); err != nil {
+			return fmt.Errorf("core: sync %s: %w", q.path, err)
+		}
 	}
 	return writeCheckpointFile(path, ckptDataset, e.id.seed, e.id.cfgHash, encodeCursorPayload(sr.cursor(e.nShards)))
 }
@@ -531,10 +541,10 @@ func (an *Analyzer) analyzeRecorded(crawls []*crawler.Crawl, opts RunOptions, id
 	for i, c := range crawls {
 		runs[i] = newShardRun(an, i, c.Exchange, c.Kind, len(c.Records))
 	}
-	src := func(sr *shardRun, sink func(*crawler.Record) error) error {
+	src := func(sr *shardRun, sink crawler.Sink) error {
 		recs := crawls[sr.idx].Records
 		for i := range recs {
-			if err := sink(&recs[i]); err != nil {
+			if err := sink(&recs[i], nil, time.Time{}); err != nil {
 				return err
 			}
 		}
@@ -622,7 +632,7 @@ func (st *Study) runLive(opts RunOptions, keep bool) error {
 
 // liveSource crawls shard sr's exchange session, handing each record to
 // sink as it is fetched.
-func (st *Study) liveSource(sr *shardRun, sink func(*crawler.Record) error) error {
+func (st *Study) liveSource(sr *shardRun, sink crawler.Sink) error {
 	_, _, err := st.crawlShard(sr, sink)
 	return err
 }
@@ -630,12 +640,12 @@ func (st *Study) liveSource(sr *shardRun, sink func(*crawler.Record) error) erro
 // keepingSource is liveSource that also keeps every stepped record, and
 // the crawl window, in st.Crawls[sr.idx] — the shard's own slot, written
 // only by the worker running it.
-func (st *Study) keepingSource(sr *shardRun, sink func(*crawler.Record) error) error {
+func (st *Study) keepingSource(sr *shardRun, sink crawler.Sink) error {
 	c := &crawler.Crawl{Exchange: sr.name, Kind: st.Exchanges[sr.idx].Config().Kind,
 		Records: make([]crawler.Record, 0, st.Steps[sr.idx])}
 	st.Crawls[sr.idx] = c
-	started, ended, err := st.crawlShard(sr, func(rec *crawler.Record) error {
-		if err := sink(rec); err != nil {
+	started, ended, err := st.crawlShard(sr, func(rec *crawler.Record, res *httpsim.Result, pageClock time.Time) error {
+		if err := sink(rec, res, pageClock); err != nil {
 			return err
 		}
 		c.Records = append(c.Records, *rec)
@@ -649,7 +659,7 @@ func (st *Study) keepingSource(sr *shardRun, sink func(*crawler.Record) error) e
 // stack and returns its virtual crawl window. Recorder inside, fault
 // injector outside: synthesized faults never reach the services, so they
 // must not be recorded as visits either.
-func (st *Study) crawlShard(sr *shardRun, sink func(*crawler.Record) error) (started, ended time.Time, err error) {
+func (st *Study) crawlShard(sr *shardRun, sink crawler.Sink) (started, ended time.Time, err error) {
 	recorder := &shardVisitRecorder{inner: st.Universe.Internet, reg: st.Universe.Shorteners, visits: sr.visits}
 	exOpts := crawler.ExchangeOptions(st.crawlOptions(), sr.idx, st.Steps[sr.idx])
 	return crawler.CrawlExchangeStream(st.Exchanges[sr.idx], st.transportOver(recorder), exOpts, sink)

@@ -8,7 +8,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
+	"repro/internal/crawler"
+	"repro/internal/exchange"
+	"repro/internal/har"
+	"repro/internal/httpsim"
 	"repro/internal/simrand"
 	"repro/internal/testutil"
 )
@@ -28,20 +33,96 @@ func streamConfig(seed uint64, workers int, profile string) StudyConfig {
 	return cfg
 }
 
-// crawlThenAnalyze is the independent oracle for the one-pass Run: the
-// collection half (Study.Crawl — every exchange crawled concurrently by
-// crawler.CrawlAll, with HAR capture) followed by Analyzer.Analyze over
-// the kept crawls as recorded shards.
-func crawlThenAnalyze(cfg StudyConfig) (*Study, error) {
+// reference is the oracle's run: the study with its kept crawls and
+// Analysis, and each exchange's HAR archive — har.Encode of its whole
+// log — by file name.
+type reference struct {
+	*Study
+	archives map[string][]byte
+}
+
+// crawlThenAnalyze is the independent oracle for every engine run: the
+// collection half outside the engine — each exchange crawled in turn with
+// its crawler.ExchangeOptions, its records kept and its HAR built as one
+// log (crawlWithHAR) — followed by Analyzer.Analyze over the kept crawls
+// as recorded shards.
+func crawlThenAnalyze(cfg StudyConfig) (*reference, error) {
 	st, err := NewStudy(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := st.Crawl(); err != nil {
-		return nil, err
+	if st.Config.DriveShortenerTraffic {
+		st.driveShortenerTraffic()
+	}
+	ref := &reference{Study: st, archives: map[string][]byte{}}
+	transport := st.transportOver(st.Universe.Internet)
+	for i, ex := range st.Exchanges {
+		c, l, err := crawlWithHAR(ex, transport, crawler.ExchangeOptions(st.crawlOptions(), i, st.Steps[i]))
+		if err != nil {
+			return nil, err
+		}
+		var archive bytes.Buffer
+		if err := har.Encode(&archive, l); err != nil {
+			return nil, err
+		}
+		st.Crawls = append(st.Crawls, c)
+		ref.archives[HARFileName(c.Exchange)] = archive.Bytes()
 	}
 	st.Analysis = st.Analyzer.Analyze(st.Crawls)
-	return st, nil
+	return ref, nil
+}
+
+// crawlWithHAR crawls one exchange, keeping a copy of every record and
+// building the whole capture as one har.Log with the per-record functions
+// the dataset step shares: a page, and an entry per hop, for every
+// successful fetch.
+func crawlWithHAR(ex *exchange.Exchange, transport httpsim.RoundTripper, opts crawler.Options) (*crawler.Crawl, *har.Log, error) {
+	c := &crawler.Crawl{Exchange: ex.Config().Name, Kind: ex.Config().Kind}
+	l := har.NewLog()
+	started, ended, err := crawler.CrawlExchangeStream(ex, transport, opts,
+		func(rec *crawler.Record, res *httpsim.Result, pageClock time.Time) error {
+			c.Records = append(c.Records, *rec)
+			if rec.FetchErr == "" {
+				p := har.NewPage(len(l.Pages)+1, rec.EntryURL, pageClock)
+				l.Pages = append(l.Pages, p)
+				l.Entries = har.AppendResult(l.Entries, p.ID, crawler.BrowserUA, pageClock, res)
+			}
+			return nil
+		})
+	c.Started, c.Ended = started, ended
+	return c, l, err
+}
+
+// checkHARDir asserts dir holds exactly the reference's archives,
+// byte for byte, and nothing else — no part file or temp file survived
+// the completed crawl.
+func checkHARDir(t *testing.T, label, dir string, ref *reference) {
+	t.Helper()
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	seen := map[string]bool{}
+	for _, f := range files {
+		w, ok := ref.archives[f.Name()]
+		if !ok {
+			t.Errorf("%s: unexpected file %s in the HAR directory", label, f.Name())
+			continue
+		}
+		seen[f.Name()] = true
+		got, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !bytes.Equal(w, got) {
+			t.Errorf("%s: %s differs from har.Encode of the oracle's log (want %d bytes, got %d)", label, f.Name(), len(w), len(got))
+		}
+	}
+	for name := range ref.archives {
+		if !seen[name] {
+			t.Errorf("%s: archive %s missing", label, name)
+		}
+	}
 }
 
 // stripCacheStats clears cache traffic, which a resumed run legitimately
@@ -86,8 +167,8 @@ func checkTableIV(t *testing.T, label string, ref, got *Study) {
 // seeds 1..5 and every combination of
 //
 //   - source: recorded crawls (Analyzer.Analyze), a live crawl
-//     (Study.RunStream), or a live crawl through the dataset step
-//     (Study.StreamDataset);
+//     (Study.RunStream), or a live crawl through the dataset step with
+//     HAR capture (Study.StreamDataset);
 //   - workers: 1, 2 or 8;
 //   - faults: off or flaky;
 //   - run: uninterrupted, or killed at a seeded record count and resumed
@@ -97,7 +178,8 @@ func checkTableIV(t *testing.T, label string, ref, got *Study) {
 // at one worker — with cache statistics included for uninterrupted runs
 // (a resumed run never re-scans restored records). Live runs must also
 // reproduce Table IV and leave no shard files behind. A dataset run's
-// bytes must equal WriteDataset over the reference's crawls.
+// bytes must equal writeDataset over the reference's crawls, and each
+// of its HAR archives har.Encode of the reference's log.
 func TestStreamResumeDeterminism(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		for _, profile := range []string{"", "flaky"} {
@@ -118,7 +200,7 @@ func TestStreamResumeDeterminism(t *testing.T) {
 }
 
 // checkEngineCases runs the source x run leaves of one matrix cell.
-func checkEngineCases(t *testing.T, ref *Study, seed uint64, workers int, profile string) {
+func checkEngineCases(t *testing.T, ref *reference, seed uint64, workers int, profile string) {
 	cfg := streamConfig(seed, workers, profile)
 	id := runIdentity{cfg.Seed, cfg.checkpointHash()}
 	total := ref.Analysis.TotalCrawled
@@ -170,7 +252,7 @@ func checkEngineCases(t *testing.T, ref *Study, seed uint64, workers int, profil
 			}
 			if live != nil {
 				got = live.Analysis
-				checkTableIV(t, label, ref, live)
+				checkTableIV(t, label, ref.Study, live)
 			}
 			want := ref.Analysis
 			if killed {
@@ -187,25 +269,27 @@ func checkEngineCases(t *testing.T, ref *Study, seed uint64, workers int, profil
 }
 
 // checkDatasetCase runs one dataset leaf of the engine matrix: a dataset
-// crawl, uninterrupted or killed under opts and resumed with
-// resumeWorkers, must write exactly WriteDataset(ref.Crawls).
-func checkDatasetCase(t *testing.T, label string, ref *Study, cfg StudyConfig, opts RunOptions,
+// crawl with HAR capture, uninterrupted or killed under opts and resumed
+// with resumeWorkers, must write exactly writeDataset(ref.Crawls) and
+// the reference's HAR archives.
+func checkDatasetCase(t *testing.T, label string, ref *reference, cfg StudyConfig, opts RunOptions,
 	killed bool, resumeWorkers int) {
 	var want bytes.Buffer
-	if err := WriteDataset(&want, ref.Crawls); err != nil {
+	if err := writeDataset(&want, ref.Crawls); err != nil {
 		t.Fatal(err)
 	}
-	out := filepath.Join(t.TempDir(), "dataset.jsonl")
+	dir := t.TempDir()
+	out, harDir := filepath.Join(dir, "dataset.jsonl"), filepath.Join(dir, "hars")
 	if !killed {
 		opts = RunOptions{}
 	} else {
-		if _, err := streamDataset(cfg, out, opts); !errors.Is(err, ErrAborted) {
+		if _, err := streamDataset(cfg, out, harDir, opts); !errors.Is(err, ErrAborted) {
 			t.Fatalf("%s: killed run returned %v, want ErrAborted", label, err)
 		}
 		opts.AbortAfter = 0
 		cfg.Workers = resumeWorkers
 	}
-	res, err := streamDataset(cfg, out, opts)
+	res, err := streamDataset(cfg, out, harDir, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -213,14 +297,14 @@ func checkDatasetCase(t *testing.T, label string, ref *Study, cfg StudyConfig, o
 		t.Errorf("%s: result %+v, want %d records, %d failed", label, res, ref.Analysis.TotalCrawled, ref.Analysis.TotalFailed())
 	}
 	checkDatasetFile(t, label, out, opts.CheckpointDir, want.Bytes())
+	checkHARDir(t, label, harDir, ref)
 }
 
 // TestStreamMatchesBatch locks in the Study-level face of the engine
 // against the crawlThenAnalyze oracle, for every worker count and fault
 // profile: the one-pass Run and a live RunStream both produce its
 // Analysis, cache totals included; Run keeps exactly the oracle's crawls
-// — records, Started and Ended — but no HAR, which only Study.Crawl
-// builds; RunStream keeps no crawls.
+// — records, Started and Ended; RunStream keeps no crawls.
 func TestStreamMatchesBatch(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	for _, profile := range []string{"", "flaky"} {
@@ -243,16 +327,8 @@ func TestStreamMatchesBatch(t *testing.T) {
 				t.Fatalf("%s: batch run kept %d crawls, want %d", label, len(batch.Crawls), len(ref.Crawls))
 			}
 			for i, c := range batch.Crawls {
-				want := *ref.Crawls[i]
-				if want.HAR == nil {
-					t.Errorf("%s: Study.Crawl of %s built no HAR", label, want.Exchange)
-				}
-				if c.HAR != nil {
-					t.Errorf("%s: batch run of %s built HAR", label, c.Exchange)
-				}
-				want.HAR = nil
-				if !reflect.DeepEqual(*c, want) {
-					t.Errorf("%s: batch crawl of %s differs from Study.Crawl's", label, c.Exchange)
+				if !reflect.DeepEqual(c, ref.Crawls[i]) {
+					t.Errorf("%s: batch crawl of %s differs from the oracle's", label, c.Exchange)
 				}
 			}
 			if len(stream.Crawls) != 0 {

@@ -62,7 +62,7 @@ func runHostileChaos(t testing.TB, seed uint64, profileName string, workers int)
 	if !profile.Zero() {
 		transport = httpsim.NewFaultInjector(transport, profile, seed+0x5eed)
 	}
-	crawls, err := crawler.CrawlAll([]*exchange.Exchange{ex}, transport, []int{120}, crawler.DefaultOptions(0))
+	crawls, err := crawlExchanges([]*exchange.Exchange{ex}, transport, []int{120})
 	if err != nil {
 		t.Fatalf("hostile chaos crawl (seed %d, profile %s): %v", seed, profileName, err)
 	}

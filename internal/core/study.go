@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/crawler"
 	"repro/internal/exchange"
@@ -112,8 +111,8 @@ type Study struct {
 	Steps     []int
 	Detector  *Detector
 	Analyzer  *Analyzer
-	// Crawls holds one crawl per exchange after Run (records and crawl
-	// window, no HAR) or Crawl (records and HAR); RunStream keeps none.
+	// Crawls holds one crawl per exchange — records and crawl window —
+	// after Run; RunStream and StreamDataset keep none.
 	Crawls   []*crawler.Crawl
 	Analysis *Analysis
 	// WrittenDelta holds the epoch delta RunStream wrote to
@@ -254,42 +253,12 @@ func (st *Study) BuildClassifier() *Classifier {
 
 // Run executes the study as one engine run over a live crawl — the same
 // pass as RunStream — and also keeps every record: st.Crawls holds each
-// exchange's records and crawl window, without HAR (only Crawl builds
-// HAR). When a fault profile is configured, only the crawl transport is
+// exchange's records and crawl window. When a fault profile is configured, only the crawl transport is
 // degraded: analysis-time network access (scanner UA fetches,
 // sub-resource pulls) runs against the clean universe, which is what
 // keeps verdicts on successfully-fetched URLs byte-identical to a
 // fault-free run.
 func (st *Study) Run() error { return st.runLive(RunOptions{}, true) }
-
-// Crawl is the collection half of the study, for HAR capture (slumcrawl
-// -hardir): it crawls every exchange concurrently with crawler.CrawlAll
-// and keeps the crawls — records and HAR — in st.Crawls without
-// analyzing them. Analyzer.Analyze over those crawls gives Run's
-// Analysis.
-func (st *Study) Crawl() error {
-	if st.Config.DriveShortenerTraffic {
-		st.driveShortenerTraffic()
-	}
-	crawlStart := time.Now()
-	crawls, err := crawler.CrawlAll(st.Exchanges, st.transport(), st.Steps, st.crawlOptions())
-	if err != nil {
-		return fmt.Errorf("core: crawl: %w", err)
-	}
-	crawlWall := time.Since(crawlStart)
-	st.Config.Metrics.Histogram("study.crawl_seconds").Observe(crawlWall.Seconds())
-	st.Crawls = crawls
-	// Crawl throughput in whole URLs/sec of wall time — a gauge, and like
-	// all gauges timing-dependent (never asserted exactly).
-	if secs := crawlWall.Seconds(); secs > 0 && st.Config.Metrics != nil {
-		urls := 0
-		for _, c := range crawls {
-			urls += len(c.Records)
-		}
-		st.Config.Metrics.Gauge("study.crawl_urls_per_sec").Set(int64(float64(urls) / secs))
-	}
-	return nil
-}
 
 // publishRenderMetrics drains the universe's render-cache counters into
 // the obs registry. Only called at deterministic completion points (end
@@ -309,22 +278,14 @@ func (st *Study) publishRenderMetrics() {
 	st.Config.Metrics.Counter("web.render.retired").Add(retired)
 }
 
-// transport assembles the crawl-path transport: the virtual internet,
-// wrapped in the configured fault injector when a profile is set. Crawl
-// goes through exactly this stack, and the engine's live source
-// (RunStream, StreamDataset) through the same stack around a visit
-// recorder, which is what makes their fetch streams — and therefore
-// their reports and datasets — interchangeable.
-func (st *Study) transport() httpsim.RoundTripper {
-	return st.transportOver(st.Universe.Internet)
-}
-
-// transportOver assembles the crawl-path stack over an inner transport —
-// normally the virtual internet; in RunStream each shard's visit
-// recorder wrapping it. The fault injector always goes OUTSIDE the inner
+// transportOver assembles the crawl-path stack over an inner transport:
+// in every engine run (Run, RunStream, StreamDataset) each shard's visit
+// recorder wrapping the virtual internet, which is what makes their
+// fetch streams — and therefore their reports and datasets —
+// interchangeable. The fault injector always goes OUTSIDE the inner
 // transport: every injection decision is a pure function of (seed, URL,
-// attempt), so per-shard injector instances reproduce the shared
-// instance's fault stream exactly, and synthesized faults (which never
+// attempt), so every shard's injector instance reproduces the same fault
+// stream whichever worker runs it, and synthesized faults (which never
 // reach the inner transport) stay invisible to whatever wraps it.
 func (st *Study) transportOver(inner httpsim.RoundTripper) httpsim.RoundTripper {
 	transport := inner

@@ -14,11 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sync"
 	"time"
 
 	"repro/internal/exchange"
-	"repro/internal/har"
 	"repro/internal/httpsim"
 	"repro/internal/obs"
 	"repro/internal/web"
@@ -66,7 +64,6 @@ type Crawl struct {
 	Exchange string
 	Kind     exchange.Kind
 	Records  []Record
-	HAR      *har.Log
 	// Started and Ended bound the virtual crawl window.
 	Started, Ended time.Time
 }
@@ -80,12 +77,6 @@ type Options struct {
 	Steps int
 	// Start is the virtual start time.
 	Start time.Time
-	// KeepBodies controls whether Record.Body is retained (the analysis
-	// pipeline needs it; set false for storage-light crawls re-analyzed
-	// from HAR).
-	KeepBodies bool
-	// CaptureHAR enables HAR building.
-	CaptureHAR bool
 	// Retries bounds re-fetch attempts after a retryable failure (total
 	// attempts per URL = 1 + Retries). A transport error is always
 	// isolated to the single URL; retries just decide how hard the
@@ -108,16 +99,14 @@ type Options struct {
 	Tracer  *obs.Tracer
 }
 
-// DefaultOptions returns crawl options with bodies and HAR enabled, two
-// retries per URL, and a 15s virtual fetch deadline.
+// DefaultOptions returns crawl options with two retries per URL and a 15s
+// virtual fetch deadline.
 func DefaultOptions(steps int) Options {
 	return Options{
 		Account:      "measurement-account",
 		IP:           "203.0.113.7",
 		Steps:        steps,
 		Start:        time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC),
-		KeepBodies:   true,
-		CaptureHAR:   true,
 		Retries:      2,
 		RetryBackoff: 500 * time.Millisecond,
 		FetchBudget:  15 * time.Second,
@@ -196,64 +185,40 @@ func NewClient(transport httpsim.RoundTripper) *httpsim.Client {
 	return c
 }
 
-// visitFunc receives each completed record as the crawl produces it. rec
-// is valid only for the duration of the call (the batch wrapper copies it;
-// streaming consumers must copy whatever they retain). res carries the raw
-// fetch result for HAR capture (nil or partial on failed fetches), and
-// pageClock is the virtual time the page load began (HAR page timestamp).
-// A non-nil error aborts the crawl.
-type visitFunc func(rec *Record, res *httpsim.Result, pageClock time.Time) error
+// Sink receives each completed record as the crawl produces it. rec is
+// valid only for the duration of the call, so a consumer copies the
+// record it retains (its Body is the fetch's own and never reused). res
+// is the raw fetch result, for HAR capture (nil or partial on a failed
+// fetch), and pageClock is the virtual time the page load began (the HAR
+// page timestamp). A non-nil error aborts the crawl.
+type Sink func(rec *Record, res *httpsim.Result, pageClock time.Time) error
 
 // CrawlExchange runs a full measurement session against one exchange,
-// accumulating records (and optionally a HAR archive) in memory.
+// accumulating its records in memory.
 func CrawlExchange(ex *exchange.Exchange, transport httpsim.RoundTripper, opts Options) (*Crawl, error) {
 	out := &Crawl{
 		Exchange: ex.Config().Name,
 		Kind:     ex.Config().Kind,
 		Records:  make([]Record, 0, max(opts.Steps, 0)),
 	}
-	var harb *har.Builder
-	if opts.CaptureHAR {
-		harb = har.NewBuilder()
-	}
-	visit := func(rec *Record, res *httpsim.Result, pageClock time.Time) error {
-		if harb != nil && rec.FetchErr == "" {
-			pid := harb.AddPage(rec.EntryURL, pageClock)
-			harb.AddResult(pid, BrowserUA, pageClock, res)
-		}
+	started, ended, err := CrawlExchangeStream(ex, transport, opts, func(rec *Record, _ *httpsim.Result, _ time.Time) error {
 		out.Records = append(out.Records, *rec)
 		return nil
-	}
-	started, ended, err := crawlExchange(ex, transport, opts, visit)
+	})
 	if err != nil {
 		return nil, err
 	}
 	out.Started, out.Ended = started, ended
-	if harb != nil {
-		out.HAR = harb.Log()
-	}
 	return out, nil
 }
 
-// CrawlExchangeStream surfs exactly like CrawlExchange but hands each
-// record to sink as it is produced instead of accumulating anything: no
-// record slice, no HAR (opts.CaptureHAR is ignored), so a crawl of any
-// length runs in O(1) memory. The *Record (including its Body) is only
-// valid for the duration of the sink call. Returns the virtual crawl
-// window.
-func CrawlExchangeStream(ex *exchange.Exchange, transport httpsim.RoundTripper, opts Options,
-	sink func(rec *Record) error) (started, ended time.Time, err error) {
-	return crawlExchange(ex, transport, opts, func(rec *Record, _ *httpsim.Result, _ time.Time) error {
-		return sink(rec)
-	})
-}
-
-// crawlExchange is the shared measurement loop: register, start a session,
+// CrawlExchangeStream is the measurement loop: register, start a session,
 // surf opts.Steps URLs (solving CAPTCHAs, following redirects, retrying
 // transient faults on a virtual-clock backoff), and hand every record to
-// visit in sequence order.
-func crawlExchange(ex *exchange.Exchange, transport httpsim.RoundTripper, opts Options,
-	visit visitFunc) (started, ended time.Time, err error) {
+// sink in sequence order, accumulating nothing, so a crawl of any length
+// runs in O(1) memory. Returns the virtual crawl window.
+func CrawlExchangeStream(ex *exchange.Exchange, transport httpsim.RoundTripper, opts Options,
+	sink Sink) (started, ended time.Time, err error) {
 	if opts.Steps <= 0 {
 		return time.Time{}, time.Time{}, errors.New("crawler: Steps must be positive")
 	}
@@ -278,7 +243,7 @@ func crawlExchange(ex *exchange.Exchange, transport httpsim.RoundTripper, opts O
 	urls := opts.Metrics.Lazy("crawl.urls")
 	fetchAttempts := opts.Metrics.Lazy("crawl.fetch_attempts")
 	fetched := opts.Metrics.Lazy("crawl.fetched")
-	// One record serves every step: visit sees it only for the duration
+	// One record serves every step: sink sees it only for the duration
 	// of the call, and every consumer copies what it keeps.
 	var rec Record
 
@@ -358,14 +323,12 @@ func crawlExchange(ex *exchange.Exchange, transport httpsim.RoundTripper, opts O
 			rec.Redirects = res.Redirects()
 			rec.Status = res.Final.StatusCode
 			rec.ContentType = res.Final.ContentType
-			if opts.KeepBodies {
-				rec.Body = res.Final.Body
-			}
+			rec.Body = res.Final.Body
 			for _, hop := range res.Chain {
 				clock = clock.Add(hop.Latency)
 			}
 		}
-		if err := visit(&rec, res, pageClock); err != nil {
+		if err := sink(&rec, res, pageClock); err != nil {
 			return time.Time{}, time.Time{}, err
 		}
 
@@ -378,52 +341,11 @@ func crawlExchange(ex *exchange.Exchange, transport httpsim.RoundTripper, opts O
 	return opts.Start, clock, nil
 }
 
-// CrawlAll measures every exchange with per-exchange step budgets,
-// returning crawls in input order. Exchanges are crawled concurrently —
-// the study ran its measurement accounts on all nine exchanges in
-// parallel over the same months. Each exchange gets its own account, IP
-// and session; the transport (the virtual internet) is safe for
-// concurrent use.
-func CrawlAll(exchanges []*exchange.Exchange, transport httpsim.RoundTripper, steps []int, base Options) ([]*Crawl, error) {
-	if len(exchanges) != len(steps) {
-		return nil, errors.New("crawler: exchanges/steps length mismatch")
-	}
-	out := make([]*Crawl, len(exchanges))
-	errs := make([]error, len(exchanges))
-	var wg sync.WaitGroup
-	for i, ex := range exchanges {
-		i, ex := i, ex
-		opts := perExchangeOptions(base, i, steps[i])
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[i], errs[i] = CrawlExchange(ex, transport, opts)
-		}()
-	}
-	wg.Wait()
-	// A structural failure (registration, session, captcha) on one
-	// exchange must not mask the others: join every error so the caller
-	// sees the full picture. Transport-level trouble never lands here —
-	// it is isolated per URL inside CrawlExchange.
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ExchangeOptions derives the i-th exchange's crawl options from the base
-// — the same derivation CrawlAll applies internally — exported so
-// external coordinators (the core study engine) that crawl exchanges one
-// at a time produce record streams identical to a full concurrent crawl,
-// shard by shard.
+// ExchangeOptions derives the i-th exchange's crawl options from the
+// base: its own step budget, account and IP. Every crawl of a study's
+// exchanges derives them this way, so the record streams are the same
+// whichever worker crawls which exchange.
 func ExchangeOptions(base Options, i, steps int) Options {
-	return perExchangeOptions(base, i, steps)
-}
-
-// perExchangeOptions derives the i-th exchange's crawl options from the
-// base: its own step budget, account and IP. Shared by CrawlAll and
-// ExchangeOptions so both produce identical record streams.
-func perExchangeOptions(base Options, i, steps int) Options {
 	opts := base
 	opts.Steps = steps
 	opts.Account = fmt.Sprintf("%s-%d", base.Account, i)

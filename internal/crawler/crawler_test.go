@@ -138,53 +138,46 @@ func TestCrawlRecordsRedirects(t *testing.T) {
 	}
 }
 
+// TestHARCapture checks what a sink gets for HAR capture: the fetch
+// result of every successful record, whose final hop is the record's
+// landing page, and a page clock no earlier than the record's timestamp.
+// The capture built from them round-trips through the HAR codec.
 func TestHARCapture(t *testing.T) {
 	u, ex := setup(t, exchange.AutoSurf)
-	crawl, err := CrawlExchange(ex, u.Internet, DefaultOptions(50))
+	l := har.NewLog()
+	okPages := 0
+	_, _, err := CrawlExchangeStream(ex, u.Internet, DefaultOptions(50), func(rec *Record, res *httpsim.Result, pageClock time.Time) error {
+		if rec.FetchErr != "" {
+			return nil
+		}
+		okPages++
+		if res == nil || len(res.Chain) != rec.Redirects+1 || res.FinalURL != rec.FinalURL {
+			t.Fatalf("record %d: sink got result %+v for final URL %s", rec.Seq, res, rec.FinalURL)
+		}
+		if pageClock.Before(rec.Timestamp) {
+			t.Fatalf("record %d: page clock %v before record timestamp %v", rec.Seq, pageClock, rec.Timestamp)
+		}
+		p := har.NewPage(len(l.Pages)+1, rec.EntryURL, pageClock)
+		l.Pages = append(l.Pages, p)
+		l.Entries = har.AppendResult(l.Entries, p.ID, BrowserUA, pageClock, res)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if crawl.HAR == nil {
-		t.Fatal("no HAR log")
+	if okPages == 0 || len(l.Pages) != okPages {
+		t.Fatalf("HAR pages = %d, successful fetches = %d", len(l.Pages), okPages)
 	}
-	okPages := 0
-	for _, r := range crawl.Records {
-		if r.FetchErr == "" {
-			okPages++
-		}
-	}
-	if len(crawl.HAR.Pages) != okPages {
-		t.Fatalf("HAR pages = %d, successful fetches = %d", len(crawl.HAR.Pages), okPages)
-	}
-	if len(crawl.HAR.Entries) < okPages {
-		t.Fatalf("HAR entries = %d < pages", len(crawl.HAR.Entries))
+	if len(l.Entries) < okPages {
+		t.Fatalf("HAR entries = %d < pages", len(l.Entries))
 	}
 	// Round-trip the HAR.
 	var buf bytes.Buffer
-	if err := har.Encode(&buf, crawl.HAR); err != nil {
+	if err := har.Encode(&buf, l); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := har.Decode(&buf); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCrawlWithoutBodiesOrHAR(t *testing.T) {
-	u, ex := setup(t, exchange.AutoSurf)
-	opts := DefaultOptions(30)
-	opts.KeepBodies = false
-	opts.CaptureHAR = false
-	crawl, err := CrawlExchange(ex, u.Internet, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if crawl.HAR != nil {
-		t.Fatal("HAR built despite CaptureHAR=false")
-	}
-	for _, r := range crawl.Records {
-		if len(r.Body) != 0 {
-			t.Fatal("body kept despite KeepBodies=false")
-		}
 	}
 }
 
@@ -240,42 +233,6 @@ func TestCrawlInvalidSteps(t *testing.T) {
 	}
 }
 
-func TestCrawlAll(t *testing.T) {
-	cfg := web.DefaultConfig()
-	cfg.Seed = 19
-	cfg.BenignSites = 150
-	cfg.MaliciousSites = 110
-	u := web.Generate(cfg)
-	pools, err := u.SplitPools(simrand.New(4), []web.PoolSpec{
-		{Benign: 60, Malicious: 30},
-		{Benign: 50, Malicious: 30},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex1 := exchange.New(exchange.Config{
-		Name: "A", Host: "a-ex.sim", Kind: exchange.AutoSurf,
-		MinSurfSeconds: 10, MalFrac: 0.2, SelfFrac: 0.05, PopularFrac: 0.05,
-	}, pools[0], u.PopularURLs, simrand.New(1))
-	ex2 := exchange.New(exchange.Config{
-		Name: "B", Host: "b-ex.sim", Kind: exchange.ManualSurf,
-		MinSurfSeconds: 20, MalFrac: 0.1, SelfFrac: 0.05, PopularFrac: 0.05,
-	}, pools[1], u.PopularURLs, simrand.New(2))
-	ex1.RegisterHomepage(u.Internet)
-	ex2.RegisterHomepage(u.Internet)
-
-	crawls, err := CrawlAll([]*exchange.Exchange{ex1, ex2}, u.Internet, []int{100, 40}, DefaultOptions(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(crawls) != 2 || len(crawls[0].Records) != 100 || len(crawls[1].Records) != 40 {
-		t.Fatalf("crawl shapes wrong: %d, %d", len(crawls[0].Records), len(crawls[1].Records))
-	}
-	if _, err := CrawlAll([]*exchange.Exchange{ex1}, u.Internet, []int{1, 2}, DefaultOptions(0)); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
 func TestAntiCloakingDownload(t *testing.T) {
 	// The crawler fetches with a browser UA, so cloaked sites expose
 	// their payload in Record.Body.
@@ -322,7 +279,6 @@ func BenchmarkCrawl100(b *testing.B) {
 		ex.RegisterHomepage(u.Internet)
 		opts := DefaultOptions(100)
 		opts.Account = "bench"
-		opts.CaptureHAR = false
 		if _, err := CrawlExchange(ex, u.Internet, opts); err != nil {
 			b.Fatal(err)
 		}

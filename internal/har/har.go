@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/httpsim"
@@ -95,46 +97,30 @@ type Timings struct {
 	Receive float64 `json:"receive"`
 }
 
-// Builder accumulates a HAR log.
-type Builder struct {
-	log     Log
-	pageSeq int
+// NewLog returns an empty log attributed to the simulated capture stack.
+func NewLog() *Log {
+	return &Log{Version: "1.2", Creator: Creator{Name: "slums-crawler", Version: "1.0"}}
 }
 
-// NewBuilder starts a log attributed to the simulated capture stack.
-func NewBuilder() *Builder {
-	return &Builder{
-		log: Log{
-			Version: "1.2",
-			Creator: Creator{Name: "slums-crawler", Version: "1.0"},
-		},
-	}
+// NewPage returns the n-th page (1-based) of a capture, page_n: the page
+// load of title begun at start.
+func NewPage(n int, title string, start time.Time) Page {
+	return Page{StartedDateTime: stamp(start), ID: "page_" + strconv.Itoa(n), Title: title}
 }
 
-// AddPage opens a page and returns its id for entry association.
-func (b *Builder) AddPage(title string, start time.Time) string {
-	b.pageSeq++
-	id := fmt.Sprintf("page_%d", b.pageSeq)
-	b.log.Pages = append(b.log.Pages, Page{
-		StartedDateTime: start.UTC().Format("2006-01-02T15:04:05.000Z07:00"),
-		ID:              id,
-		Title:           title,
-	})
-	return id
-}
-
-// AddResult appends one entry per hop of a completed fetch. The synthetic
-// latency is split across wait/receive the way browser captures look.
-func (b *Builder) AddResult(pageID, userAgent string, start time.Time, res *httpsim.Result) {
+// AppendResult appends one entry per hop of a completed fetch to dst, all
+// referring to page pageID. The synthetic latency is split across
+// wait/receive the way browser captures look.
+func AppendResult(dst []Entry, pageID, userAgent string, start time.Time, res *httpsim.Result) []Entry {
 	if res == nil {
-		return
+		return dst
 	}
 	at := start
 	for i, hop := range res.Chain {
 		totalMS := float64(hop.Latency) / float64(time.Millisecond)
 		entry := Entry{
 			Pageref:         pageID,
-			StartedDateTime: at.UTC().Format("2006-01-02T15:04:05.000Z07:00"),
+			StartedDateTime: stamp(at),
 			Time:            totalMS,
 			Request: Request{
 				Method:      "GET",
@@ -170,18 +156,60 @@ func (b *Builder) AddResult(pageID, userAgent string, start time.Time, res *http
 		if i == len(res.Chain)-1 && res.Final != nil {
 			entry.Response.Content.Text = string(res.Final.Body)
 		}
-		b.log.Entries = append(b.log.Entries, entry)
+		dst = append(dst, entry)
 		at = at.Add(hop.Latency)
 	}
+	return dst
 }
 
-// Log returns the built log.
-func (b *Builder) Log() *Log { return &b.log }
+// stamp formats a capture time the way NetExport does.
+func stamp(t time.Time) string {
+	return t.UTC().Format("2006-01-02T15:04:05.000Z07:00")
+}
 
 // Encode writes the log as HAR JSON ({"log": {...}}).
 func Encode(w io.Writer, l *Log) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(map[string]*Log{"log": l})
+}
+
+// A capture too large to hold is encoded piecewise: every page and every
+// entry on its own, with AppendElement, into a pages part and an entries
+// part, which JoinParts then wraps in the log envelope.
+
+// AppendElement appends the JSON encoding of v, a Page or an Entry, to
+// dst as the next element of a part whose earlier elements fill n bytes:
+// a comma unless n is 0, then v exactly as Encode writes it inside the
+// log's pages or entries array.
+func AppendElement(dst []byte, n int64, v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return dst, fmt.Errorf("har: encode: %w", err)
+	}
+	if n > 0 {
+		dst = append(dst, ',')
+	}
+	return append(dst, b...), nil
+}
+
+// JoinParts returns the HAR document of NewLog holding the elements of a
+// pages part and an entries part, as AppendElement wrote them. It is
+// byte-identical to Encode of that log: without pages there is no
+// "pages" key, and without entries "entries" is null.
+func JoinParts(pages, entries *io.SectionReader) io.Reader {
+	l := NewLog()
+	version, _ := json.Marshal(l.Version)
+	creator, _ := json.Marshal(l.Creator)
+	rs := []io.Reader{strings.NewReader(`{"log":{"version":` + string(version) + `,"creator":` + string(creator))}
+	if pages.Size() > 0 {
+		rs = append(rs, strings.NewReader(`,"pages":[`), pages, strings.NewReader(`]`))
+	}
+	if entries.Size() > 0 {
+		rs = append(rs, strings.NewReader(`,"entries":[`), entries, strings.NewReader(`]`))
+	} else {
+		rs = append(rs, strings.NewReader(`,"entries":null`))
+	}
+	return io.MultiReader(append(rs, strings.NewReader("}}\n"))...)
 }
 
 // Decode reads a HAR JSON document.
@@ -198,27 +226,6 @@ func Decode(r io.Reader) (*Log, error) {
 		return nil, fmt.Errorf("har: missing version")
 	}
 	return l, nil
-}
-
-// EntriesForPage returns the entries associated with a page id.
-func (l *Log) EntriesForPage(pageID string) []Entry {
-	var out []Entry
-	for _, e := range l.Entries {
-		if e.Pageref == pageID {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// FinalURLs returns, per page, the URL of the last entry — i.e. the
-// landing URL after redirects.
-func (l *Log) FinalURLs() map[string]string {
-	out := make(map[string]string)
-	for _, e := range l.Entries {
-		out[e.Pageref] = e.Request.URL
-	}
-	return out
 }
 
 func statusText(code int) string {

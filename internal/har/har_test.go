@@ -2,6 +2,8 @@ package har
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -20,12 +22,18 @@ func sampleResult() *httpsim.Result {
 	}
 }
 
-func TestBuilderProducesEntriesPerHop(t *testing.T) {
-	b := NewBuilder()
+// sampleLog is a one-page capture of sampleResult.
+func sampleLog(title string, start time.Time) *Log {
+	l := NewLog()
+	p := NewPage(1, title, start)
+	l.Pages = append(l.Pages, p)
+	l.Entries = AppendResult(l.Entries, p.ID, "UA", start, sampleResult())
+	return l
+}
+
+func TestResultProducesEntriesPerHop(t *testing.T) {
 	start := time.Date(2015, 6, 1, 12, 0, 0, 0, time.UTC)
-	pid := b.AddPage("http://a.example/", start)
-	b.AddResult(pid, "Mozilla/5.0", start, sampleResult())
-	l := b.Log()
+	l := sampleLog("http://a.example/", start)
 
 	if len(l.Pages) != 1 || len(l.Entries) != 2 {
 		t.Fatalf("pages=%d entries=%d, want 1 and 2", len(l.Pages), len(l.Entries))
@@ -39,6 +47,9 @@ func TestBuilderProducesEntriesPerHop(t *testing.T) {
 	if l.Entries[0].Response.Content.Text != "" {
 		t.Fatal("intermediate hop should not carry body text")
 	}
+	if l.Entries[0].Pageref != l.Pages[0].ID || l.Entries[1].Pageref != l.Pages[0].ID {
+		t.Fatalf("entries refer to %q and %q, page is %q", l.Entries[0].Pageref, l.Entries[1].Pageref, l.Pages[0].ID)
+	}
 	// The second entry must start after the first hop's latency.
 	if l.Entries[1].StartedDateTime <= l.Entries[0].StartedDateTime {
 		t.Fatalf("entry timestamps not advancing: %q vs %q",
@@ -47,13 +58,8 @@ func TestBuilderProducesEntriesPerHop(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	b := NewBuilder()
-	start := time.Date(2015, 6, 1, 12, 0, 0, 0, time.UTC)
-	pid := b.AddPage("session", start)
-	b.AddResult(pid, "UA", start, sampleResult())
-
 	var buf bytes.Buffer
-	if err := Encode(&buf, b.Log()); err != nil {
+	if err := Encode(&buf, sampleLog("session", time.Date(2015, 6, 1, 12, 0, 0, 0, time.UTC))); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"log"`) {
@@ -86,46 +92,16 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestEntriesForPage(t *testing.T) {
-	b := NewBuilder()
-	start := time.Now()
-	p1 := b.AddPage("one", start)
-	p2 := b.AddPage("two", start)
-	b.AddResult(p1, "UA", start, sampleResult())
-	b.AddResult(p2, "UA", start, sampleResult())
-	l := b.Log()
-	if got := len(l.EntriesForPage(p1)); got != 2 {
-		t.Fatalf("entries for p1 = %d", got)
-	}
-	if got := len(l.EntriesForPage("nonexistent")); got != 0 {
-		t.Fatalf("entries for unknown page = %d", got)
-	}
-}
-
-func TestFinalURLs(t *testing.T) {
-	b := NewBuilder()
-	start := time.Now()
-	pid := b.AddPage("one", start)
-	b.AddResult(pid, "UA", start, sampleResult())
-	finals := b.Log().FinalURLs()
-	if finals[pid] != "http://b.example/land" {
-		t.Fatalf("final URL = %q", finals[pid])
-	}
-}
-
 func TestAddResultNil(t *testing.T) {
-	b := NewBuilder()
-	b.AddResult("p", "UA", time.Now(), nil) // must not panic
-	if len(b.Log().Entries) != 0 {
+	if got := AppendResult(nil, "p", "UA", time.Now(), nil); len(got) != 0 {
 		t.Fatal("nil result added entries")
 	}
 }
 
 func TestPageIDsUnique(t *testing.T) {
-	b := NewBuilder()
 	ids := map[string]bool{}
-	for i := 0; i < 100; i++ {
-		id := b.AddPage("p", time.Now())
+	for i := 1; i <= 100; i++ {
+		id := NewPage(i, "p", time.Now()).ID
 		if ids[id] {
 			t.Fatalf("duplicate page id %q", id)
 		}
@@ -133,14 +109,64 @@ func TestPageIDsUnique(t *testing.T) {
 	}
 }
 
-func BenchmarkEncode(b *testing.B) {
-	bld := NewBuilder()
-	start := time.Now()
-	for i := 0; i < 100; i++ {
-		pid := bld.AddPage("p", start)
-		bld.AddResult(pid, "UA", start, sampleResult())
+// TestJoinPartsMatchesEncode checks the piecewise encoding against Encode
+// of the whole log: a capture of several pages, and one whose every
+// fetch failed, which has no pages and null entries.
+func TestJoinPartsMatchesEncode(t *testing.T) {
+	start := time.Date(2015, 6, 1, 12, 0, 0, 0, time.UTC)
+	full := NewLog()
+	for n := 1; n <= 3; n++ {
+		p := NewPage(n, fmt.Sprintf("http://entry%d.example/", n), start)
+		full.Pages = append(full.Pages, p)
+		full.Entries = AppendResult(full.Entries, p.ID, "UA <&>", start, sampleResult())
+		start = start.Add(time.Minute)
 	}
-	l := bld.Log()
+	for name, l := range map[string]*Log{"three pages": full, "every fetch failed": NewLog()} {
+		var want bytes.Buffer
+		if err := Encode(&want, l); err != nil {
+			t.Fatal(err)
+		}
+		var pages, entries []byte
+		var err error
+		for i := range l.Pages {
+			if pages, err = AppendElement(pages, int64(len(pages)), &l.Pages[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range l.Entries {
+			if entries, err = AppendElement(entries, int64(len(entries)), &l.Entries[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := io.ReadAll(JoinParts(sectionOf(pages), sectionOf(entries)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), got) {
+			t.Errorf("%s: joined parts differ from Encode:\n want %s\n got  %s", name, want.Bytes(), got)
+		}
+	}
+	var empty bytes.Buffer
+	if err := Encode(&empty, NewLog()); err != nil {
+		t.Fatal(err)
+	}
+	if s := empty.String(); strings.Contains(s, `"pages"`) || !strings.Contains(s, `"entries":null`) {
+		t.Errorf("a capture without pages encodes as %s, want no pages and null entries", s)
+	}
+}
+
+func sectionOf(b []byte) *io.SectionReader {
+	return io.NewSectionReader(bytes.NewReader(b), 0, int64(len(b)))
+}
+
+func BenchmarkEncode(b *testing.B) {
+	l := NewLog()
+	start := time.Now()
+	for i := 1; i <= 100; i++ {
+		p := NewPage(i, "p", start)
+		l.Pages = append(l.Pages, p)
+		l.Entries = AppendResult(l.Entries, p.ID, "UA", start, sampleResult())
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -52,7 +52,7 @@ func TestCrawlHealthReportDegraded(t *testing.T) {
 	for _, want := range []string{
 		"CRAWL HEALTH", "AutoX", "ManualY", "TOTAL",
 		"# Analyzed", "960", // 1000 crawled - 40 failed
-		"4.0%",  // AutoX failure rate
+		"4.0%", // AutoX failure rate
 		"timeout", "conn-reset", "http-5xx",
 		"60.0%", // timeout share of the taxonomy (30/50)
 		"153",   // total retries

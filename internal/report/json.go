@@ -29,12 +29,12 @@ type JSONReport struct {
 		MiscCount  int         `json:"miscCount"`
 		MiscShare  float64     `json:"miscShare"`
 	} `json:"table3"`
-	Table4      []JSONShortRow   `json:"table4"`
-	Figure3     []JSONSeries     `json:"figure3"`
+	Table4      []JSONShortRow    `json:"table4"`
+	Figure3     []JSONSeries      `json:"figure3"`
 	Figure5     []stats.IntBucket `json:"figure5"`
-	Figure6     []JSONShare      `json:"figure6"`
-	Figure7     []JSONShare      `json:"figure7"`
-	CrawlHealth *JSONCrawlHealth `json:"crawlHealth,omitempty"`
+	Figure6     []JSONShare       `json:"figure6"`
+	Figure7     []JSONShare       `json:"figure7"`
+	CrawlHealth *JSONCrawlHealth  `json:"crawlHealth,omitempty"`
 	// Metrics carries the observability export when the run was
 	// instrumented (-metrics); absent otherwise, keeping default JSON
 	// output identical to uninstrumented runs.
