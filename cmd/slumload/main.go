@@ -241,6 +241,24 @@ func retryAfterDelay(header string, fallback, remaining time.Duration) time.Dura
 	return d
 }
 
+// maxSubmitResponse caps the submit response body slumload reads. An
+// accepted job, a shed notice and an error message are each well under
+// a kilobyte.
+const maxSubmitResponse = 64 << 10
+
+// readCapped reads r to its end, failing when r holds more than limit
+// bytes or the read fails; either error names the limit.
+func readCapped(r io.Reader, limit int64) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, fmt.Errorf("read response body (limit %d bytes): %w", limit, err)
+	}
+	if int64(len(data)) > limit {
+		return nil, fmt.Errorf("response body exceeds the %d-byte limit", limit)
+	}
+	return data, nil
+}
+
 // submitAndPoll performs one scan submission (retrying sheds and rate
 // limits until accepted) and polls the job to completion.
 func submitAndPoll(httpc *http.Client, base, tenant string, batch []string,
@@ -262,8 +280,12 @@ func submitAndPoll(httpc *http.Client, base, tenant string, batch []string,
 			return fmt.Errorf("submit: %w", err)
 		}
 		res.submitLat.ObserveDuration(time.Since(t0))
-		data, _ := io.ReadAll(resp.Body)
+		data, err := readCapped(resp.Body, maxSubmitResponse)
 		resp.Body.Close()
+		if err != nil {
+			atomic.AddInt64(&res.otherErr, 1)
+			return fmt.Errorf("submit: %w", err)
+		}
 
 		switch resp.StatusCode {
 		case http.StatusAccepted:

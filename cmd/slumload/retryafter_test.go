@@ -2,11 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/obs"
@@ -168,5 +171,41 @@ func TestSubmitClampsHugeRetryAfter(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("huge Retry-After parked the client for %v past a 300ms deadline", elapsed)
+	}
+}
+
+// TestReadCapped pins the submit-response read: a body up to the limit
+// is read whole, one byte more is an error naming the limit, and a
+// failed read is an error naming both the limit and the failure.
+func TestReadCapped(t *testing.T) {
+	if got, err := readCapped(strings.NewReader("12345678"), 8); err != nil || string(got) != "12345678" {
+		t.Fatalf("body at the limit: %q, %v", got, err)
+	}
+	if _, err := readCapped(strings.NewReader("123456789"), 8); err == nil || !strings.Contains(err.Error(), "8-byte limit") {
+		t.Fatalf("body over the limit: err %v, want one naming the limit", err)
+	}
+	boom := errors.New("connection reset")
+	_, err := readCapped(io.MultiReader(strings.NewReader("1234"), iotest.ErrReader(boom)), 8)
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "limit 8 bytes") {
+		t.Fatalf("failed read: err %v, want one wrapping the failure and naming the limit", err)
+	}
+}
+
+// TestSubmitRejectsOversizedResponse serves a submit response larger
+// than maxSubmitResponse: submitAndPoll must fail with an error, count
+// it as an errored submission, and not buffer the rest of the body.
+func TestSubmitRejectsOversizedResponse(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		w.Write([]byte(`{"id":"` + strings.Repeat("x", maxSubmitResponse) + `"}`))
+	}))
+	t.Cleanup(srv.Close)
+	res := shedResult()
+	err := submitAndPoll(srv.Client(), srv.URL, "t0", []string{"http://x.test/"}, loadConfig{}, res, time.Now().Add(10*time.Second))
+	if err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Fatalf("err = %v, want a response-size error", err)
+	}
+	if res.attempted != 1 || res.otherErr != 1 || res.accepted != 0 {
+		t.Fatalf("attempted %d, errors %d, accepted %d; want 1, 1, 0", res.attempted, res.otherErr, res.accepted)
 	}
 }

@@ -144,15 +144,6 @@ func (fs *foldState) snapshot() *foldSnapshot {
 		distinct:   sortedSet(fs.distinct),
 	}
 	for _, ef := range fs.exchanges {
-		cum := ef.series.Cumulative()
-		bits := make([]byte, (len(cum)+7)/8)
-		prev := 0
-		for i, c := range cum {
-			if c > prev {
-				bits[i/8] |= 1 << (i % 8)
-			}
-			prev = c
-		}
 		kinds := make(map[string]int, len(ef.kinds))
 		for k, v := range ef.kinds {
 			kinds[k] = v
@@ -170,7 +161,7 @@ func (fs *foldState) snapshot() *foldSnapshot {
 			kinds:      kinds,
 			domains:    sortedSet(ef.domains),
 			malDomains: sortedSet(ef.malDomains),
-			seriesBits: bits,
+			seriesBits: ef.series.Bits(),
 		})
 	}
 	return snap
@@ -193,9 +184,9 @@ func (fs *foldState) restore(snap *foldSnapshot) error {
 }
 
 // mergeExchangeSnap additively folds one exchange snapshot into slot i.
-// Every field is a sum, a set union or a bit-replay, so merging is
+// Every field is a sum, a set union or a bit append, so merging is
 // commutative across slots; within a slot it must be the only contribution
-// (the Figure 3 series replays in record order — two partial series for
+// (the Figure 3 series appends in record order — two partial series for
 // the same exchange would interleave wrongly, which is exactly what the
 // shard merger's duplicate-index guard exists to prevent).
 func (fs *foldState) mergeExchangeSnap(i int, es *exchangeSnap) error {
@@ -221,9 +212,7 @@ func (fs *foldState) mergeExchangeSnap(i int, es *exchangeSnap) error {
 	for _, d := range es.malDomains {
 		ef.malDomains[d] = true
 	}
-	for j := 0; j < es.folded; j++ {
-		ef.series.Observe(es.seriesBits[j/8]&(1<<(j%8)) != 0)
-	}
+	ef.series.ObserveBits(es.seriesBits, es.folded)
 	return nil
 }
 

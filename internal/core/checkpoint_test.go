@@ -1,13 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/exchange"
+	"repro/internal/testutil"
 )
 
 // sampleFoldSnapshot is a hand-built accumulator image exercising every
@@ -446,4 +451,53 @@ func FuzzCheckpointDecode(f *testing.F) {
 			t.Fatal("accepted image does not re-encode to input bytes")
 		}
 	})
+}
+
+// TestSnapshotSeriesBits checks that a fold snapshot packs each Figure 3
+// series exactly as the checkpoint format defines it — bit j%8 of byte
+// j/8 set when observation j raised the cumulative count — and that
+// restoring the snapshot rebuilds the same series and the same bytes.
+func TestSnapshotSeriesBits(t *testing.T) {
+	rng := testutil.Rand(t)
+	lengths := []int{0, 1, 63, 64, 65, 1000, rng.Intn(5000), rng.Intn(5000)}
+	names := make([]string, len(lengths))
+	kinds := make([]exchange.Kind, len(lengths))
+	for i := range names {
+		names[i] = fmt.Sprintf("ex%d", i)
+	}
+	fs := newFoldState(nil, names, kinds)
+	for i, n := range lengths {
+		ef := fs.exchanges[i]
+		for j := 0; j < n; j++ {
+			ef.series.Observe(rng.Intn(3) == 0)
+		}
+		ef.folded, ef.row.Self = n, n
+	}
+	snap := fs.snapshot()
+	for i, ef := range fs.exchanges {
+		cum := ef.series.Cumulative()
+		want := make([]byte, (len(cum)+7)/8)
+		prev := 0
+		for j, c := range cum {
+			if c > prev {
+				want[j/8] |= 1 << (j % 8)
+			}
+			prev = c
+		}
+		if got := snap.exchanges[i].seriesBits; !bytes.Equal(got, want) {
+			t.Fatalf("%d observations: snapshot bits %x, want %x", lengths[i], got, want)
+		}
+	}
+	back := newFoldState(nil, names, kinds)
+	if err := back.restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	for i := range fs.exchanges {
+		if got, want := back.exchanges[i].series.Cumulative(), fs.exchanges[i].series.Cumulative(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d observations: restored series differs", lengths[i])
+		}
+	}
+	if !bytes.Equal(encodeFoldPayload(back.snapshot()), encodeFoldPayload(snap)) {
+		t.Fatal("restored fold snapshots to other bytes")
+	}
 }

@@ -185,12 +185,13 @@ func NewClient(transport httpsim.RoundTripper) *httpsim.Client {
 	return c
 }
 
-// Sink receives each completed record as the crawl produces it. rec is
-// valid only for the duration of the call, so a consumer copies the
-// record it retains (its Body is the fetch's own and never reused). res
-// is the raw fetch result, for HAR capture (nil or partial on a failed
-// fetch), and pageClock is the virtual time the page load began (the HAR
-// page timestamp). A non-nil error aborts the crawl.
+// Sink receives each completed record as the crawl produces it. rec and
+// res are valid only for the duration of the call, so a consumer copies
+// what it retains (rec's Body and res.Final belong to the transport and
+// are never reused). res is the raw fetch result, for HAR capture
+// (partial on a failed fetch), and pageClock is the virtual time the
+// page load began (the HAR page timestamp). A non-nil error aborts the
+// crawl.
 type Sink func(rec *Record, res *httpsim.Result, pageClock time.Time) error
 
 // CrawlExchange runs a full measurement session against one exchange,
@@ -243,9 +244,11 @@ func CrawlExchangeStream(ex *exchange.Exchange, transport httpsim.RoundTripper, 
 	urls := opts.Metrics.Lazy("crawl.urls")
 	fetchAttempts := opts.Metrics.Lazy("crawl.fetch_attempts")
 	fetched := opts.Metrics.Lazy("crawl.fetched")
-	// One record serves every step: sink sees it only for the duration
-	// of the call, and every consumer copies what it keeps.
+	// One record and one fetch serve every step and retry: sink sees
+	// them only for the duration of the call, and every consumer copies
+	// what it keeps.
 	var rec Record
+	var fetch httpsim.Fetch
 
 	for i := 0; i < opts.Steps; i++ {
 		// Manual-surf exchanges gate each step behind a CAPTCHA; the
@@ -278,7 +281,7 @@ func CrawlExchangeStream(ex *exchange.Exchange, transport httpsim.RoundTripper, 
 		attempt := 1
 		for {
 			fetchAttempts.Inc()
-			res, ferr = client.Do(step.URL, BrowserUA, home, attempt)
+			res, ferr = client.DoWith(&fetch, step.URL, BrowserUA, home, attempt)
 			if ferr == nil && res.Final != nil && transient5xx(res.Final.StatusCode) {
 				ferr = fmt.Errorf("%w: http %d from %s", errTransient5xx,
 					res.Final.StatusCode, res.FinalURL)
@@ -306,7 +309,7 @@ func CrawlExchangeStream(ex *exchange.Exchange, transport httpsim.RoundTripper, 
 			// the crawl-health section), but never a body: partial or
 			// error-page content must not reach the scanners as if it
 			// were the page.
-			if res != nil && len(res.Chain) > 0 {
+			if len(res.Chain) > 0 {
 				rec.FinalURL = res.FinalURL
 				rec.Redirects = res.Redirects()
 				if res.Final != nil {

@@ -415,9 +415,10 @@ func (e *Exchange) RegisterHomepage(in *httpsim.Internet) {
 <div id="surfbar">Timer: <span id="t">%d</span>s</div>
 <iframe id="surf-frame" src="about:blank" width="100%%" height="90%%"></iframe>
 </body></html>`, e.cfg.Name, e.cfg.Name, e.cfg.Kind, e.cfg.MinSurfSeconds)
-	in.Register(e.cfg.Host, func(req *httpsim.Request) *httpsim.Response {
-		return httpsim.HTML(home)
-	})
+	// One immutable response serves every visit (see
+	// httpsim.Response.Complete).
+	resp := httpsim.HTML(home).Complete(e.HomeURL())
+	in.Register(e.cfg.Host, func(*httpsim.Request) *httpsim.Response { return resp })
 }
 
 // SubmitSite lists a member's website for traffic barter. The exchanges

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 // byTag returns the elements with the given tag, in document order.
@@ -245,7 +247,7 @@ func TestParseNeverPanicsProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, testutil.QuickConfig(t, 500)); err != nil {
 		t.Fatal(err)
 	}
 }

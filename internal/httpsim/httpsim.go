@@ -15,7 +15,6 @@ package httpsim
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -49,7 +48,10 @@ func (r *Request) method() string {
 	return r.Method
 }
 
-// Response is a simulated HTTP response (one hop).
+// Response is a simulated HTTP response (one hop). A Response a handler
+// or transport returns is read-only: handlers share one across requests
+// (see Complete), and a layer that changes a field changes a copy, as
+// FaultInjector does.
 type Response struct {
 	StatusCode  int
 	ContentType string
@@ -135,7 +137,9 @@ func (in *Internet) NumHosts() int {
 }
 
 // RoundTrip performs a single request/response exchange (no redirect
-// following). Unknown hosts return ErrNoHost, the NXDOMAIN analog.
+// following). Unknown hosts return ErrNoHost, the NXDOMAIN analog. The
+// response is complete for req.URL (see Complete) and is never a
+// handler's response written in place.
 func (in *Internet) RoundTrip(req *Request) (*Response, error) {
 	p, err := urlutil.Parse(req.URL)
 	if err != nil {
@@ -149,21 +153,45 @@ func (in *Internet) RoundTrip(req *Request) (*Response, error) {
 	}
 	resp := h(req)
 	if resp == nil {
-		resp = &Response{StatusCode: 500}
+		return (&Response{StatusCode: 500}).Complete(req.URL), nil
 	}
-	if resp.ContentType == "" && resp.StatusCode < 300 {
-		resp.ContentType = "text/html"
+	if resp.completeFor(req.URL) {
+		return resp, nil
 	}
-	resp.Latency = syntheticLatency(req.URL)
-	return resp, nil
+	out := *resp
+	return out.Complete(req.URL), nil
+}
+
+// Complete fills in, in place, the fields Internet.RoundTrip derives
+// for a request to url — the default content type and the synthetic
+// latency — and returns r. RoundTrip never writes to a handler's
+// response: it returns one already complete for the request's URL as
+// is, and a completed copy of any other. A handler that shares one
+// response across requests completes it for the URL it was made for
+// before publishing it, and never writes to it again.
+func (r *Response) Complete(url string) *Response {
+	if r.ContentType == "" && r.StatusCode < 300 {
+		r.ContentType = "text/html"
+	}
+	r.Latency = syntheticLatency(url)
+	return r
+}
+
+// completeFor reports whether Complete(url) would leave r unchanged.
+func (r *Response) completeFor(url string) bool {
+	return (r.ContentType != "" || r.StatusCode >= 300) && r.Latency == syntheticLatency(url)
 }
 
 // syntheticLatency derives a stable pseudo-latency in [20ms, 500ms] from
-// the URL, so HAR timings look realistic and experiments stay repeatable.
+// the URL (FNV-1a, 32-bit), so HAR timings look realistic and
+// experiments stay repeatable.
 func syntheticLatency(url string) time.Duration {
-	h := fnv.New32a()
-	h.Write([]byte(url))
-	return time.Duration(20+int(h.Sum32()%481)) * time.Millisecond
+	h := uint32(2166136261)
+	for i := 0; i < len(url); i++ {
+		h ^= uint32(url[i])
+		h *= 16777619
+	}
+	return time.Duration(20+int(h%481)) * time.Millisecond
 }
 
 // Hop is one step of a redirect chain.
@@ -242,18 +270,38 @@ func (c *Client) Get(url, userAgent, referrer string) (*Result, error) {
 // Do is Get with an explicit 1-based attempt number, threaded into every
 // hop's Request so the fault-injection layer can re-roll per retry. Even
 // on error the returned Result carries the hops completed so far, letting
-// callers account for partial chains.
+// callers account for partial chains. Each call allocates its own Fetch,
+// so concurrent callers may share the Client.
 func (c *Client) Do(url, userAgent, referrer string, attempt int) (*Result, error) {
-	// One allocation per fetch: the Result, room for a single-hop chain
-	// and the hop Request live together. Nothing lives on the Client,
-	// which concurrent callers share.
-	f := &fetch{}
+	return c.DoWith(new(Fetch), url, userAgent, referrer, attempt)
+}
+
+// Fetch is the storage behind one fetch: its Result, room for a one-hop
+// chain, the hop Request and the redirect-loop set. A serial caller
+// keeps one and hands it to every DoWith call, so its fetches allocate
+// nothing of their own; the zero value is ready to use.
+type Fetch struct {
+	res  Result
+	hop  [1]Hop
+	req  Request
+	seen map[string]bool
+}
+
+// DoWith is Do on caller-owned storage. The returned Result lives in f:
+// it is valid until the next DoWith call with the same f, so a caller
+// copies whatever it keeps (the Final response and its body are never
+// part of f and stay valid).
+func (c *Client) DoWith(f *Fetch, url, userAgent, referrer string, attempt int) (*Result, error) {
+	chain := f.res.Chain[:0]
+	if cap(chain) == 0 {
+		chain = f.hop[:0]
+	}
+	f.res = Result{Chain: chain}
 	res := &f.res
-	res.Chain = f.hop[:0]
 	// Loop detection needs the set of prior hop URLs; single-hop fetches —
 	// the overwhelming majority — never need the map, so allocate it only
-	// once a redirect is actually followed.
-	var seen map[string]bool
+	// once a redirect is actually followed, and keep it in f for reuse.
+	clear(f.seen)
 	first := ""
 	current := url
 	ref := referrer
@@ -270,13 +318,16 @@ func (c *Client) Do(url, userAgent, referrer string, attempt int) (*Result, erro
 		if hop == 0 {
 			first = norm
 		} else {
-			if seen == nil {
-				seen = map[string]bool{first: true}
+			if len(f.seen) == 0 {
+				if f.seen == nil {
+					f.seen = make(map[string]bool)
+				}
+				f.seen[first] = true
 			}
-			if seen[norm] {
+			if f.seen[norm] {
 				return res, fmt.Errorf("%w: %s", ErrRedirectLoop, norm)
 			}
-			seen[norm] = true
+			f.seen[norm] = true
 		}
 
 		f.req = Request{URL: current, UserAgent: userAgent, Referrer: ref, Attempt: attempt}
@@ -327,13 +378,6 @@ func (c *Client) Do(url, userAgent, referrer string, attempt int) (*Result, erro
 		current = next
 	}
 	return res, ErrTooManyRedirects
-}
-
-// fetch is the single allocation behind one Client.Do call.
-type fetch struct {
-	res Result
-	hop [1]Hop
-	req Request
 }
 
 func isHTML(contentType string) bool {

@@ -2,9 +2,12 @@ package httpsim
 
 import (
 	"errors"
+	"hash/fnv"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/htmlparse"
 )
@@ -359,5 +362,76 @@ func TestPermanentRedirectFollowed(t *testing.T) {
 	}
 	if res.Redirects() != 1 || res.FinalURL != "http://new.example/" {
 		t.Fatalf("301 chain = %+v", res.Chain)
+	}
+}
+
+// TestRoundTripNeverWritesHandlerResponse checks the transport's
+// immutability contract: a handler response already complete for the
+// request's URL comes back as is, any other comes back as a completed
+// copy, and the handler's response is never written.
+func TestRoundTripNeverWritesHandlerResponse(t *testing.T) {
+	const url, twin = "http://shared.example/page", "http://shared.example/page?twin"
+	done := HTML("<html>done</html>").Complete(url)
+	bare := Binary("", []byte("bare"))
+	in := NewInternet()
+	in.Register("shared.example", func(req *Request) *Response {
+		if strings.Contains(req.URL, "bare") {
+			return bare
+		}
+		return done
+	})
+	if got, _ := in.RoundTrip(&Request{URL: url}); got != done {
+		t.Fatal("a response complete for the request URL was copied")
+	}
+	got, _ := in.RoundTrip(&Request{URL: twin})
+	if got == done || got.Latency != syntheticLatency(twin) || done.Latency != syntheticLatency(url) {
+		t.Fatalf("twin spelling: got %p latency %v, template %p latency %v", got, got.Latency, done, done.Latency)
+	}
+	got, _ = in.RoundTrip(&Request{URL: "http://shared.example/bare"})
+	if got == bare || got.ContentType != "text/html" || got.Latency != syntheticLatency("http://shared.example/bare") {
+		t.Fatalf("incomplete response: got %+v", got)
+	}
+	if bare.ContentType != "" || bare.Latency != 0 {
+		t.Fatalf("handler response written: %+v", bare)
+	}
+}
+
+// TestSyntheticLatencyIsFNV1a pins the latency hash to FNV-1a: every HAR
+// timing and virtual clock reading derives from it.
+func TestSyntheticLatencyIsFNV1a(t *testing.T) {
+	for _, url := range []string{"", "http://a.example/", "http://end.example/final?x=1", strings.Repeat("é", 300)} {
+		h := fnv.New32a()
+		h.Write([]byte(url))
+		if want := time.Duration(20+int(h.Sum32()%481)) * time.Millisecond; syntheticLatency(url) != want {
+			t.Fatalf("syntheticLatency(%q) = %v, want %v", url, syntheticLatency(url), want)
+		}
+	}
+}
+
+// TestDoWithReusesFetch runs chains, loops and single hops back to back
+// on one Fetch: each result must equal a fresh Do's, and a single-hop
+// fetch of a shared, complete response must allocate nothing.
+func TestDoWithReusesFetch(t *testing.T) {
+	in := newTestNet()
+	in.Register("loop.example", func(req *Request) *Response {
+		return Redirect("http://loop.example/")
+	})
+	page := HTML("<html>page</html>").Complete("http://page.example/")
+	in.Register("page.example", func(*Request) *Response { return page })
+	c := NewClient(in)
+	var f Fetch
+	for _, url := range []string{"http://start.example/", "http://loop.example/", "http://page.example/",
+		"http://start.example/", "http://loop.example/", "http://mid.example/hop"} {
+		got, gotErr := c.DoWith(&f, url, "UA", "http://ref.example/", 1)
+		want, wantErr := c.Do(url, "UA", "http://ref.example/", 1)
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("%s: err %v, want %v", url, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got.Chain, want.Chain) || got.FinalURL != want.FinalURL || !reflect.DeepEqual(got.Final, want.Final) {
+			t.Fatalf("%s: reused fetch gave %+v, want %+v", url, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { c.DoWith(&f, "http://page.example/", "UA", "", 1) }); n != 0 {
+		t.Fatalf("single-hop DoWith allocates %v times, want 0", n)
 	}
 }

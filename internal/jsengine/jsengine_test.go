@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 func mustTrace(t *testing.T, src string) *Trace {
@@ -262,7 +264,7 @@ func TestCharCodeRoundTrip(t *testing.T) {
 		}
 		return len(tr.Writes) == 1 && tr.Writes[0] == payload
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, testutil.QuickConfig(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/jsengine"
+	"repro/internal/testutil"
 )
 
 func TestBenignDocumentParses(t *testing.T) {
@@ -207,7 +208,7 @@ func TestParseNeverPanicsOnFuzz(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 600}); err != nil {
+	if err := quick.Check(f, testutil.QuickConfig(t, 600)); err != nil {
 		t.Fatal(err)
 	}
 }

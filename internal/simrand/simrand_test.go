@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -220,7 +222,7 @@ func TestWordProperties(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, testutil.QuickConfig(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -241,7 +243,7 @@ func TestTokenProperties(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, testutil.QuickConfig(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -239,6 +239,7 @@ func TestDownsampleBoundaryTable(t *testing.T) {
 		for i := 0; i < n; i++ {
 			s.Observe(i%3 == 0) // any deterministic hit pattern
 		}
+		cum := s.Cumulative()
 		for k := -2; k <= n+5; k++ {
 			got := s.Downsample(k)
 			if n == 0 || k <= 0 {
@@ -259,7 +260,7 @@ func TestDownsampleBoundaryTable(t *testing.T) {
 				if p.X <= prevX || p.X > n {
 					t.Fatalf("n=%d k=%d: x=%d not strictly increasing in (0,%d]: %+v", n, k, p.X, n, got)
 				}
-				if want := s.cum[p.X-1]; p.Y != want {
+				if want := cum[p.X-1]; p.Y != want {
 					t.Fatalf("n=%d k=%d: y=%d at x=%d, want %d", n, k, p.Y, p.X, want)
 				}
 				prevX = p.X

@@ -8,6 +8,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -196,8 +197,17 @@ func (h *IntHist) Mean() float64 {
 // Series is a cumulative time series: the i-th point is the cumulative
 // count of "hits" (e.g. malicious URLs) after i+1 observations (e.g.
 // crawled URLs). This is exactly the axes of Figure 3.
+//
+// The cumulative count rises by 0 or 1 per observation, so the series is
+// stored as one bit per observation, 64 to a word, with the hit count
+// before each word; any cumulative point is then a prefix count plus one
+// popcount.
 type Series struct {
-	cum []int
+	n     int      // observations
+	hits  int      // hits over all observations
+	words []uint64 // bit i%64 of words[i/64]: observation i was a hit
+	// before[w] is the number of hits in words[:w].
+	before []int
 }
 
 // NewSeries returns an empty series.
@@ -206,33 +216,84 @@ func NewSeries() *Series { return &Series{} }
 // Observe appends one observation; hit says whether it increments the
 // cumulative count.
 func (s *Series) Observe(hit bool) {
-	last := 0
-	if len(s.cum) > 0 {
-		last = s.cum[len(s.cum)-1]
-	}
+	var w uint64
 	if hit {
-		last++
+		w = 1
 	}
-	s.cum = append(s.cum, last)
+	s.push(w, 1)
+}
+
+// push appends the low k (1..64) bits of w as k observations; w has no
+// bit set at or above k.
+func (s *Series) push(w uint64, k int) {
+	if off := s.n % 64; off == 0 {
+		s.words = append(s.words, w)
+		s.before = append(s.before, s.hits)
+	} else {
+		last := len(s.words) - 1
+		s.words[last] |= w << off
+		if off+k > 64 {
+			s.words = append(s.words, w>>(64-off))
+			s.before = append(s.before, s.before[last]+bits.OnesCount64(s.words[last]))
+		}
+	}
+	s.n += k
+	s.hits += bits.OnesCount64(w)
+}
+
+// ObserveBits appends n observations packed one bit each, least
+// significant bit first: observation j is a hit when bit j%8 of
+// packed[j/8] is set. Bits past the n-th are ignored. It is Observe over
+// the unpacked bits, a word at a time.
+func (s *Series) ObserveBits(packed []byte, n int) {
+	for done := 0; done < n; done += 64 {
+		k := min(n-done, 64)
+		var w uint64
+		for i, b := range packed[done/8 : (done+k+7)/8] {
+			w |= uint64(b) << (8 * i)
+		}
+		if k < 64 {
+			w &= 1<<k - 1
+		}
+		s.push(w, k)
+	}
+}
+
+// Bits returns the series packed as ObserveBits reads it: (Len()+7)/8
+// bytes, with the unused high bits of the last byte clear.
+func (s *Series) Bits() []byte {
+	out := make([]byte, (s.n+7)/8)
+	for i := range out {
+		out[i] = byte(s.words[i/8] >> (8 * (i % 8)))
+	}
+	return out
+}
+
+// upTo returns the cumulative count after the first m observations.
+func (s *Series) upTo(m int) int {
+	w := m / 64
+	if w == len(s.words) {
+		return s.hits
+	}
+	return s.before[w] + bits.OnesCount64(s.words[w]&(1<<(m%64)-1))
 }
 
 // Len returns the number of observations.
-func (s *Series) Len() int { return len(s.cum) }
+func (s *Series) Len() int { return s.n }
 
-// Cumulative returns a copy of the cumulative counts.
+// Cumulative returns the cumulative counts, one per observation.
 func (s *Series) Cumulative() []int {
-	out := make([]int, len(s.cum))
-	copy(out, s.cum)
+	out := make([]int, s.n)
+	c := 0
+	for i := range out {
+		c += int(s.words[i/64] >> (i % 64) & 1)
+		out[i] = c
+	}
 	return out
 }
 
 // Final returns the final cumulative count (0 if empty).
-func (s *Series) Final() int {
-	if len(s.cum) == 0 {
-		return 0
-	}
-	return s.cum[len(s.cum)-1]
-}
+func (s *Series) Final() int { return s.hits }
 
 // Burst is a window of observations whose hit rate far exceeds the series
 // average — the Figure 3 signature of a paid campaign on a manual-surf
@@ -250,7 +311,7 @@ type Burst struct {
 // silently dropped. A smooth near-linear series — the auto-surf signature
 // — yields no bursts.
 func (s *Series) Bursts(window int, factor float64) []Burst {
-	n := len(s.cum)
+	n := s.n
 	if n == 0 || window <= 0 || window > n {
 		return nil
 	}
@@ -267,7 +328,7 @@ func (s *Series) Bursts(window int, factor float64) []Burst {
 		if end > n {
 			end = n // trailing partial window
 		}
-		hits := s.cum[end-1] - prevCum(s.cum, i)
+		hits := s.upTo(end) - s.upTo(i)
 		rate := float64(hits) / float64(end-i)
 		if rate >= threshold {
 			if !inBurst {
@@ -286,15 +347,8 @@ func (s *Series) Bursts(window int, factor float64) []Burst {
 }
 
 func (s *Series) makeBurst(start, end int) Burst {
-	hits := s.cum[end-1] - prevCum(s.cum, start)
+	hits := s.upTo(end) - s.upTo(start)
 	return Burst{Start: start, End: end, Rate: float64(hits) / float64(end-start)}
-}
-
-func prevCum(cum []int, i int) int {
-	if i == 0 {
-		return 0
-	}
-	return cum[i-1]
 }
 
 // Downsample returns k evenly spaced (x, y) points of the series for
@@ -303,7 +357,7 @@ func prevCum(cum []int, i int) int {
 // bucket is represented, never dropped — and the x values are strictly
 // increasing.
 func (s *Series) Downsample(k int) []Point {
-	n := len(s.cum)
+	n := s.n
 	if n == 0 || k <= 0 {
 		return nil
 	}
@@ -316,7 +370,7 @@ func (s *Series) Downsample(k int) []Point {
 		if idx > n {
 			idx = n
 		}
-		out = append(out, Point{X: idx, Y: s.cum[idx-1]})
+		out = append(out, Point{X: idx, Y: s.upTo(idx)})
 	}
 	return out
 }
@@ -341,9 +395,13 @@ func downsampleIdx(i, n, k int) int {
 // computed negative hit counts for any window spanning a boundary,
 // splitting or dropping bursts that crossed epochs.
 func (s *Series) AppendSegment(seg *Series) {
-	base := s.Final()
-	for _, c := range seg.cum {
-		s.cum = append(s.cum, base+c)
+	words, n := seg.words, seg.n
+	if seg == s {
+		// push writes into s.words' last word, which is seg's too.
+		words = append([]uint64(nil), words...)
+	}
+	for i, w := range words {
+		s.push(w, min(n-64*i, 64))
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -160,7 +162,7 @@ func TestSeriesMonotoneProperty(t *testing.T) {
 		}
 		return s.Final() == prev
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, testutil.QuickConfig(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }

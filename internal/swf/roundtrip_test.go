@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 // TestEncodeDecodeEncodeStable: re-encoding a decoded movie's semantic
@@ -47,7 +49,7 @@ func TestEncodeDecodeEncodeStable(t *testing.T) {
 		}
 		return equalTraces(beh1, beh2) && bytesStable(data)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, testutil.QuickConfig(t, 300)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 // buildAdFlash assembles the §V-D AdFlash46-style malicious movie: an
@@ -185,7 +187,7 @@ func TestDecodeNeverPanicsOnFuzz(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 800}); err != nil {
+	if err := quick.Check(f, testutil.QuickConfig(t, 800)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 func TestParseBasics(t *testing.T) {
@@ -76,7 +78,7 @@ func TestNormalizeIdempotent(t *testing.T) {
 		n2, err := Normalize(n1)
 		return err == nil && n1 == n2
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, testutil.QuickConfig(t, 300)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -218,7 +220,7 @@ func TestParsedStringRoundTrip(t *testing.T) {
 		}
 		return p.String() == p2.String()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, testutil.QuickConfig(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -306,12 +306,14 @@ func (u *Universe) addSite(s *Site) {
 // exact-size body that belongs to the cache for good (see renderHTML).
 // Rendering — rng seeding, word generation, body building — dominated
 // the whole pipeline's CPU and allocation profile before memoization; a
-// cache hit is two map probes and one small struct copy. The cache
-// stores immutable templates and hands each request a
-// fresh shallow copy, because the transport stamps per-request fields
-// (Latency, default ContentType) onto the returned struct; bodies are
-// shared, which is safe — nothing in the stack mutates body bytes (the
-// fault injector degrades a copy and truncates by reslicing).
+// cache hit is two map probes and allocates nothing. The cache stores
+// immutable templates and hands every request the template itself:
+// serve completes a template before publishing it (meta-refresh stamp,
+// default content type, and the latency of the URL it was rendered
+// for), the transport never writes to a response, and the fault
+// injector degrades a copy. A request that spells the path's URL
+// differently (another query string, say) gets its own latency from a
+// completed copy the transport makes (see httpsim.Response.Complete).
 type pageCache struct {
 	limit int
 	// stats aggregates traffic into the owning RenderCache's counters;
@@ -323,10 +325,11 @@ type pageCache struct {
 }
 
 // serve returns the memoized response for (key, bot), rendering and
-// (capacity permitting) caching on miss. Renders are deterministic, so a
+// (capacity permitting) caching on miss; url is the request's URL, which
+// a fresh render is completed for. Renders are deterministic, so a
 // concurrent double-render produces identical bytes and either copy may
 // win the insert race; only the winner's insert counts as the miss.
-func (c *pageCache) serve(key string, bot bool, render func() *httpsim.Response) *httpsim.Response {
+func (c *pageCache) serve(key, url string, bot bool, render func() *httpsim.Response) *httpsim.Response {
 	m := c.user
 	if bot {
 		m = c.bot
@@ -334,31 +337,31 @@ func (c *pageCache) serve(key string, bot bool, render func() *httpsim.Response)
 	c.mu.RLock()
 	tmpl := m[key]
 	c.mu.RUnlock()
-	if tmpl == nil {
-		tmpl = render()
-		// Stamp the meta-refresh extraction on the template while it is
-		// still private: once published under the lock, concurrent serves
-		// shallow-copy it and a late write would race. The stamp turns the
-		// client's per-fetch body scan into a field read for every serve
-		// of this render (see httpsim.Response.MetaRefresh).
-		tmpl.MetaRefresh = MetaRefreshTarget(tmpl.Body)
-		tmpl.MetaRefreshKnown = true
-		c.mu.Lock()
-		if cached, ok := m[key]; ok {
-			tmpl = cached
-			c.stats.hits.Add(1)
-		} else if len(m) < c.limit {
-			m[key] = tmpl
-			c.stats.misses.Add(1)
-		} else {
-			c.stats.uncached.Add(1)
-		}
-		c.mu.Unlock()
-	} else {
+	if tmpl != nil {
 		c.stats.hits.Add(1)
+		return tmpl
 	}
-	out := *tmpl
-	return &out
+	tmpl = render()
+	// Complete the template while it is still private: once published
+	// under the lock, concurrent serves share it and a late write would
+	// race. The meta-refresh stamp turns the client's per-fetch body
+	// scan into a field read for every serve of this render (see
+	// httpsim.Response.MetaRefresh).
+	tmpl.MetaRefresh = MetaRefreshTarget(tmpl.Body)
+	tmpl.MetaRefreshKnown = true
+	tmpl.Complete(url)
+	c.mu.Lock()
+	if cached, ok := m[key]; ok {
+		tmpl = cached
+		c.stats.hits.Add(1)
+	} else if len(m) < c.limit {
+		m[key] = tmpl
+		c.stats.misses.Add(1)
+	} else {
+		c.stats.uncached.Add(1)
+	}
+	c.mu.Unlock()
+	return tmpl
 }
 
 // sitePageCacheLimit bounds per-site caches. Sites serve at most a
@@ -390,7 +393,7 @@ func (u *Universe) serveSite(s *Site, req *httpsim.Request, rng *simrand.Source,
 	}
 	path := p.Path
 	if s.HasBrochure && path == "/brochure.pdf" {
-		return cache.serve(path, false, func() *httpsim.Response {
+		return cache.serve(path, req.URL, false, func() *httpsim.Response {
 			return httpsim.Binary("application/pdf", pdf.NewBuilder().Encode())
 		})
 	}
@@ -398,7 +401,7 @@ func (u *Universe) serveSite(s *Site, req *httpsim.Request, rng *simrand.Source,
 		return httpsim.NotFound()
 	}
 	bot := s.Cloaked && looksLikeScannerBot(req.UserAgent)
-	return cache.serve(path, bot, func() *httpsim.Response {
+	return cache.serve(path, req.URL, bot, func() *httpsim.Response {
 		// Deterministic per-page randomness, independent of request order.
 		pageRng := rng.Borrow("page:", s.Host, path)
 		defer pageRng.Release()
@@ -486,7 +489,7 @@ func (u *Universe) registerLandingHost(s *Site, ctx renderCtx) {
 	// function of the host, reusable across epochs like any page.
 	cache := u.renders.site(host)
 	u.Internet.Register(host, func(req *httpsim.Request) *httpsim.Response {
-		return cache.serve("/", false, func() *httpsim.Response {
+		return cache.serve("/", req.URL, false, func() *httpsim.Response {
 			return renderHTML(func(b []byte) []byte { return renderLandingPage(b, s, ctx) })
 		})
 	})
@@ -507,14 +510,10 @@ func looksLikeScannerBot(ua string) bool {
 		match.ContainsFold(ua, "crawler") || ua == ""
 }
 
-// static wraps a prebuilt response template as a handler. Each request
-// gets a fresh struct copy — the transport stamps per-request fields onto
-// the returned response — sharing the immutable body bytes.
+// static wraps a prebuilt response template as a handler that serves it
+// on every path; the transport completes a copy for each request's URL.
 func static(tmpl *httpsim.Response) httpsim.Handler {
-	return func(*httpsim.Request) *httpsim.Response {
-		out := *tmpl
-		return &out
-	}
+	return func(*httpsim.Request) *httpsim.Response { return tmpl }
 }
 
 // --- infrastructure ---
@@ -557,12 +556,10 @@ func (u *Universe) registerInfrastructure(rng *simrand.Source) renderCtx {
 	exeResp := httpsim.Binary("application/octet-stream",
 		append([]byte("MZ\x90\x00"), []byte("yf_dropper_payload Flash-Player.exe simulation")...))
 	u.Internet.Register(ctx.dropHost, func(req *httpsim.Request) *httpsim.Response {
-		tmpl := exeResp
 		if strings.Contains(req.URL, ".pdf") {
-			tmpl = pdfResp
+			return pdfResp
 		}
-		out := *tmpl
-		return &out
+		return exeResp
 	})
 	u.truthByDomain[urlutil.RegisteredDomain(ctx.dropHost)] = Miscellaneous
 
@@ -571,8 +568,7 @@ func (u *Universe) registerInfrastructure(rng *simrand.Source) renderCtx {
 	swfResp := httpsim.Flash(buildAdFlashMovie(swfRng))
 	u.Internet.Register(ctx.swfHost, func(req *httpsim.Request) *httpsim.Response {
 		if strings.Contains(req.URL, ".swf") {
-			out := *swfResp
-			return &out
+			return swfResp
 		}
 		return httpsim.NotFound()
 	})
@@ -583,7 +579,7 @@ func (u *Universe) registerInfrastructure(rng *simrand.Source) renderCtx {
 	// all six bridge hosts.
 	bridgeCache := u.renders.bridge
 	bridge := func(req *httpsim.Request) *httpsim.Response {
-		return bridgeCache.serve(req.URL, false, func() *httpsim.Response {
+		return bridgeCache.serve(req.URL, req.URL, false, func() *httpsim.Response {
 			return bridgeRespond(req)
 		})
 	}

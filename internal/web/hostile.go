@@ -111,10 +111,7 @@ func (u *Universe) PlantHostileSites() []*Site {
 		s.TLD = urlutil.TLD(s.Host)
 		s.EntryURL = "http://" + s.Host + "/"
 		u.addSite(s)
-		site := s
-		u.Internet.Register(s.Host, func(req *httpsim.Request) *httpsim.Response {
-			return httpsim.HTML(renderBombPage(site))
-		})
+		u.Internet.Register(s.Host, static(httpsim.HTML(renderBombPage(s))))
 		out = append(out, s)
 	}
 	return out

@@ -2,8 +2,10 @@ package web
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/httpsim"
 )
@@ -143,4 +145,91 @@ func TestConcurrentRendersMatchSequential(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestServedTemplatesAreImmutable fetches one cached page from many
+// goroutines at once — through the bare Internet, through fault
+// injectors that slow and truncate every response, and under two
+// spellings of its URL — and checks that every hop carries the latency
+// of its own URL while the published template is never written: not a
+// field, not a body byte. Run under -race it also catches a write that
+// happens to restore the old value.
+func TestServedTemplatesAreImmutable(t *testing.T) {
+	u := Generate(smallConfig())
+	s := u.SitesOfKind(Benign)[0]
+	url := "http://" + s.Host + s.Pages[0]
+	twin := url + "?ref=twin" // same page, same cache slot, another URL
+	tmpl, err := u.Internet.RoundTrip(&httpsim.Request{URL: url, UserAgent: browserUA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := u.Internet.RoundTrip(&httpsim.Request{URL: url, UserAgent: browserUA}); again != tmpl {
+		t.Fatal("a repeat fetch of the URL a page was rendered for did not get the cached template itself")
+	}
+	want, wantBody := *tmpl, bytes.Clone(tmpl.Body)
+	latency := func(rawURL string) time.Duration { return (&httpsim.Response{}).Complete(rawURL).Latency }
+
+	force := func(k httpsim.FaultKind) httpsim.RoundTripper {
+		p := httpsim.FaultProfile{Name: "force-" + k.String()}
+		p.Rates[k] = 1
+		return httpsim.NewFaultInjector(u.Internet, p, 1)
+	}
+	const penalty = 30 * time.Second // FaultInjector's default SlowPenalty
+	transports := []struct {
+		name  string
+		rt    httpsim.RoundTripper
+		extra time.Duration
+		trunc bool
+	}{
+		{"internet", u.Internet, 0, false},
+		{"slow", force(httpsim.FaultSlow), penalty, false},
+		{"truncate", force(httpsim.FaultTruncate), 0, true},
+	}
+	var wg sync.WaitGroup
+	for _, tr := range transports {
+		for _, target := range []string{url, twin} {
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 50; i++ {
+						resp, err := tr.rt.RoundTrip(&httpsim.Request{URL: target, UserAgent: browserUA})
+						if err != nil {
+							t.Errorf("%s %s: %v", tr.name, target, err)
+							return
+						}
+						if got, want := resp.Latency, latency(target)+tr.extra; got != want {
+							t.Errorf("%s %s: latency %v, want %v", tr.name, target, got, want)
+							return
+						}
+						if resp.Truncated() != tr.trunc || !bytes.HasPrefix(wantBody, resp.Body) {
+							t.Errorf("%s %s: truncated=%v, body of %d bytes not a prefix of the page", tr.name, target, resp.Truncated(), len(resp.Body))
+							return
+						}
+						if tr.trunc {
+							continue
+						}
+						res, err := httpsim.NewClient(tr.rt).Get(target, browserUA, "")
+						if err != nil {
+							t.Errorf("%s %s: %v", tr.name, target, err)
+							return
+						}
+						if hop := res.Chain[0]; hop.Latency != latency(hop.URL)+tr.extra {
+							t.Errorf("%s %s: hop latency %v, want %v", tr.name, hop.URL, hop.Latency, latency(hop.URL)+tr.extra)
+							return
+						}
+					}
+				}()
+			}
+		}
+	}
+	wg.Wait()
+	got := *tmpl
+	if !bytes.Equal(got.Body, wantBody) {
+		t.Fatal("a body byte of the published template was written")
+	}
+	got.Body, want.Body = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the published template was written:\n got %+v\nwant %+v", got, want)
+	}
 }
