@@ -28,7 +28,9 @@ import (
 	"repro/internal/report"
 	"repro/internal/scanner"
 	"repro/internal/serve"
+	"repro/internal/shortener"
 	"repro/internal/simrand"
+	"repro/internal/stats"
 	"repro/internal/web"
 )
 
@@ -42,6 +44,18 @@ var (
 	studyErr  error
 )
 
+// runStudy builds the study, then Runs it, keeping every record.
+func runStudy(cfg core.StudyConfig) (*core.Study, error) {
+	st, err := core.NewStudy(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.Run(); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
 func benchStudy(b *testing.B) *core.Study {
 	b.Helper()
 	studyOnce.Do(func() {
@@ -50,7 +64,7 @@ func benchStudy(b *testing.B) *core.Study {
 		cfg.Scale = benchScale
 		cfg.MinMalPerPool = 14
 		cfg.MinBenignPerPool = 25
-		study, studyErr = core.RunStudy(cfg)
+		study, studyErr = runStudy(cfg)
 	})
 	if studyErr != nil {
 		b.Fatal(studyErr)
@@ -100,7 +114,8 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					a = an.Analyze(st.Crawls)
 				}
-				b.ReportMetric(a.CacheStats.HitRate()*100, "%cache-hit")
+				cs := a.CacheStats
+				b.ReportMetric(stats.Ratio(cs.Hits, cs.Hits+cs.Misses)*100, "%cache-hit")
 			})
 		}
 	}
@@ -212,7 +227,9 @@ func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = report.Figure5(st.Analysis)
 	}
-	b.ReportMetric(float64(st.Analysis.RedirectHist.Max()), "max-redirects")
+	if hb := st.Analysis.RedirectHist.Buckets(); len(hb) > 0 {
+		b.ReportMetric(float64(hb[len(hb)-1].Value), "max-redirects")
+	}
 }
 
 // BenchmarkFigure6 regenerates the TLD breakdown.
@@ -409,14 +426,15 @@ func BenchmarkExecuteHostile(b *testing.B) {
 // BenchmarkAblationNesting measures shortened-URL chain resolution as the
 // nesting depth grows — the evasion §IV-A-5 describes.
 func BenchmarkAblationNesting(b *testing.B) {
-	st := benchStudy(b)
-	svcs := st.Universe.Shorteners.Services()
-	if len(svcs) == 0 {
-		b.Skip("no shortener services")
-	}
+	in := httpsim.NewInternet()
+	reg := shortener.NewRegistry()
+	svcs := []*shortener.Service{reg.Add("goo.gl.sim", in), reg.Add("bit.ly.sim", in), reg.Add("tinyurl.sim", in)}
+	target := "http://final-target.sim/payload"
+	in.Register("final-target.sim", func(*httpsim.Request) *httpsim.Response { return httpsim.HTML("payload") })
+	client := httpsim.NewClient(in)
+	client.MaxHops = 16
 	for _, depth := range []int{1, 2, 4, 8} {
 		b.Run(map[int]string{1: "depth-1", 2: "depth-2", 4: "depth-4", 8: "depth-8"}[depth], func(b *testing.B) {
-			target := "http://final-target.sim/payload"
 			alias := target
 			for i := 0; i < depth; i++ {
 				alias = svcs[i%len(svcs)].Shorten(alias)
@@ -424,8 +442,8 @@ func BenchmarkAblationNesting(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				chain, ok := st.Universe.Shorteners.ResolveChain(alias, 16)
-				if !ok || chain[len(chain)-1] != target {
+				res, err := client.Get(alias, "UA", "")
+				if err != nil || res.FinalURL != target || res.Redirects() != depth {
 					b.Fatal("chain resolution failed")
 				}
 			}
@@ -688,7 +706,7 @@ func BenchmarkServeSoak(b *testing.B) {
 func BenchmarkFullStudy(b *testing.B) {
 	for _, scale := range []int{900, 20} {
 		b.Run(fmt.Sprintf("scale-%d", scale), func(b *testing.B) {
-			benchStudyRuns(b, scale, core.RunStudy)
+			benchStudyRuns(b, scale, runStudy)
 		})
 	}
 }

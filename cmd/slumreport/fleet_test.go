@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 // TestGoldenReportFleet locks the distributed workflow to the golden
@@ -25,7 +27,7 @@ func TestGoldenReportFleet(t *testing.T) {
 		if out := captureReport(t, append(args, "-shards", "4-8", "-workers", "3")...); len(out) != 0 {
 			t.Errorf("%s: subset run printed %d bytes of report, want none", tc.golden, len(out))
 		}
-		checkGolden(t, tc.golden, captureReport(t, append(args, "-merge")...))
+		testutil.CheckGolden(t, tc.golden, captureReport(t, append(args, "-merge")...))
 	}
 }
 

@@ -2,14 +2,10 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite golden files")
+	"repro/internal/testutil"
+)
 
 // goldenArgs pins the report to a fixed seed and a fast scale so the
 // snapshot covers Tables I-IV and every figure in a couple of seconds.
@@ -24,35 +20,13 @@ func captureReport(t *testing.T, extra ...string) []byte {
 	return buf.Bytes()
 }
 
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("report output diverged from golden file (%d bytes vs %d); "+
-			"rerun with -update if the change is intentional\n%s",
-			len(got), len(want), firstDiff(got, want))
-	}
-}
-
 // TestGoldenReport snapshots the full text output — headline, Tables
 // I-IV, Figures 2-7, crawl health — against testdata/report.golden.
 // Regenerate with:
 //
 //	go test ./cmd/slumreport -run TestGolden -update
 func TestGoldenReport(t *testing.T) {
-	checkGolden(t, "report.golden", captureReport(t))
+	testutil.CheckGolden(t, "report.golden", captureReport(t))
 }
 
 // TestGoldenReportFaulty snapshots the same study crawled through the
@@ -61,7 +35,7 @@ func TestGoldenReport(t *testing.T) {
 // failed and the exact error taxonomy — is as reproducible as the clean
 // one.
 func TestGoldenReportFaulty(t *testing.T) {
-	checkGolden(t, "report_faulty.golden", captureReport(t, "-faults", "hostile"))
+	testutil.CheckGolden(t, "report_faulty.golden", captureReport(t, "-faults", "hostile"))
 }
 
 // TestGoldenReportWorkerInvariance reruns the golden configuration at
@@ -72,7 +46,7 @@ func TestGoldenReportWorkerInvariance(t *testing.T) {
 	for _, workers := range []string{"1", "2", "8"} {
 		if got := captureReport(t, "-workers", workers); !bytes.Equal(got, base) {
 			t.Fatalf("-workers %s output differs from default\n%s",
-				workers, firstDiff(got, base))
+				workers, testutil.FirstDiff(got, base))
 		}
 	}
 }
@@ -86,32 +60,7 @@ func TestGoldenReportFaultyWorkerInvariance(t *testing.T) {
 		got := captureReport(t, "-faults", "hostile", "-workers", workers)
 		if !bytes.Equal(got, base) {
 			t.Fatalf("-faults hostile -workers %s output differs from default\n%s",
-				workers, firstDiff(got, base))
+				workers, testutil.FirstDiff(got, base))
 		}
 	}
-}
-
-func firstDiff(got, want []byte) string {
-	n := len(got)
-	if len(want) < n {
-		n = len(want)
-	}
-	for i := 0; i < n; i++ {
-		if got[i] != want[i] {
-			lo := i - 40
-			if lo < 0 {
-				lo = 0
-			}
-			hiG, hiW := i+40, i+40
-			if hiG > len(got) {
-				hiG = len(got)
-			}
-			if hiW > len(want) {
-				hiW = len(want)
-			}
-			return fmt.Sprintf("first difference at byte %d:\n got: %q\nwant: %q",
-				i, got[lo:hiG], want[lo:hiW])
-		}
-	}
-	return fmt.Sprintf("outputs share a %d-byte prefix but differ in length", n)
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 // TestMetricsAdditive checks the central output contract of -metrics: the
@@ -16,7 +18,7 @@ func TestMetricsAdditive(t *testing.T) {
 	instrumented := captureReport(t, "-metrics")
 	if !bytes.HasPrefix(instrumented, plain) {
 		t.Fatalf("-metrics output is not a superset: default report must be a byte-prefix\n%s",
-			firstDiff(instrumented[:min(len(instrumented), len(plain))], plain))
+			testutil.FirstDiff(instrumented[:min(len(instrumented), len(plain))], plain))
 	}
 	tail := instrumented[len(plain):]
 	if !bytes.Contains(tail, []byte("METRICS: PIPELINE OBSERVABILITY")) {

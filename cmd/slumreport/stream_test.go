@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 // TestGoldenReportStreaming locks in the engine's streaming guarantee at
@@ -20,7 +22,7 @@ func TestGoldenReportStreaming(t *testing.T) {
 		{"report_faulty.golden", []string{"-faults", "hostile"}},
 	} {
 		dir := t.TempDir()
-		checkGolden(t, tc.golden, captureReport(t, append([]string{"-checkpoint", dir, "-checkpoint-every", "97"}, tc.extra...)...))
+		testutil.CheckGolden(t, tc.golden, captureReport(t, append([]string{"-checkpoint", dir, "-checkpoint-every", "97"}, tc.extra...)...))
 		if left, _ := filepath.Glob(filepath.Join(dir, "shard-*.ckpt")); len(left) != 0 {
 			t.Errorf("%s: shard checkpoints left behind: %v", tc.golden, left)
 		}
@@ -51,7 +53,7 @@ func TestGoldenReportKillResume(t *testing.T) {
 		if left, _ := filepath.Glob(filepath.Join(dir, "shard-*.ckpt")); len(left) == 0 {
 			t.Fatalf("%s: no shard checkpoints on disk after the kill", tc.golden)
 		}
-		checkGolden(t, tc.golden, captureReport(t, append(args, "-workers", "8")...))
+		testutil.CheckGolden(t, tc.golden, captureReport(t, append(args, "-workers", "8")...))
 		if left, _ := filepath.Glob(filepath.Join(dir, "shard-*.ckpt")); len(left) != 0 {
 			t.Errorf("%s: shard checkpoints left behind: %v", tc.golden, left)
 		}

@@ -14,7 +14,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/crawler"
 	"repro/internal/exchange"
@@ -25,12 +27,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run writes the example's full output to w.
+func run(w io.Writer) error {
 	ucfg := web.DefaultConfig()
 	ucfg.Seed = 2026
 	ucfg.BenignSites = 160
@@ -70,16 +73,16 @@ func run() error {
 		}
 		return httpsim.HTML("<html><body>dummy page with an ad placeholder</body></html>")
 	})
-	fmt.Println("=== paid campaign purchase (paper: 2,500 visits for $5) ===")
+	fmt.Fprintln(w, "=== paid campaign purchase (paper: 2,500 visits for $5) ===")
 	receipt := manual.BuyCampaign(universe.Internet, "http://my-dummy-site.sim/", 2500, 5.00)
-	fmt.Printf("purchased:  %d visits for $%.2f\n", receipt.PurchasedVisits, receipt.PriceUSD)
-	fmt.Printf("delivered:  %d visits from %d unique IPs in %v\n",
+	fmt.Fprintf(w, "purchased:  %d visits for $%.2f\n", receipt.PurchasedVisits, receipt.PriceUSD)
+	fmt.Fprintf(w, "delivered:  %d visits from %d unique IPs in %v\n",
 		receipt.DeliveredVisits, receipt.UniqueIPs, receipt.Duration.Round(1e9))
-	fmt.Printf("site-side:  %d visits counted, %d unique IPs seen\n", visits, len(ips))
-	fmt.Printf("(paper observed: 4,621 visits from 2,685 unique IPs in under an hour)\n\n")
+	fmt.Fprintf(w, "site-side:  %d visits counted, %d unique IPs seen\n", visits, len(ips))
+	fmt.Fprintf(w, "(paper observed: 4,621 visits from 2,685 unique IPs in under an hour)\n\n")
 
 	// --- Part 2: burst vs smooth cumulative curves (Figure 3) ---
-	fmt.Println("=== cumulative malicious-URL curves (Figure 3 shape) ===")
+	fmt.Fprintln(w, "=== cumulative malicious-URL curves (Figure 3 shape) ===")
 	for _, ex := range []*exchange.Exchange{auto, manual} {
 		steps := 1200
 		crawl, err := crawler.CrawlExchange(ex, universe.Internet, crawler.DefaultOptions(steps))
@@ -90,15 +93,15 @@ func run() error {
 		for _, rec := range crawl.Records {
 			series.Observe(universe.TruthByURL(rec.EntryURL).Malicious())
 		}
-		fmt.Printf("\n%s (%s): %d malicious of %d crawled\n",
+		fmt.Fprintf(w, "\n%s (%s): %d malicious of %d crawled\n",
 			ex.Config().Name, ex.Config().Kind, series.Final(), series.Len())
-		plotSeries(series)
+		plotSeries(w, series)
 		bursts := series.Bursts(steps/20, 3)
 		if len(bursts) == 0 {
-			fmt.Println("  bursts: none — smooth, near-linear (auto-surf signature)")
+			fmt.Fprintln(w, "  bursts: none — smooth, near-linear (auto-surf signature)")
 		}
 		for _, b := range bursts {
-			fmt.Printf("  burst: observations %d-%d at %.0f%% malicious (campaign window)\n",
+			fmt.Fprintf(w, "  burst: observations %d-%d at %.0f%% malicious (campaign window)\n",
 				b.Start, b.End, b.Rate*100)
 		}
 	}
@@ -106,7 +109,7 @@ func run() error {
 }
 
 // plotSeries draws a small cumulative curve as rows of terminal cells.
-func plotSeries(s *stats.Series) {
+func plotSeries(w io.Writer, s *stats.Series) {
 	const width, height = 60, 8
 	pts := s.Downsample(width)
 	maxY := s.Final()
@@ -125,7 +128,7 @@ func plotSeries(s *stats.Series) {
 		grid[r][c] = '*'
 	}
 	for _, row := range grid {
-		fmt.Printf("  |%s\n", string(row))
+		fmt.Fprintf(w, "  |%s\n", string(row))
 	}
-	fmt.Printf("  +%s-> crawled URLs\n", string(make([]byte, 0)))
+	fmt.Fprintf(w, "  +%s-> crawled URLs\n", string(make([]byte, 0)))
 }

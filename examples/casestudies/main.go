@@ -12,7 +12,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"repro/internal/crawler"
@@ -23,12 +25,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run writes the example's full output to w.
+func run(w io.Writer) error {
 	ucfg := web.DefaultConfig()
 	ucfg.Seed = 7
 	ucfg.BenignSites = 120
@@ -39,11 +42,19 @@ func run() error {
 	heur.ResourceFetcher = universe.Internet
 	client := crawler.NewClient(universe.Internet)
 
-	caseA(universe, heur, client)
-	caseB(universe, heur, client)
-	caseC(universe, client)
-	caseD(universe, heur, client)
-	caseE(universe, heur)
+	if err := caseA(w, universe, heur, client); err != nil {
+		return err
+	}
+	if err := caseB(w, universe, heur, client); err != nil {
+		return err
+	}
+	if err := caseC(w, universe, client); err != nil {
+		return err
+	}
+	if err := caseD(w, universe, heur, client); err != nil {
+		return err
+	}
+	caseE(w, heur)
 	return nil
 }
 
@@ -57,16 +68,16 @@ func findJSSite(u *web.Universe, v web.JSVariant) *web.Site {
 	return nil
 }
 
-func scanSite(heur *scanner.Heuristic, client *httpsim.Client, url string) *scanner.Findings {
+func scanSite(heur *scanner.Heuristic, client *httpsim.Client, url string) (*scanner.Findings, error) {
 	res, err := client.Get(url, crawler.BrowserUA, "")
 	if err != nil {
-		log.Fatalf("fetch %s: %v", url, err)
+		return nil, fmt.Errorf("fetch %s: %w", url, err)
 	}
-	return heur.ScanPage(res.FinalURL, res.Final.ContentType, res.Final.Body)
+	return heur.ScanPage(res.FinalURL, res.Final.ContentType, res.Final.Body), nil
 }
 
-func caseA(u *web.Universe, heur *scanner.Heuristic, client *httpsim.Client) {
-	fmt.Println("=== Case A: malicious iframe injection (§V-A) ===")
+func caseA(w io.Writer, u *web.Universe, heur *scanner.Heuristic, client *httpsim.Client) error {
+	fmt.Fprintln(w, "=== Case A: malicious iframe injection (§V-A) ===")
 	for _, variant := range []struct {
 		v    web.JSVariant
 		name string
@@ -79,32 +90,40 @@ func caseA(u *web.Universe, heur *scanner.Heuristic, client *httpsim.Client) {
 		if site == nil {
 			continue
 		}
-		f := scanSite(heur, client, site.EntryURL)
-		fmt.Printf("\n%s\n  site: %s\n", variant.name, site.EntryURL)
-		for _, fr := range f.HiddenIframes {
-			fmt.Printf("  hidden iframe: reason=%s injected-by-js=%v src=%s\n", fr.Hidden, fr.Injected, fr.Src)
+		f, err := scanSite(heur, client, site.EntryURL)
+		if err != nil {
+			return err
 		}
-		fmt.Printf("  obfuscated JS: %v; labels: %s\n", f.ObfuscatedJS, strings.Join(f.Labels, ", "))
+		fmt.Fprintf(w, "\n%s\n  site: %s\n", variant.name, site.EntryURL)
+		for _, fr := range f.HiddenIframes {
+			fmt.Fprintf(w, "  hidden iframe: reason=%s injected-by-js=%v src=%s\n", fr.Hidden, fr.Injected, fr.Src)
+		}
+		fmt.Fprintf(w, "  obfuscated JS: %v; labels: %s\n", f.ObfuscatedJS, strings.Join(f.Labels, ", "))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
+	return nil
 }
 
-func caseB(u *web.Universe, heur *scanner.Heuristic, client *httpsim.Client) {
-	fmt.Println("=== Case B: deceptive download (§V-B) ===")
+func caseB(w io.Writer, u *web.Universe, heur *scanner.Heuristic, client *httpsim.Client) error {
+	fmt.Fprintln(w, "=== Case B: deceptive download (§V-B) ===")
 	site := findJSSite(u, web.JSDeceptiveDownload)
 	if site == nil {
-		fmt.Println("  (none in this seed)")
-		return
+		fmt.Fprintln(w, "  (none in this seed)")
+		return nil
 	}
-	f := scanSite(heur, client, site.EntryURL)
-	fmt.Printf("  site: %s\n  fake install prompt detected: %v\n  labels: %s\n",
+	f, err := scanSite(heur, client, site.EntryURL)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "  site: %s\n  fake install prompt detected: %v\n  labels: %s\n",
 		site.EntryURL, f.DeceptiveDownload, strings.Join(f.Labels, ", "))
-	fmt.Println("  (the page baits 'Instalar plug-in' and drops Flash-Player.exe from the dropper host)")
-	fmt.Println()
+	fmt.Fprintln(w, "  (the page baits 'Instalar plug-in' and drops Flash-Player.exe from the dropper host)")
+	fmt.Fprintln(w)
+	return nil
 }
 
-func caseC(u *web.Universe, client *httpsim.Client) {
-	fmt.Println("=== Case C: suspicious redirection chain (§V-C, Figure 4) ===")
+func caseC(w io.Writer, u *web.Universe, client *httpsim.Client) error {
+	fmt.Fprintln(w, "=== Case C: suspicious redirection chain (§V-C, Figure 4) ===")
 	// Pick the redirector with the longest planted chain.
 	var site *web.Site
 	for _, s := range u.SitesOfKind(web.Redirector) {
@@ -114,9 +133,9 @@ func caseC(u *web.Universe, client *httpsim.Client) {
 	}
 	res, err := client.Get(site.EntryURL, crawler.BrowserUA, "")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("  entry: %s (%d redirections observed)\n", site.EntryURL, res.Redirects())
+	fmt.Fprintf(w, "  entry: %s (%d redirections observed)\n", site.EntryURL, res.Redirects())
 	for i, hop := range res.Chain {
 		arrow := ""
 		switch hop.Kind {
@@ -127,22 +146,23 @@ func caseC(u *web.Universe, client *httpsim.Client) {
 		default:
 			arrow = fmt.Sprintf("  %d. %s  (final landing page)", i+1, hop.URL)
 		}
-		fmt.Println(arrow)
+		fmt.Fprintln(w, arrow)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
+	return nil
 }
 
-func caseD(u *web.Universe, heur *scanner.Heuristic, client *httpsim.Client) {
-	fmt.Println("=== Case D: external interface calls from Flash (§V-D) ===")
+func caseD(w io.Writer, u *web.Universe, heur *scanner.Heuristic, client *httpsim.Client) error {
+	fmt.Fprintln(w, "=== Case D: external interface calls from Flash (§V-D) ===")
 	site := u.SitesOfKind(web.MaliciousFlash)[0]
 	res, err := client.Get(site.EntryURL, crawler.BrowserUA, "")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	f := heur.ScanPage(res.FinalURL, res.Final.ContentType, res.Final.Body)
-	fmt.Printf("  page: %s\n  ExternalInterface abuse detected: %v\n", site.EntryURL, f.ExternalInterfaceAbuse)
+	fmt.Fprintf(w, "  page: %s\n  ExternalInterface abuse detected: %v\n", site.EntryURL, f.ExternalInterfaceAbuse)
 	if f.FlashSuspicion != nil {
-		fmt.Printf("  decompiled movie: invisible click-catcher=%v allowDomain(*)=%v obfuscated-pool=%v fullscreen=%v\n",
+		fmt.Fprintf(w, "  decompiled movie: invisible click-catcher=%v allowDomain(*)=%v obfuscated-pool=%v fullscreen=%v\n",
 			f.FlashSuspicion.InvisibleClickCatcher, f.FlashSuspicion.PromiscuousDomain,
 			f.FlashSuspicion.ObfuscatedPool, f.FlashSuspicion.FullScreenAbuse)
 	}
@@ -159,32 +179,33 @@ func caseD(u *web.Universe, heur *scanner.Heuristic, client *httpsim.Client) {
 		resp, err := u.Internet.RoundTrip(&httpsim.Request{URL: swfURL, UserAgent: crawler.BrowserUA})
 		if err == nil {
 			if _, beh, _, err := swf.Inspect(resp.Body); err == nil {
-				fmt.Printf("  VM trace of %s:\n", swfURL)
+				fmt.Fprintf(w, "  VM trace of %s:\n", swfURL)
 				for _, call := range beh.ExternalCalls {
-					fmt.Printf("    ExternalInterface.call(%q)\n", call)
+					fmt.Fprintf(w, "    ExternalInterface.call(%q)\n", call)
 				}
 				for _, st := range beh.DisplayStates {
-					fmt.Printf("    stage.displayState = %q\n", st)
+					fmt.Fprintf(w, "    stage.displayState = %q\n", st)
 				}
 			}
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
+	return nil
 }
 
-func caseE(u *web.Universe, heur *scanner.Heuristic) {
-	fmt.Println("=== Case E: false positives (§V-E) ===")
+func caseE(w io.Writer, heur *scanner.Heuristic) {
+	fmt.Fprintln(w, "=== Case E: false positives (§V-E) ===")
 	// The OAuth relay iframe: 1x1, offscreen — geometry identical to
 	// malware, yet benign. The heuristic scanner whitelists the endpoint.
 	oauth := `<iframe name="oauth2relay503410543" src="https://accounts.google.sim/o/oauth2/postmessageRelay?parent=http%3A%2F%2Fblog" style="width: 1px; height: 1px; position: absolute; top: -100px;"></iframe>`
 	f := heur.ScanPage("http://blog.example/", "text/html", []byte(oauth))
-	fmt.Printf("  OAuth relay iframe (1x1, offscreen): flagged=%v (correctly whitelisted)\n", f.Malicious())
+	fmt.Fprintf(w, "  OAuth relay iframe (1x1, offscreen): flagged=%v (correctly whitelisted)\n", f.Malicious())
 
 	// The analytics loader: dynamic script injection that engines have
 	// mislabeled as a clicker trojan.
 	ga := `<script>(function(i,s,o,g,r){i['GoogleAnalyticsObject']=r;})(window,document,'script','//www.simalytics.net/analytics.js','ga'); ga('create','UA-1','auto'); ga('send','pageview');</script>`
 	f2 := heur.ScanPage("http://blog.example/", "text/html", []byte(ga))
-	fmt.Printf("  analytics loader snippet: flagged=%v (correctly clean)\n", f2.Malicious())
-	fmt.Println("  (signature engines retain a tiny independent mislabel rate on analytics")
-	fmt.Println("   pages, reproducing the Faceliker-style FP the paper reports)")
+	fmt.Fprintf(w, "  analytics loader snippet: flagged=%v (correctly clean)\n", f2.Malicious())
+	fmt.Fprintln(w, "  (signature engines retain a tiny independent mislabel rate on analytics")
+	fmt.Fprintln(w, "   pages, reproducing the Faceliker-style FP the paper reports)")
 }

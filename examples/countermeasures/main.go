@@ -20,7 +20,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/core"
@@ -30,12 +32,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run writes the example's full output to w.
+func run(w io.Writer) error {
 	cfg := core.DefaultStudyConfig()
 	cfg.Seed = 99
 	cfg.Scale = 400
@@ -46,7 +49,7 @@ func run() error {
 	}
 
 	// --- Part 1: SurfGuard ---
-	fmt.Println("=== SurfGuard: warn-before-visit (browser extension analog) ===")
+	fmt.Fprintln(w, "=== SurfGuard: warn-before-visit (browser extension analog) ===")
 	var known []string
 	for _, ex := range st.Exchanges[:6] { // ship a list missing the last three
 		known = append(known, ex.Config().Host)
@@ -60,7 +63,7 @@ func run() error {
 			return err
 		}
 		d := g.CheckPage(url, resp.Body)
-		fmt.Printf("  %-28s warn=%-5v reason=%s\n", url, d.Warn, orDash(d.Reason))
+		fmt.Fprintf(w, "  %-28s warn=%-5v reason=%s\n", url, d.Warn, orDash(d.Reason))
 	}
 	benign := st.Universe.BenignSites()[0]
 	resp, err := st.Universe.Internet.RoundTrip(&httpsim.Request{URL: benign.EntryURL, UserAgent: "Mozilla/5.0"})
@@ -68,10 +71,10 @@ func run() error {
 		return err
 	}
 	d := g.CheckPage(benign.EntryURL, resp.Body)
-	fmt.Printf("  %-28s warn=%-5v (ordinary member site)\n\n", benign.EntryURL, d.Warn)
+	fmt.Fprintf(w, "  %-28s warn=%-5v (ordinary member site)\n\n", benign.EntryURL, d.Warn)
 
 	// --- Part 2: AdFraudVetter ---
-	fmt.Println("=== AdFraudVetter: impression-stream vetting (ad network analog) ===")
+	fmt.Fprintln(w, "=== AdFraudVetter: impression-stream vetting (ad network analog) ===")
 	vetter := guard.NewAdFraudVetter(guard.NewSurfGuard(allHosts(st.Exchanges)))
 
 	// Exchange-driven impressions: capture a real paid campaign hitting a
@@ -95,11 +98,11 @@ func run() error {
 	})
 	receipt := st.Exchanges[8].BuyCampaign(st.Universe.Internet, "http://publisher-page.sim/", 1500, 3.00)
 	fraudReport := vetter.Vet(impressions)
-	fmt.Printf("  campaign batch:  %d impressions (from a %d-visit purchase)\n",
+	fmt.Fprintf(w, "  campaign batch:  %d impressions (from a %d-visit purchase)\n",
 		fraudReport.Total, receipt.PurchasedVisits)
-	fmt.Printf("    exchange-referred=%d timer-pinned=%d unique-ips=%d peak=%.0f/min\n",
+	fmt.Fprintf(w, "    exchange-referred=%d timer-pinned=%d unique-ips=%d peak=%.0f/min\n",
 		fraudReport.ExchangeReferred, fraudReport.TimerPinned, fraudReport.UniqueIPs, fraudReport.BurstRate)
-	fmt.Printf("    fraud score = %.2f -> fraudulent=%v\n\n", fraudReport.Score, fraudReport.Fraudulent())
+	fmt.Fprintf(w, "    fraud score = %.2f -> fraudulent=%v\n\n", fraudReport.Score, fraudReport.Fraudulent())
 
 	// Organic control: scattered referrers, dwell and returning IPs.
 	var organic []guard.Impression
@@ -113,14 +116,14 @@ func run() error {
 		})
 	}
 	organicReport := vetter.Vet(organic)
-	fmt.Printf("  organic batch:   %d impressions\n", organicReport.Total)
-	fmt.Printf("    exchange-referred=%d timer-pinned=%d unique-ips=%d peak=%.0f/min\n",
+	fmt.Fprintf(w, "  organic batch:   %d impressions\n", organicReport.Total)
+	fmt.Fprintf(w, "    exchange-referred=%d timer-pinned=%d unique-ips=%d peak=%.0f/min\n",
 		organicReport.ExchangeReferred, organicReport.TimerPinned, organicReport.UniqueIPs, organicReport.BurstRate)
-	fmt.Printf("    fraud score = %.2f -> fraudulent=%v\n",
+	fmt.Fprintf(w, "    fraud score = %.2f -> fraudulent=%v\n",
 		organicReport.Score, organicReport.Fraudulent())
-	fmt.Println("\nconclusion: the exchange signature (referrers, pinned dwell, fresh IPs,")
-	fmt.Println("burst pacing) cleanly separates paid exchange traffic from organic views —")
-	fmt.Println("the vetting the paper says reputable ad networks already perform.")
+	fmt.Fprintln(w, "\nconclusion: the exchange signature (referrers, pinned dwell, fresh IPs,")
+	fmt.Fprintln(w, "burst pacing) cleanly separates paid exchange traffic from organic views —")
+	fmt.Fprintln(w, "the vetting the paper says reputable ad networks already perform.")
 	return nil
 }
 

@@ -13,7 +13,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"repro/internal/crawler"
@@ -23,12 +25,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run writes the example's full output to w.
+func run(w io.Writer) error {
 	ucfg := web.DefaultConfig()
 	ucfg.Seed = 33
 	ucfg.BenignSites = 60
@@ -53,7 +56,7 @@ func run() error {
 			gold = append(gold, scanner.GoldSample{URL: res.FinalURL, Content: res.Final.Body})
 		}
 	}
-	fmt.Printf("gold standard: %d known-malicious samples\n\n", len(gold))
+	fmt.Fprintf(w, "gold standard: %d known-malicious samples\n\n", len(gold))
 
 	// The tool lineup.
 	rng := simrand.New(5)
@@ -69,15 +72,15 @@ func run() error {
 	}
 
 	results := scanner.Vet(tools, gold)
-	fmt.Println("tool vetting results (paper: VT 100, Quttera 100, URLQuery 70,")
-	fmt.Println("Bright Cloud 60, Site Check 40, Sender Base 10, Wepawet 0, AVG 0):")
-	fmt.Println()
+	fmt.Fprintln(w, "tool vetting results (paper: VT 100, Quttera 100, URLQuery 70,")
+	fmt.Fprintln(w, "Bright Cloud 60, Site Check 40, Sender Base 10, Wepawet 0, AVG 0):")
+	fmt.Fprintln(w)
 	for _, r := range results {
-		fmt.Printf("  %-14s %3d/%d  %s %.0f%%\n",
+		fmt.Fprintf(w, "  %-14s %3d/%d  %s %.0f%%\n",
 			r.Tool, r.Detected, r.Total, bar(r.Accuracy()), r.Accuracy()*100)
 	}
-	fmt.Println("\nconclusion: only the multi-engine scanner and the heuristic scanner")
-	fmt.Println("clear the bar — the same selection the study made.")
+	fmt.Fprintln(w, "\nconclusion: only the multi-engine scanner and the heuristic scanner")
+	fmt.Fprintln(w, "clear the bar — the same selection the study made.")
 	return nil
 }
 

@@ -14,7 +14,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/adnet"
@@ -23,12 +25,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run writes the example's full output to w.
+func run(w io.Writer) error {
 	in := httpsim.NewInternet()
 
 	// The two network archetypes.
@@ -49,24 +52,24 @@ func run() error {
 	adHosts := map[string]bool{bogus.Host: true, legit.Host: true}
 
 	// Phase 1: exchange traffic with honest referrers.
-	fmt.Println("=== phase 1: 2,000 exchange-driven views (honest referrers) ===")
+	fmt.Fprintln(w, "=== phase 1: 2,000 exchange-driven views (honest referrers) ===")
 	honest := &adnet.Audience{Transport: in, AdHosts: adHosts}
 	driveExchange(honest, pub, 2000, 0)
-	fmt.Printf("  bogus network (%dc CPM): impressions=%d earnings=%d cents\n",
+	fmt.Fprintf(w, "  bogus network (%dc CPM): impressions=%d earnings=%d cents\n",
 		bogus.CPMCents, len(bogus.Impressions(pub)), bogus.EarningsCents(pub))
-	fmt.Printf("  legit network (%dc CPM): impressions=%d earnings(before vetting)=%d cents\n",
+	fmt.Fprintf(w, "  legit network (%dc CPM): impressions=%d earnings(before vetting)=%d cents\n",
 		legit.CPMCents, len(legit.Impressions(pub)), legit.EarningsCents(pub))
 
 	results := legit.RunVetting()
 	for _, r := range results {
-		fmt.Printf("  legit vetting: publisher=%s score=%.2f exchange-referred=%d pinned-dwell=%d -> banned=%v\n",
+		fmt.Fprintf(w, "  legit vetting: publisher=%s score=%.2f exchange-referred=%d pinned-dwell=%d -> banned=%v\n",
 			r.Publisher, r.Report.Score, r.Report.ExchangeReferred, r.Report.TimerPinned, r.Banned)
 	}
-	fmt.Printf("  legit earnings after vetting: %d cents (forfeited)\n\n", legit.EarningsCents(pub))
+	fmt.Fprintf(w, "  legit earnings after vetting: %d cents (forfeited)\n\n", legit.EarningsCents(pub))
 
 	// Phase 2: a second member tries referrer spoofing on a fresh
 	// legitimate account.
-	fmt.Println("=== phase 2: 2,000 exchange views with spoofed referrers ===")
+	fmt.Fprintln(w, "=== phase 2: 2,000 exchange views with spoofed referrers ===")
 	legit2 := adnet.New("LegitAds-sim", "legitads2.sim", 200, guard.NewAdFraudVetter(g))
 	in.Register(legit2.Host, legit2.Handler())
 	const pub2 = "sneaky-site.com"
@@ -80,13 +83,13 @@ func run() error {
 	}
 	driveExchange(spoofing, pub2, 2000, 0)
 	for _, r := range legit2.RunVetting() {
-		fmt.Printf("  vetting: exchange-referred=%d (spoofed away) pinned-dwell=%d unique-ips=%d peak=%.0f/min\n",
+		fmt.Fprintf(w, "  vetting: exchange-referred=%d (spoofed away) pinned-dwell=%d unique-ips=%d peak=%.0f/min\n",
 			r.Report.ExchangeReferred, r.Report.TimerPinned, r.Report.UniqueIPs, r.Report.BurstRate)
-		fmt.Printf("  score=%.2f -> banned=%v (secondary signals defeat the spoof)\n\n", r.Report.Score, r.Banned)
+		fmt.Fprintf(w, "  score=%.2f -> banned=%v (secondary signals defeat the spoof)\n\n", r.Report.Score, r.Banned)
 	}
 
 	// Phase 3: an actually-organic publisher for contrast.
-	fmt.Println("=== phase 3: 2,000 organic views (control) ===")
+	fmt.Fprintln(w, "=== phase 3: 2,000 organic views (control) ===")
 	legit3 := adnet.New("LegitAds-sim", "legitads3.sim", 200, guard.NewAdFraudVetter(g))
 	in.Register(legit3.Host, legit3.Handler())
 	const pub3 = "honest-blog.com"
@@ -103,13 +106,13 @@ func run() error {
 		}
 	}
 	for _, r := range legit3.RunVetting() {
-		fmt.Printf("  vetting: score=%.2f -> banned=%v\n", r.Report.Score, r.Banned)
+		fmt.Fprintf(w, "  vetting: score=%.2f -> banned=%v\n", r.Report.Score, r.Banned)
 	}
-	fmt.Printf("  organic earnings: %d cents — honest traffic monetizes fine\n\n", legit3.EarningsCents(pub3))
+	fmt.Fprintf(w, "  organic earnings: %d cents — honest traffic monetizes fine\n\n", legit3.EarningsCents(pub3))
 
-	fmt.Println("conclusion: exchange traffic only monetizes on networks that decline to vet —")
-	fmt.Println("the bogus-ad-exchange economy the paper describes, and the reason reputable")
-	fmt.Println("networks like AdSense/DoubleClick disallow traffic exchanges outright (§VI).")
+	fmt.Fprintln(w, "conclusion: exchange traffic only monetizes on networks that decline to vet —")
+	fmt.Fprintln(w, "the bogus-ad-exchange economy the paper describes, and the reason reputable")
+	fmt.Fprintln(w, "networks like AdSense/DoubleClick disallow traffic exchanges outright (§VI).")
 	return nil
 }
 

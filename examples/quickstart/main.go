@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/crawler"
@@ -22,12 +24,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run writes the example's full output to w.
+func run(w io.Writer) error {
 	// 1. Generate a world: benign member sites plus a planted malware
 	// population spanning every category the paper analyzes.
 	ucfg := web.DefaultConfig()
@@ -35,7 +38,7 @@ func run() error {
 	ucfg.BenignSites = 200
 	ucfg.MaliciousSites = 100
 	universe := web.Generate(ucfg)
-	fmt.Printf("universe: %d sites (%d malicious), %d hosts online\n",
+	fmt.Fprintf(w, "universe: %d sites (%d malicious), %d hosts online\n",
 		len(universe.Sites), len(universe.MaliciousSites()), universe.Internet.NumHosts())
 
 	// 2. Stand up one auto-surf exchange over a slice of the world.
@@ -55,7 +58,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("crawl: %d URLs over %v of virtual time\n",
+	fmt.Fprintf(w, "crawl: %d URLs over %v of virtual time\n",
 		len(crawl.Records), crawl.Ended.Sub(crawl.Started).Round(1e9))
 
 	// 4. Analyze: classification, detection, categorization.
@@ -71,14 +74,14 @@ func run() error {
 	analysis := analyzer.Analyze([]*crawler.Crawl{crawl})
 
 	row := analysis.PerExchange[0]
-	fmt.Printf("\nreferral classes: %d self, %d popular, %d regular\n",
+	fmt.Fprintf(w, "\nreferral classes: %d self, %d popular, %d regular\n",
 		row.Self, row.Popular, row.Regular)
-	fmt.Printf("malicious: %d of %d regular URLs (%s)\n",
+	fmt.Fprintf(w, "malicious: %d of %d regular URLs (%s)\n",
 		row.Malicious, row.Regular, stats.Pct(row.PctMalicious()))
-	fmt.Println("\nmalware categories (categorized URLs):")
+	fmt.Fprintln(w, "\nmalware categories (categorized URLs):")
 	for _, item := range analysis.CategoryCounts.Items() {
-		fmt.Printf("  %-26s %4d  (%s)\n", item.Key, item.Count, stats.Pct(item.Share))
+		fmt.Fprintf(w, "  %-26s %4d  (%s)\n", item.Key, item.Count, stats.Pct(item.Share))
 	}
-	fmt.Printf("  %-26s %4d  (miscellaneous bucket)\n", "Miscellaneous", analysis.MiscCount)
+	fmt.Fprintf(w, "  %-26s %4d  (miscellaneous bucket)\n", "Miscellaneous", analysis.MiscCount)
 	return nil
 }

@@ -159,13 +159,6 @@ func (n *Network) EarningsCents(publisher string) int {
 	return len(n.impressions[publisher]) * n.CPMCents / 1000
 }
 
-// Banned reports a publisher's ban reason ("" if in good standing).
-func (n *Network) Banned(publisher string) string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.banned[publisher]
-}
-
 // VetResult records one publisher's audit outcome.
 type VetResult struct {
 	Publisher string

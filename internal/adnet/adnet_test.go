@@ -116,7 +116,7 @@ func TestLegitNetworkBansExchangePublisher(t *testing.T) {
 	if len(results) != 1 || !results[0].Banned {
 		t.Fatalf("vetting = %+v", results)
 	}
-	if r.legit.Banned(r.pub) == "" {
+	if r.legit.banned[r.pub] == "" {
 		t.Fatal("publisher not banned")
 	}
 	if got := r.legit.EarningsCents(r.pub); got != 0 {

@@ -33,9 +33,6 @@ func NewList(name string) *List {
 	return &List{name: name, domains: make(map[string]bool)}
 }
 
-// Name returns the list's name.
-func (l *List) Name() string { return l.name }
-
 // Add inserts a registered domain (normalized to lowercase registered
 // domain before storage).
 func (l *List) Add(domain string) {
@@ -45,25 +42,12 @@ func (l *List) Add(domain string) {
 	l.mu.Unlock()
 }
 
-// Contains reports whether the domain (or the registered domain of a
-// host) is listed.
-func (l *List) Contains(hostOrDomain string) bool {
-	return l.containsDomain(urlutil.RegisteredDomain(hostOrDomain))
-}
-
 // containsDomain answers for an already-normalized registered domain —
 // the consensus paths normalize once and probe all six lists with it.
 func (l *List) containsDomain(d string) bool {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return l.domains[d]
-}
-
-// Len returns the number of listed domains.
-func (l *List) Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.domains)
 }
 
 // Domains returns the sorted listed domains.
@@ -90,9 +74,6 @@ type Set struct {
 func NewSet(lists ...*List) *Set {
 	return &Set{lists: lists, Threshold: 2}
 }
-
-// Lists returns the member lists.
-func (s *Set) Lists() []*List { return s.lists }
 
 // Matches returns the names of the lists containing the host's registered
 // domain.
@@ -138,15 +119,6 @@ func (s *Set) Fingerprint() uint64 {
 	t[0] = byte(s.Threshold)
 	h.Write(t[:])
 	return h.Sum64()
-}
-
-// MaliciousURL is Malicious applied to a URL's host.
-func (s *Set) MaliciousURL(rawURL string) bool {
-	p, err := urlutil.Parse(rawURL)
-	if err != nil {
-		return false
-	}
-	return s.Malicious(p.Host)
 }
 
 // StandardListNames are the simulator analogs of the six lists in §III-B.

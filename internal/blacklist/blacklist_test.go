@@ -5,26 +5,27 @@ import (
 	"testing"
 
 	"repro/internal/simrand"
+	"repro/internal/urlutil"
 )
 
 func TestListBasics(t *testing.T) {
 	l := NewList("test")
 	l.Add("luckyleap.net")
 	l.Add("WWW.380TL.COM") // host normalizes to registered domain
-	if !l.Contains("luckyleap.net") {
+	if !contains(l, "luckyleap.net") {
 		t.Fatal("listed domain not found")
 	}
-	if !l.Contains("sub.luckyleap.net") {
+	if !contains(l, "sub.luckyleap.net") {
 		t.Fatal("subdomain of listed domain not matched")
 	}
-	if !l.Contains("380tl.com") {
+	if !contains(l, "380tl.com") {
 		t.Fatal("case/host normalization failed")
 	}
-	if l.Contains("example.com") {
+	if contains(l, "example.com") {
 		t.Fatal("unlisted domain matched")
 	}
-	if l.Len() != 2 {
-		t.Fatalf("len = %d, want 2", l.Len())
+	if len(l.domains) != 2 {
+		t.Fatalf("len = %d, want 2", len(l.domains))
 	}
 }
 
@@ -55,12 +56,17 @@ func TestMaliciousURL(t *testing.T) {
 	a.Add("yadro.ru")
 	b.Add("yadro.ru")
 	s := NewSet(a, b)
-	if !s.MaliciousURL("http://counter.yadro.ru/hit?q=1") {
+	if !s.Malicious("counter.yadro.ru") {
 		t.Fatal("URL host not matched")
 	}
-	if s.MaliciousURL("not a url ::") {
-		t.Fatal("unparseable URL flagged")
+	if s.Malicious("") {
+		t.Fatal("empty host flagged")
 	}
+}
+
+// contains reports whether the host's registered domain is on l.
+func contains(l *List, host string) bool {
+	return l.containsDomain(urlutil.RegisteredDomain(host))
 }
 
 func domainList(prefix string, n int) []string {
@@ -77,7 +83,7 @@ func TestBuildStandardSetRecallAndPrecision(t *testing.T) {
 	benign := domainList("ok", 2000)
 	s := BuildStandardSet(rng, bad, benign, DefaultBuildConfig())
 
-	if got := len(s.Lists()); got != len(StandardListNames) {
+	if got := len(s.lists); got != len(StandardListNames) {
 		t.Fatalf("lists = %d", got)
 	}
 	tp := 0
@@ -120,15 +126,15 @@ func TestBuildDeterministic(t *testing.T) {
 	benign := domainList("ok", 50)
 	s1 := BuildStandardSet(simrand.New(7), bad, benign, DefaultBuildConfig())
 	s2 := BuildStandardSet(simrand.New(7), bad, benign, DefaultBuildConfig())
-	for i, l := range s1.Lists() {
+	for i, l := range s1.lists {
 		d1 := l.Domains()
-		d2 := s2.Lists()[i].Domains()
+		d2 := s2.lists[i].Domains()
 		if len(d1) != len(d2) {
-			t.Fatalf("list %s differs across identical seeds", l.Name())
+			t.Fatalf("list %s differs across identical seeds", l.name)
 		}
 		for j := range d1 {
 			if d1[j] != d2[j] {
-				t.Fatalf("list %s entry %d differs", l.Name(), j)
+				t.Fatalf("list %s entry %d differs", l.name, j)
 			}
 		}
 	}
@@ -144,15 +150,15 @@ func TestConcurrentLookups(t *testing.T) {
 			done <- struct{}{}
 		}()
 		go func() {
-			l.Contains("d0.example")
+			contains(l, "d0.example")
 			done <- struct{}{}
 		}()
 	}
 	for i := 0; i < 20; i++ {
 		<-done
 	}
-	if l.Len() != 10 {
-		t.Fatalf("len = %d", l.Len())
+	if len(l.domains) != 10 {
+		t.Fatalf("len = %d", len(l.domains))
 	}
 }
 
@@ -198,8 +204,8 @@ func TestDecayErodesCoverage(t *testing.T) {
 		cfg.DecayPerEpoch = 0.15
 		s := BuildStandardSet(simrand.New(3), bad, ok, cfg)
 		total := 0
-		for _, l := range s.Lists() {
-			total += l.Len()
+		for _, l := range s.lists {
+			total += len(l.domains)
 		}
 		return total
 	}
@@ -226,7 +232,7 @@ func TestSetFingerprintSensitivity(t *testing.T) {
 	if s1.Fingerprint() != s2.Fingerprint() {
 		t.Fatalf("identical sets disagree: %016x vs %016x", s1.Fingerprint(), s2.Fingerprint())
 	}
-	s2.Lists()[0].Add("new.example")
+	s2.lists[0].Add("new.example")
 	if s1.Fingerprint() == s2.Fingerprint() {
 		t.Fatalf("fingerprint blind to an added domain")
 	}

@@ -39,9 +39,6 @@ func (s ExchangeStats) PctMalwareDomains() float64 {
 	return stats.Ratio(s.MalwareDomains, s.Domains)
 }
 
-// PctFailed is the crawl-health failure rate for the exchange.
-func (s ExchangeStats) PctFailed() float64 { return stats.Ratio(s.Failed, s.Crawled) }
-
 // KindCount is one error-taxonomy bucket of the crawl-health accounting.
 type KindCount struct {
 	Kind  string
@@ -194,8 +191,8 @@ type foldState struct {
 	an        *Analyzer
 	exchanges []*exchangeFold
 	out       *Analysis
-	// distinct holds normalized entry URLs (the TotalDistinct set, with
-	// urlutil.Dedupe's normalize-or-raw keying).
+	// distinct holds normalized entry URLs (the TotalDistinct set, keyed
+	// by distinctKey).
 	distinct map[string]bool
 	// domainSet and shortSet back TotalDomains and MaliciousShortURLs.
 	domainSet map[string]bool
@@ -319,8 +316,8 @@ func (fs *foldState) finish(cstats CacheStats) *Analysis {
 	return out
 }
 
-// distinctKey mirrors urlutil.Dedupe's keying: the normalized URL, or the
-// raw string when normalization fails.
+// distinctKey keys the distinct-URL set: the normalized URL, or the raw
+// string when normalization fails.
 func distinctKey(rawURL string) string {
 	key, err := urlutil.Normalize(rawURL)
 	if err != nil {

@@ -466,26 +466,23 @@ func TestSnapshotSeriesBits(t *testing.T) {
 		names[i] = fmt.Sprintf("ex%d", i)
 	}
 	fs := newFoldState(nil, names, kinds)
+	wants := make([][]byte, len(lengths))
 	for i, n := range lengths {
 		ef := fs.exchanges[i]
+		wants[i] = make([]byte, (n+7)/8)
 		for j := 0; j < n; j++ {
-			ef.series.Observe(rng.Intn(3) == 0)
+			hit := rng.Intn(3) == 0
+			ef.series.Observe(hit)
+			if hit {
+				wants[i][j/8] |= 1 << (j % 8)
+			}
 		}
 		ef.folded, ef.row.Self = n, n
 	}
 	snap := fs.snapshot()
-	for i, ef := range fs.exchanges {
-		cum := ef.series.Cumulative()
-		want := make([]byte, (len(cum)+7)/8)
-		prev := 0
-		for j, c := range cum {
-			if c > prev {
-				want[j/8] |= 1 << (j % 8)
-			}
-			prev = c
-		}
-		if got := snap.exchanges[i].seriesBits; !bytes.Equal(got, want) {
-			t.Fatalf("%d observations: snapshot bits %x, want %x", lengths[i], got, want)
+	for i := range fs.exchanges {
+		if got := snap.exchanges[i].seriesBits; !bytes.Equal(got, wants[i]) {
+			t.Fatalf("%d observations: snapshot bits %x, want %x", lengths[i], got, wants[i])
 		}
 	}
 	back := newFoldState(nil, names, kinds)
@@ -493,7 +490,8 @@ func TestSnapshotSeriesBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range fs.exchanges {
-		if got, want := back.exchanges[i].series.Cumulative(), fs.exchanges[i].series.Cumulative(); !reflect.DeepEqual(got, want) {
+		got, want := back.exchanges[i].series, fs.exchanges[i].series
+		if got.Len() != want.Len() || got.Final() != want.Final() || !bytes.Equal(got.Bits(), want.Bits()) {
 			t.Fatalf("%d observations: restored series differs", lengths[i])
 		}
 	}

@@ -14,8 +14,21 @@ import (
 	"repro/internal/har"
 	"repro/internal/simrand"
 	"repro/internal/stats"
+	"repro/internal/urlutil"
 	"repro/internal/web"
 )
+
+// runStudy builds the study, then Runs it, keeping every record.
+func runStudy(cfg StudyConfig) (*Study, error) {
+	st, err := NewStudy(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.Run(); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
 
 // smallStudy builds a heavily scaled-down study for fast tests.
 func smallStudy(t *testing.T) *Study {
@@ -27,7 +40,7 @@ func smallStudy(t *testing.T) *Study {
 	// so the TLD/category mixes have enough distinct sites to converge.
 	cfg.MinMalPerPool = 14
 	cfg.MinBenignPerPool = 25
-	st, err := RunStudy(cfg)
+	st, err := runStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +193,14 @@ func TestContentCategoryBreakdown(t *testing.T) {
 		t.Fatalf("top content category = %q, want Business", cats.Items()[0].Key)
 	}
 	// Rebuild the truth mix of observed malicious records and compare.
+	// Member sites by entry URL, then by registered domain.
+	sites := map[string]*web.Site{}
+	for _, s := range st.Universe.Sites {
+		sites[urlutil.RegisteredDomain(s.Host)] = s
+	}
+	for _, s := range st.Universe.Sites {
+		sites[s.EntryURL] = s
+	}
 	truth := stats.NewCounter()
 	cls := st.Analyzer.Classifier
 	for _, c := range st.Crawls {
@@ -187,7 +208,10 @@ func TestContentCategoryBreakdown(t *testing.T) {
 			if cls.Classify(rec) != Regular || !st.Detector.Inspect(rec).Malicious {
 				continue
 			}
-			site, ok := st.Universe.SiteByURL(rec.EntryURL)
+			site, ok := sites[rec.EntryURL]
+			if !ok {
+				site, ok = sites[urlutil.DomainOf(rec.EntryURL)]
+			}
 			if !ok {
 				truth.Add("Others")
 				continue
@@ -213,12 +237,12 @@ func TestContentCategoryBreakdown(t *testing.T) {
 
 func TestRedirectHistogramRange(t *testing.T) {
 	st := sharedStudy(t)
-	h := st.Analysis.RedirectHist
-	if h.Total() == 0 {
+	b := st.Analysis.RedirectHist.Buckets()
+	if len(b) == 0 {
 		t.Fatal("no redirecting malicious URLs")
 	}
-	if h.Max() > 7 {
-		t.Fatalf("max redirects = %d, exceeds the Figure 5 range", h.Max())
+	if max := b[len(b)-1].Value; max > 7 {
+		t.Fatalf("max redirects = %d, exceeds the Figure 5 range", max)
 	}
 }
 
@@ -499,11 +523,11 @@ func TestStudyDeterminism(t *testing.T) {
 	cfg.Seed = 77
 	cfg.Scale = 900
 	cfg.DriveShortenerTraffic = false
-	a, err := RunStudy(cfg)
+	a, err := runStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunStudy(cfg)
+	b, err := runStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

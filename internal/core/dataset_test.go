@@ -35,7 +35,7 @@ func writeDataset(w io.Writer, crawls []*crawler.Crawl) error {
 // engine-written dataset must reproduce.
 func batchDataset(t *testing.T, cfg StudyConfig) ([]byte, *Study) {
 	t.Helper()
-	batch, err := RunStudy(cfg)
+	batch, err := runStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func (c *Classifier) Classify(rec crawler.Record) ReferralClass {
 	}
 	domain := urlutil.RegisteredDomain(p.Host)
 	// Self: the entry shares a registered domain with the exchange's
-	// home page (urlutil.SameSite against "http://<host>/").
+	// home page, "http://<host>/".
 	if exDomain := c.exchangeDomain(rec.Exchange); exDomain != "" && domain == exDomain {
 		return Self
 	}

@@ -14,7 +14,6 @@ import (
 	"repro/internal/crawler"
 	"repro/internal/exchange"
 	"repro/internal/httpsim"
-	"repro/internal/obs"
 )
 
 // The study engine. Every path that turns records into an Analysis —
@@ -205,11 +204,6 @@ func (an *Analyzer) runEngine(runs []*shardRun, nShards int, src shardSource, ca
 	}
 	an.Metrics.Counter("pipeline.cache.hits").Add(int64(cstats.Hits))
 	an.Metrics.Counter("pipeline.cache.misses").Add(int64(cstats.Misses))
-	// One aggregate-stage span per exchange: the fold itself runs inline
-	// with the scan and is unattributable to one interval.
-	for _, sr := range runs {
-		an.Tracer.Start(sr.name, obs.StageAggregate).End()
-	}
 	e.removeShards()
 	return fs.finish(cstats), nil
 }

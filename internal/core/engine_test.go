@@ -315,7 +315,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: oracle: %v", label, err)
 			}
-			batch, err := RunStudy(cfg)
+			batch, err := runStudy(cfg)
 			if err != nil {
 				t.Fatalf("%s: batch run: %v", label, err)
 			}
@@ -352,7 +352,7 @@ func TestFleetMatchesBatch(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	for _, profile := range []string{"", "flaky"} {
 		cfg := streamConfig(3, 0, profile)
-		batch, err := RunStudy(cfg)
+		batch, err := runStudy(cfg)
 		if err != nil {
 			t.Fatalf("batch run (profile=%s): %v", orName(profile), err)
 		}
@@ -386,7 +386,7 @@ func TestFleetInvarianceMatrix(t *testing.T) {
 				t.Parallel()
 				testutil.VerifyNoLeaks(t)
 				cfg := streamConfig(seed, 0, profile)
-				ref, err := RunStudy(cfg)
+				ref, err := runStudy(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -457,7 +457,7 @@ func runSubset(t *testing.T, cfg StudyConfig, opts RunOptions) error {
 func TestFleetDoubleKill(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	cfg := streamConfig(4, 4, "flaky")
-	ref, err := RunStudy(cfg)
+	ref, err := runStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestFleetDoubleKill(t *testing.T) {
 func TestFleetDistributedSubsets(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	cfg := streamConfig(2, 0, "flaky")
-	ref, err := RunStudy(cfg)
+	ref, err := runStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,15 +545,19 @@ func TestShardMergeOrderInvariance(t *testing.T) {
 	rng := simrand.New(99).Sub("merge-order")
 	var want *Analysis
 	for trial := 0; trial < 5; trial++ {
-		order := rng.Perm(len(cks))
+		order := make([]int, len(cks))
+		for i := range order {
+			order[i] = i
+		}
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		m := NewShardMerger()
 		for _, i := range order {
 			if err := m.Add(cks[i]); err != nil {
 				t.Fatalf("trial %d: add shard %d: %v", trial, i, err)
 			}
 		}
-		if !m.Complete() {
-			t.Fatalf("trial %d: merger incomplete after adding every shard", trial)
+		if msg := m.incomplete(); msg != "" {
+			t.Fatalf("trial %d: merger incomplete after adding every shard: %s", trial, msg)
 		}
 		a, err := m.Analysis()
 		if err != nil {
@@ -646,7 +650,7 @@ func TestFleetRejectsMismatches(t *testing.T) {
 func TestFleetResumeFreshWhenNoCheckpoints(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	cfg := streamConfig(3, 2, "")
-	ref, err := RunStudy(cfg)
+	ref, err := runStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

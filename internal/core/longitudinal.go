@@ -85,16 +85,6 @@ type LongitudinalResult struct {
 	Epochs []EpochOutcome
 }
 
-// MaliceRates returns the per-epoch overall malice rate as a percentage
-// series (the headline ">26%" tracked over time).
-func (r *LongitudinalResult) MaliceRates() []float64 {
-	out := make([]float64, len(r.Epochs))
-	for i, e := range r.Epochs {
-		out[i] = e.Analysis.OverallPctMalicious()
-	}
-	return out
-}
-
 // ExchangeSeries folds one exchange's per-epoch Figure-3 series into a
 // single cross-epoch cumulative series (epoch boundaries preserved as
 // segment joins), ready for stats.Series.Bursts — a burst spanning a

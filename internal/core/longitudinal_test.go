@@ -447,8 +447,8 @@ func TestLongitudinalSeriesAndRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rates := res.MaliceRates(); len(rates) != 2 {
-		t.Fatalf("malice rates = %v, want 2 points", rates)
+	if len(res.Epochs) != 2 {
+		t.Fatalf("epochs = %d, want 2", len(res.Epochs))
 	}
 	name := res.Epochs[0].Analysis.PerExchange[0].Name
 	s := res.ExchangeSeries(name)

@@ -39,7 +39,7 @@ func TestAnalyzeParallelDeterminism(t *testing.T) {
 		cfg.Seed = seed
 		cfg.Scale = 900
 		cfg.DriveShortenerTraffic = false
-		st, err := RunStudy(cfg)
+		st, err := runStudy(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,15 +20,6 @@ type CacheStats struct {
 	Misses int
 }
 
-// HitRate is Hits / (Hits + Misses), or 0 on an empty cache.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // recordIdentity names a record by the exact inputs verdictKey consumes,
 // with the body taken by pointer+length instead of content. Served pages
 // share one rendered byte array across every fetch (the web package's

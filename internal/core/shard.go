@@ -70,24 +70,6 @@ type shardSnapshot struct {
 func (s *shardSnapshot) folded() int  { return s.fold.exchanges[0].folded }
 func (s *shardSnapshot) name() string { return s.fold.exchanges[0].name }
 
-// counters derives the shard's deterministic obs-counter view from the
-// fold — derived rather than double-stored, so it can never drift from
-// the accumulator it describes. Summing these maps across shards is the
-// counter half of the merge contract.
-func (s *shardSnapshot) counters() map[string]int64 {
-	es := &s.fold.exchanges[0]
-	return map[string]int64{
-		"pipeline.records":            int64(es.folded),
-		"pipeline.classified.self":    int64(es.self),
-		"pipeline.classified.popular": int64(es.popular),
-		"pipeline.classified.regular": int64(es.regular),
-		"pipeline.classified.failed":  int64(es.failed),
-		"pipeline.malicious":          int64(es.malicious),
-		"crawl.failed":                int64(es.failed),
-		"crawl.retries":               int64(es.retries),
-	}
-}
-
 // ---- codec ----
 
 func (w *ckptWriter) slot(s shardSlot) {
@@ -308,10 +290,6 @@ func (m *ShardMerger) Missing() []int {
 	return out
 }
 
-// Complete reports whether every shard of the partition is present and
-// fully folded.
-func (m *ShardMerger) Complete() bool { return len(m.got) > 0 && m.incomplete() == "" }
-
 // incomplete describes what blocks a final merge: absent indices or
 // shards whose fold stopped short of the plan. "" means mergeable.
 func (m *ShardMerger) incomplete() string {
@@ -355,19 +333,6 @@ func (m *ShardMerger) Analysis() (*Analysis, error) {
 		return nil, err
 	}
 	return fs.finish(CacheStats{}), nil
-}
-
-// Counters returns the summed deterministic counter view of every merged
-// shard (see shardSnapshot.counters). Defined for any subset — sums are
-// associative — so partial shard sets can report progress.
-func (m *ShardMerger) Counters() map[string]int64 {
-	out := map[string]int64{}
-	for _, s := range m.got {
-		for k, v := range s.counters() {
-			out[k] += v
-		}
-	}
-	return out
 }
 
 // ApplyVisits replays every merged shard's recorded shortener traffic

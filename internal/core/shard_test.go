@@ -178,8 +178,8 @@ func TestShardMergerCompleteness(t *testing.T) {
 	if _, err := m.Analysis(); err == nil || !strings.Contains(err.Error(), "missing shards [1 2]") {
 		t.Errorf("missing shards: got %v", err)
 	}
-	if m.Complete() {
-		t.Error("Complete() true with shards missing")
+	if m.incomplete() == "" {
+		t.Error("incomplete() empty with shards missing")
 	}
 	if got := m.Missing(); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Errorf("Missing() = %v", got)
@@ -203,8 +203,8 @@ func TestShardMergerCompleteness(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !full.Complete() {
-		t.Fatal("Complete() false for a full set")
+	if msg := full.incomplete(); msg != "" {
+		t.Fatalf("full set is incomplete: %s", msg)
 	}
 	a, err := full.Analysis()
 	if err != nil {
@@ -215,15 +215,6 @@ func TestShardMergerCompleteness(t *testing.T) {
 	}
 	if len(a.PerExchange) != 3 {
 		t.Errorf("merged exchange rows = %d, want 3", len(a.PerExchange))
-	}
-	want := map[string]int64{
-		"pipeline.records": 20, "pipeline.classified.self": 20,
-		"pipeline.classified.popular": 0, "pipeline.classified.regular": 0,
-		"pipeline.classified.failed": 0, "pipeline.malicious": 0,
-		"crawl.failed": 0, "crawl.retries": 0,
-	}
-	if got := full.Counters(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Counters() = %v, want %v", got, want)
 	}
 }
 

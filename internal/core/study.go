@@ -341,19 +341,6 @@ func (st *Study) driveShortenerTraffic() {
 	}
 }
 
-// RunStudy is the one-call batch entry point used by tests, examples and
-// benchmarks: build the study, then Run it, keeping every record.
-func RunStudy(cfg StudyConfig) (*Study, error) {
-	st, err := NewStudy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := st.Run(); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

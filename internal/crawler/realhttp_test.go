@@ -8,6 +8,7 @@ import (
 	"repro/internal/exchange"
 	"repro/internal/httpsim"
 	"repro/internal/simrand"
+	"repro/internal/urlutil"
 	"repro/internal/web"
 )
 
@@ -72,9 +73,15 @@ func TestCrawlOverRealHTTP(t *testing.T) {
 	// Malicious page content must round-trip intact (family tokens are
 	// what the scanners key on).
 	foundToken := false
+	tokens := map[string]string{} // registered domain -> family token
+	for _, s := range u.Sites {
+		if s.Kind.Malicious() && s.FamilyToken != "" {
+			tokens[urlutil.RegisteredDomain(s.Host)] = s.FamilyToken
+		}
+	}
 	for _, r := range crawl.Records {
-		if site, ok := u.SiteByURL(r.EntryURL); ok && site.Kind.Malicious() && site.FamilyToken != "" {
-			if strings.Contains(string(r.Body), site.FamilyToken) {
+		if token := tokens[urlutil.DomainOf(r.EntryURL)]; token != "" {
+			if strings.Contains(string(r.Body), token) {
 				foundToken = true
 				break
 			}

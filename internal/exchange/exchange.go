@@ -117,9 +117,6 @@ type Member struct {
 	IP        string
 	Credits   float64
 	Suspended bool
-	// SiteURL is the member's listed website, the target of redeemed
-	// credits.
-	SiteURL string
 }
 
 // New builds an exchange over a site pool and the popular URL list.
@@ -207,14 +204,6 @@ func (e *Exchange) Register(account, ip string) (*Member, error) {
 	e.members[account] = m
 	e.ipTaken[ip] = account
 	return m, nil
-}
-
-// Member returns an account.
-func (e *Exchange) Member(account string) (*Member, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	m, ok := e.members[account]
-	return m, ok
 }
 
 // StartSession opens a surf session for an account. A second concurrent
@@ -421,79 +410,6 @@ func (e *Exchange) RegisterHomepage(in *httpsim.Internet) {
 	in.Register(e.cfg.Host, func(*httpsim.Request) *httpsim.Response { return resp })
 }
 
-// SubmitSite lists a member's website for traffic barter. The exchanges
-// work "on the principal of reciprocity": surfing earns credits, and
-// credits buy visits to the listed site.
-func (e *Exchange) SubmitSite(account, siteURL string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	m, ok := e.members[account]
-	if !ok {
-		return ErrNoSuchAccount
-	}
-	if m.Suspended {
-		return ErrSuspended
-	}
-	m.SiteURL = siteURL
-	return nil
-}
-
-// ErrInsufficientCredits rejects a redemption beyond the member balance.
-var ErrInsufficientCredits = errors.New("exchange: insufficient credits")
-
-// ErrNoSiteListed rejects a redemption before SubmitSite.
-var ErrNoSiteListed = errors.New("exchange: no site listed for account")
-
-// RedeemCredits converts credits into visits to the member's listed site
-// at one credit per visit, delivered like a small campaign (exchange
-// referrer, pooled visitor IPs and countries).
-func (e *Exchange) RedeemCredits(transport httpsim.RoundTripper, account string, visits int) (*CampaignReceipt, error) {
-	e.mu.Lock()
-	m, ok := e.members[account]
-	if !ok {
-		e.mu.Unlock()
-		return nil, ErrNoSuchAccount
-	}
-	if m.SiteURL == "" {
-		e.mu.Unlock()
-		return nil, ErrNoSiteListed
-	}
-	cost := float64(visits)
-	if m.Credits < cost {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("%w: need %.0f, have %.1f", ErrInsufficientCredits, cost, m.Credits)
-	}
-	m.Credits -= cost
-	target := m.SiteURL
-	e.mu.Unlock()
-
-	rng := e.rng.Sub("redeem:" + account)
-	rec := &CampaignReceipt{TargetURL: target, PurchasedVisits: visits}
-	unique := make(map[string]bool)
-	var elapsed time.Duration
-	for i := 0; i < visits; i++ {
-		ip := fmt.Sprintf("%d.%d.%d.%d", rng.Range(1, 223), rng.Range(0, 255), rng.Range(0, 255), rng.Range(1, 254))
-		unique[ip] = true
-		_, err := transport.RoundTrip(&httpsim.Request{
-			URL:       target,
-			UserAgent: "Mozilla/5.0 (compatible; surfbar)",
-			Referrer:  e.HomeURL(),
-			Header: map[string]string{
-				shortener.CountryHeader: simrand.WeightedPick(rng, VisitorCountries, visitorCountryWeights),
-				"X-Forwarded-For":       ip,
-			},
-		})
-		if err != nil {
-			rec.Errors++
-		}
-		rec.DeliveredVisits++
-		elapsed += time.Duration(500+rng.Intn(1500)) * time.Millisecond
-	}
-	rec.UniqueIPs = len(unique)
-	rec.Duration = elapsed
-	return rec, nil
-}
-
 // --- campaign purchase & delivery (the §IV validation experiment) ---
 
 // VisitorCountries is the population mix the paper describes for exchange
@@ -601,11 +517,4 @@ func (e *Exchange) DriveTraffic(transport httpsim.RoundTripper, targetURL string
 		}
 	}
 	return ok
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

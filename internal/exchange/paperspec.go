@@ -138,12 +138,3 @@ func PaperSpecs() []PaperSpec {
 		},
 	}
 }
-
-// TotalCrawled sums the Table I crawl volumes (1,003,087 in the paper).
-func TotalCrawled(specs []PaperSpec) int {
-	n := 0
-	for _, s := range specs {
-		n += s.URLsCrawled
-	}
-	return n
-}

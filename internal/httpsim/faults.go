@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -88,15 +87,6 @@ func (p FaultProfile) Zero() bool {
 	return true
 }
 
-// TotalRate is the probability that any given request is faulted.
-func (p FaultProfile) TotalRate() float64 {
-	sum := 0.0
-	for _, r := range p.Rates {
-		sum += r
-	}
-	return sum
-}
-
 // Profiles returns the named fault profiles, mildest to nastiest:
 //
 //	off     — nothing injected (the healthy universe)
@@ -172,8 +162,7 @@ func putUint64(b []byte, v uint64) {
 }
 
 // FaultInjector decorates a RoundTripper with a deterministic FaultProfile.
-// It is safe for concurrent use; the only mutable state is the injection
-// counters, which do not influence decisions.
+// It is safe for concurrent use and holds no mutable state of its own.
 type FaultInjector struct {
 	// Inner is the healthy transport being degraded.
 	Inner RoundTripper
@@ -185,14 +174,11 @@ type FaultInjector struct {
 	// SlowPenalty is the extra virtual latency a slow fault adds
 	// (default 30s — enough to bust any sane fetch budget).
 	SlowPenalty time.Duration
-	// Metrics, when set, mirrors the injection counters live into an obs
-	// registry (httpsim.requests, httpsim.faults.<kind>) so long-running
-	// servers can watch fault pressure without polling InjectedCounts.
-	// Nil-safe no-op; never consulted by the decision path.
+	// Metrics, when set, counts requests and injected faults live in an
+	// obs registry (httpsim.requests, httpsim.faults.<kind>) so
+	// long-running servers can watch fault pressure. Nil-safe no-op;
+	// never consulted by the decision path.
 	Metrics *obs.Registry
-
-	counts [numFaultKinds]atomic.Int64
-	total  atomic.Int64
 }
 
 var _ RoundTripper = (*FaultInjector)(nil)
@@ -202,26 +188,8 @@ func NewFaultInjector(inner RoundTripper, profile FaultProfile, seed uint64) *Fa
 	return &FaultInjector{Inner: inner, Profile: profile, Seed: seed, SlowPenalty: 30 * time.Second}
 }
 
-// InjectedCounts reports how many faults of each kind have been injected,
-// keyed by FaultKind string. Observability only — never consulted by the
-// decision path.
-func (f *FaultInjector) InjectedCounts() map[string]int64 {
-	out := make(map[string]int64, numFaultKinds)
-	for k := FaultKind(0); k < numFaultKinds; k++ {
-		if n := f.counts[k].Load(); n > 0 {
-			out[k.String()] = n
-		}
-	}
-	return out
-}
-
-// Requests returns the total request count seen (faulted or not).
-func (f *FaultInjector) Requests() int64 { return f.total.Load() }
-
-// record counts one injected fault, both internally and in the mirror
-// registry when one is attached.
+// record counts one injected fault in the registry, if one is attached.
 func (f *FaultInjector) record(kind FaultKind) {
-	f.counts[kind].Add(1)
 	f.Metrics.Counter("httpsim.faults." + kind.String()).Inc()
 }
 
@@ -231,7 +199,6 @@ func (f *FaultInjector) record(kind FaultKind) {
 // unreachable or lying. Payload faults (truncate, slow) degrade the real
 // inner response.
 func (f *FaultInjector) RoundTrip(req *Request) (*Response, error) {
-	f.total.Add(1)
 	f.Metrics.Counter("httpsim.requests").Inc()
 	kind, faulted := f.Profile.pick(f.Seed, req.URL, req.Attempt)
 	if !faulted {

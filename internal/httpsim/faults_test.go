@@ -6,9 +6,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // forceProfile returns a profile that injects the given kind on every
@@ -28,7 +31,30 @@ func faultyInternet(profile FaultProfile, seed uint64) (*Internet, *FaultInjecto
 	in.Register("hop.test", func(req *Request) *Response {
 		return Redirect("http://site.test/")
 	})
-	return in, NewFaultInjector(in, profile, seed)
+	inj := NewFaultInjector(in, profile, seed)
+	inj.Metrics = obs.NewRegistry()
+	return in, inj
+}
+
+// injected returns the nonzero fault counters of inj's registry, keyed by
+// FaultKind string.
+func injected(inj *FaultInjector) map[string]int64 {
+	out := map[string]int64{}
+	for _, c := range inj.Metrics.Snapshot().Counters {
+		if kind, ok := strings.CutPrefix(c.Name, "httpsim.faults."); ok && c.Value > 0 {
+			out[kind] = c.Value
+		}
+	}
+	return out
+}
+
+// totalRate is the probability that any given request is faulted.
+func totalRate(p FaultProfile) float64 {
+	sum := 0.0
+	for _, r := range p.Rates {
+		sum += r
+	}
+	return sum
 }
 
 func TestFaultPickDeterministic(t *testing.T) {
@@ -95,11 +121,11 @@ func TestFaultProfileZeroPassesThrough(t *testing.T) {
 			t.Fatalf("status = %d, want 200", res.Final.StatusCode)
 		}
 	}
-	if n := len(inj.InjectedCounts()); n != 0 {
-		t.Errorf("InjectedCounts() has %d entries for the zero profile", n)
+	if got := injected(inj); len(got) != 0 {
+		t.Errorf("zero profile injected faults: %v", got)
 	}
-	if inj.Requests() != 50 {
-		t.Errorf("Requests() = %d, want 50", inj.Requests())
+	if n := inj.Metrics.Counter("httpsim.requests").Value(); n != 50 {
+		t.Errorf("httpsim.requests = %d, want 50", n)
 	}
 }
 
@@ -113,7 +139,7 @@ func TestFaultRatesRoughlyObserved(t *testing.T) {
 		}
 	}
 	rate := float64(faulted) / n
-	want := hostile.TotalRate()
+	want := totalRate(hostile)
 	if rate < want-0.05 || rate > want+0.05 {
 		t.Errorf("observed fault rate %.3f, profile promises %.3f", rate, want)
 	}
@@ -125,8 +151,8 @@ func TestFaultConnReset(t *testing.T) {
 	if !errors.Is(err, ErrConnReset) {
 		t.Fatalf("err = %v, want ErrConnReset", err)
 	}
-	if inj.InjectedCounts()["conn-reset"] != 1 {
-		t.Errorf("InjectedCounts = %v, want conn-reset: 1", inj.InjectedCounts())
+	if got := injected(inj); len(got) != 1 || got["conn-reset"] != 1 {
+		t.Errorf("injected = %v, want conn-reset: 1", got)
 	}
 }
 
@@ -356,8 +382,8 @@ func TestProfileByName(t *testing.T) {
 		if !ok || p.Name != name {
 			t.Errorf("ProfileByName(%q) = (%+v, %v)", name, p, ok)
 		}
-		if p.TotalRate() > 1 {
-			t.Errorf("profile %q rates sum to %.2f > 1", name, p.TotalRate())
+		if r := totalRate(p); r > 1 {
+			t.Errorf("profile %q rates sum to %.2f > 1", name, r)
 		}
 	}
 	if p, ok := ProfileByName(""); !ok || !p.Zero() {

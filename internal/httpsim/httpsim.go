@@ -15,7 +15,6 @@ package httpsim
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -115,18 +114,6 @@ func (in *Internet) Register(host string, h Handler) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.hosts[strings.ToLower(host)] = h
-}
-
-// Hosts returns the sorted list of registered hostnames.
-func (in *Internet) Hosts() []string {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	out := make([]string, 0, len(in.hosts))
-	for h := range in.hosts {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // NumHosts returns the number of registered hosts.
@@ -438,11 +425,6 @@ func Flash(body []byte) *Response {
 // Redirect returns a 302 to location.
 func Redirect(location string) *Response {
 	return &Response{StatusCode: 302, Location: location, ContentType: "text/html"}
-}
-
-// MovedPermanently returns a 301 to location.
-func MovedPermanently(location string) *Response {
-	return &Response{StatusCode: 301, Location: location, ContentType: "text/html"}
 }
 
 // notFoundBody is shared across all 404s; response bodies are read-only

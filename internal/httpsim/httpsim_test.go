@@ -224,12 +224,8 @@ func TestLatencyDeterministic(t *testing.T) {
 
 func TestHostsListing(t *testing.T) {
 	in := newTestNet()
-	hosts := in.Hosts()
-	if len(hosts) != 3 || in.NumHosts() != 3 {
-		t.Fatalf("hosts = %v", hosts)
-	}
-	if hosts[0] != "end.example" {
-		t.Fatalf("hosts not sorted: %v", hosts)
+	if n := in.NumHosts(); n != 3 {
+		t.Fatalf("hosts = %d, want 3", n)
 	}
 }
 
@@ -319,9 +315,6 @@ func TestResponseConstructors(t *testing.T) {
 	if r := Flash([]byte{1, 2}); r.ContentType != "application/x-shockwave-flash" || len(r.Body) != 2 {
 		t.Fatalf("Flash = %+v", r)
 	}
-	if r := MovedPermanently("http://x/"); r.StatusCode != 301 || r.Location != "http://x/" {
-		t.Fatalf("MovedPermanently = %+v", r)
-	}
 	if r := NotFound(); r.StatusCode != 404 {
 		t.Fatalf("NotFound = %+v", r)
 	}
@@ -351,7 +344,7 @@ func TestResultRedirectsEmpty(t *testing.T) {
 func TestPermanentRedirectFollowed(t *testing.T) {
 	in := NewInternet()
 	in.Register("old.example", func(req *Request) *Response {
-		return MovedPermanently("http://new.example/")
+		return &Response{StatusCode: 301, Location: "http://new.example/", ContentType: "text/html"}
 	})
 	in.Register("new.example", func(req *Request) *Response {
 		return HTML("moved here")

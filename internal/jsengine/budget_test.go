@@ -164,7 +164,7 @@ func TestPlainEvalFailureStaysNonFatal(t *testing.T) {
 // defaults leave ordinary scripts untouched.
 func TestDefaultBudgetSucceedsOnRealWork(t *testing.T) {
 	src := `var s = ""; for (var i = 0; i < 100; i = i + 1) { s = s + "x"; } document.write(s.length);`
-	tr, err := Execute(src)
+	tr, err := execute(src)
 	if err != nil {
 		t.Fatalf("default budget tripped on ordinary work: %v", err)
 	}

@@ -135,15 +135,6 @@ type interp struct {
 	window    *object
 }
 
-// Execute parses and runs src in a fresh sandbox under the default budget,
-// returning the behaviour trace. Execution errors after partial progress
-// still return the partial trace — malware frequently errors out after its
-// payload has fired, and the trace up to that point is exactly what we
-// want.
-func Execute(src string) (*Trace, error) {
-	return ExecuteBudget(src, DefaultBudget())
-}
-
 // ExecuteBudget runs src under an explicit resource budget. The budget is
 // taken literally (zero fuel is zero fuel). A non-nil error is always a
 // *SandboxError; match on CodeOf. Execution is deterministic: the same

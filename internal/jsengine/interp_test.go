@@ -472,7 +472,7 @@ func TestScanWriteMarkupStopsAtCloseParen(t *testing.T) {
 }
 
 func TestLexerTokenString(t *testing.T) {
-	toks := lex(`x = 1;`)
+	toks := lexInto(`x = 1;`, nil)
 	if len(toks) == 0 || toks[0].String() == "" {
 		t.Fatal("token String() empty")
 	}
@@ -539,10 +539,10 @@ document.write(--i);
 }
 
 func TestInfiniteLoopHitsStepLimit(t *testing.T) {
-	if _, err := Execute(`while (true) { var x = 1; }`); err == nil {
+	if _, err := execute(`while (true) { var x = 1; }`); err == nil {
 		t.Fatal("infinite loop must hit the step limit")
 	}
-	if _, err := Execute(`for (;;) { }`); err == nil {
+	if _, err := execute(`for (;;) { }`); err == nil {
 		t.Fatal("for(;;) must hit the step limit")
 	}
 }
@@ -683,7 +683,7 @@ try {
 func TestStepLimitNotCatchable(t *testing.T) {
 	// A recursion bomb inside try/catch must still abort the script: VM
 	// resource limits are not script-visible exceptions.
-	_, err := Execute(`
+	_, err := execute(`
 function f() { return f(); }
 try { f(); } catch (e) { }
 document.write("unreachable");

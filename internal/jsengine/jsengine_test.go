@@ -10,7 +10,7 @@ import (
 
 func mustTrace(t *testing.T, src string) *Trace {
 	t.Helper()
-	tr, err := Execute(src)
+	tr, err := execute(src)
 	if err != nil {
 		t.Fatalf("Execute error: %v\nsource:\n%s", err, src)
 	}
@@ -258,7 +258,7 @@ func TestCharCodeRoundTrip(t *testing.T) {
 			}
 		}
 		esc := Escape(payload)
-		tr, err := Execute(`document.write(unescape("` + esc + `"));`)
+		tr, err := execute(`document.write(unescape("` + esc + `"));`)
 		if err != nil {
 			return false
 		}
@@ -276,7 +276,7 @@ func TestEvalDepthLimit(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		src = `eval(unescape("` + Escape(src) + `"));`
 	}
-	_, err := Execute(src)
+	_, err := execute(src)
 	if err == nil {
 		t.Fatal("expected eval depth error")
 	}
@@ -284,7 +284,7 @@ func TestEvalDepthLimit(t *testing.T) {
 
 func TestStepLimit(t *testing.T) {
 	// A recursion bomb must hit the step limiter.
-	_, err := Execute(`
+	_, err := execute(`
 function f() { return f(); }
 f();
 `)
@@ -307,7 +307,7 @@ func TestParseErrorsDontPanic(t *testing.T) {
 		"a.b.c.d.e.f = =",
 	}
 	for _, src := range cases {
-		if _, err := Execute(src); err == nil {
+		if _, err := execute(src); err == nil {
 			// Some of these parse to empty programs, which is fine; the
 			// requirement is only no panic.
 			continue
@@ -458,7 +458,7 @@ document.write("<div>" + out + "</div>");
 `
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Execute(src); err != nil {
+		if _, err := execute(src); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -471,7 +471,7 @@ func BenchmarkExecuteObfuscated3Layers(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Execute(src); err != nil {
+		if _, err := execute(src); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -484,4 +484,9 @@ func BenchmarkStaticScan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		StaticScan(src)
 	}
+}
+
+// execute runs src in a fresh sandbox under the default budget.
+func execute(src string) (*Trace, error) {
+	return ExecuteBudget(src, DefaultBudget())
 }

@@ -64,15 +64,10 @@ func returnToks(p *[]token) {
 	tokScratch.Put(p)
 }
 
-// lex tokenizes src. It is forgiving: unknown bytes are skipped so that the
+// lexInto tokenizes src into a reusable scratch slice (reset to length
+// zero first). It is forgiving: unknown bytes are skipped so that the
 // analyzer never chokes on exotic malware text; the parser decides what is
 // usable.
-func lex(src string) []token {
-	return lexInto(src, nil)
-}
-
-// lexInto is lex writing into a reusable scratch slice (reset to length
-// zero first).
 func lexInto(src string, scratch []token) []token {
 	toks, _ := lexIntoCap(src, scratch, 0)
 	return toks

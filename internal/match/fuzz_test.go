@@ -6,22 +6,20 @@ import (
 	"testing"
 )
 
-// FuzzMatchAutomaton differentially tests the automaton (both compile
-// modes and both the one-shot and streaming entry points) against the
+// FuzzMatchAutomaton differentially tests the automaton against the
 // naive per-pattern strings.Contains oracle it replaced. The pattern set
 // is derived from a newline-separated blob so the fuzzer can mutate
 // pattern structure and body together; crashers are checked in under
 // testdata/fuzz as regression seeds.
 func FuzzMatchAutomaton(f *testing.F) {
-	f.Add("he\nshe\nhis\nhers", "ushers", byte(0))
-	f.Add("a\naa\naaa", "aaaa", byte(1))
-	f.Add("<iframe\neval(", "X<IFRAME src=eval(", byte(1))
-	f.Add("foo\nfoobar\nbar", "foobarfoo", byte(0))
-	f.Add("\xff\xfe\n\xc3\xa9", "caf\xc3\xa9 \xff\xfe", byte(3))
-	f.Add("ab", "abababab", byte(2))
+	f.Add("he\nshe\nhis\nhers", "ushers")
+	f.Add("a\naa\naaa", "aaaa")
+	f.Add("<iframe\neval(", "X<IFRAME src=eval(")
+	f.Add("foo\nfoobar\nbar", "foobarfoo")
+	f.Add("\xff\xfe\n\xc3\xa9", "caf\xc3\xa9 \xff\xfe")
+	f.Add("ab", "abababab")
 
-	f.Fuzz(func(t *testing.T, patBlob string, body string, mode byte) {
-		fold := mode&1 != 0
+	f.Fuzz(func(t *testing.T, patBlob string, body string) {
 		var patterns []string
 		for _, p := range strings.Split(patBlob, "\n") {
 			if p == "" {
@@ -39,46 +37,16 @@ func FuzzMatchAutomaton(f *testing.F) {
 			body = body[:1<<14]
 		}
 
-		a, err := compile(patterns, fold)
+		a, err := Compile(patterns)
 		if err != nil {
-			t.Fatalf("compile(%q) rejected non-empty patterns: %v", patterns, err)
+			t.Fatalf("Compile(%q) rejected non-empty patterns: %v", patterns, err)
 		}
 
-		want := naiveMatch(patterns, body, fold)
-		got := a.MatchStringInto(nil, body)
+		want := naiveMatch(patterns, body)
+		got := a.MatchInto(nil, []byte(body))
 		sort.Ints(got)
 		if !equalInts(got, want) {
-			t.Fatalf("fold=%v patterns=%q body=%q: automaton=%v oracle=%v",
-				fold, patterns, body, got, want)
-		}
-
-		// []byte entry point must agree with the string one.
-		gotB := a.MatchInto(nil, []byte(body))
-		sort.Ints(gotB)
-		if !equalInts(gotB, want) {
-			t.Fatalf("fold=%v patterns=%q body=%q: MatchInto=%v oracle=%v",
-				fold, patterns, body, gotB, want)
-		}
-
-		// Contains is "any match at all".
-		if a.ContainsString(body) != (len(want) > 0) {
-			t.Fatalf("fold=%v patterns=%q body=%q: Contains=%v, want %v",
-				fold, patterns, body, a.ContainsString(body), len(want) > 0)
-		}
-
-		// Streaming with a data-derived chunk boundary must see matches
-		// that span the cut.
-		cut := 0
-		if len(body) > 0 {
-			cut = int(mode>>1) % (len(body) + 1)
-		}
-		st := a.Stream()
-		sGot := st.FeedString(nil, body[:cut])
-		sGot = st.FeedString(sGot, body[cut:])
-		sort.Ints(sGot)
-		if !equalInts(sGot, want) {
-			t.Fatalf("fold=%v patterns=%q body=%q cut=%d: stream=%v oracle=%v",
-				fold, patterns, body, cut, sGot, want)
+			t.Fatalf("patterns=%q body=%q: automaton=%v oracle=%v", patterns, body, got, want)
 		}
 	})
 }

@@ -8,13 +8,9 @@
 // strings.Contains sweeps and the per-call strings.ToLower full-body copies
 // that previously dominated scanner CPU and allocation profiles.
 //
-// Two compile modes cover both matching semantics used by the scanners:
-//
-//   - Compile: exact byte matching (signature tokens are matched
-//     case-sensitively, exactly as strings.Contains did).
-//   - CompileFold: ASCII case-insensitive matching. Folding happens inside
-//     the byte-class table, so match time pays nothing for it and the body
-//     is never copied or lowercased.
+// The automaton matches bytes exactly: signature tokens are matched
+// case-sensitively, as strings.Contains did. Case-insensitive probes use
+// the folding helpers instead.
 //
 // Pattern IDs are the indices into the pattern slice given to Compile, so
 // callers can keep parallel metadata (labels, engines) in plain slices.
@@ -35,12 +31,10 @@ var ErrEmptyPattern = errors.New("match: empty pattern")
 // read-only tables plus caller-provided scratch.
 type Automaton struct {
 	patterns []string // originals, indexed by pattern ID
-	fold     bool
 
 	// classes maps each input byte to a column in the transition table.
 	// Bytes that appear in no pattern share column 0, whose transitions
-	// all lead back to the root; in fold mode 'A'..'Z' share columns with
-	// 'a'..'z', which is how case folding costs nothing at match time.
+	// all lead back to the root.
 	classes [256]uint16
 	width   int32 // columns per state (distinct byte classes + 1)
 
@@ -57,25 +51,9 @@ type Automaton struct {
 	outs     []int32
 }
 
-// Compile builds an exact-byte automaton over patterns. Duplicate patterns
-// are allowed (each ID reports independently); empty patterns are rejected.
-func Compile(patterns []string) (*Automaton, error) { return compile(patterns, false) }
-
-// CompileFold builds an ASCII case-insensitive automaton: patterns and
-// body bytes in 'A'..'Z' are treated as their lowercase forms. Non-ASCII
-// bytes are matched exactly (no Unicode folding), mirroring what
-// strings.Contains(strings.ToLower(body), strings.ToLower(pat)) does for
-// ASCII input without the two copies.
-func CompileFold(patterns []string) (*Automaton, error) { return compile(patterns, true) }
-
 // MustCompile is Compile for pattern sets known valid at construction time.
-func MustCompile(patterns []string) *Automaton { return must(Compile(patterns)) }
-
-// MustCompileFold is CompileFold for pattern sets known valid at
-// construction time.
-func MustCompileFold(patterns []string) *Automaton { return must(CompileFold(patterns)) }
-
-func must(a *Automaton, err error) *Automaton {
+func MustCompile(patterns []string) *Automaton {
+	a, err := Compile(patterns)
 	if err != nil {
 		panic(err)
 	}
@@ -89,8 +67,10 @@ type buildNode struct {
 	out  []int32
 }
 
-func compile(patterns []string, fold bool) (*Automaton, error) {
-	a := &Automaton{patterns: append([]string(nil), patterns...), fold: fold}
+// Compile builds an exact-byte automaton over patterns. Duplicate patterns
+// are allowed (each ID reports independently); empty patterns are rejected.
+func Compile(patterns []string) (*Automaton, error) {
+	a := &Automaton{patterns: append([]string(nil), patterns...)}
 
 	// Pass 1: assign byte classes. Only bytes that occur in some pattern
 	// get a column of their own; everything else shares class 0.
@@ -101,18 +81,10 @@ func compile(patterns []string, fold bool) (*Automaton, error) {
 		}
 		for j := 0; j < len(p); j++ {
 			b := p[j]
-			if fold {
-				b = FoldByte(b)
-			}
 			if a.classes[b] == 0 {
 				a.classes[b] = nextClass
 				nextClass++
 			}
-		}
-	}
-	if fold {
-		for c := byte('A'); c <= 'Z'; c++ {
-			a.classes[c] = a.classes[c+('a'-'A')]
 		}
 	}
 	width := int32(nextClass)
@@ -131,11 +103,7 @@ func compile(patterns []string, fold bool) (*Automaton, error) {
 	for id, p := range patterns {
 		s := int32(0)
 		for j := 0; j < len(p); j++ {
-			b := p[j]
-			if fold {
-				b = FoldByte(b)
-			}
-			c := int32(a.classes[b])
+			c := int32(a.classes[p[j]])
 			if nodes[s].next[c] < 0 {
 				nodes = append(nodes, newNode())
 				nodes[s].next[c] = int32(len(nodes) - 1)
@@ -217,15 +185,6 @@ func compile(patterns []string, fold bool) (*Automaton, error) {
 	return a, nil
 }
 
-// NumPatterns reports how many patterns the automaton was compiled from.
-func (a *Automaton) NumPatterns() int { return len(a.patterns) }
-
-// Pattern returns the original pattern for an ID reported by MatchInto.
-func (a *Automaton) Pattern(id int) string { return a.patterns[id] }
-
-// Fold reports whether the automaton matches case-insensitively.
-func (a *Automaton) Fold() bool { return a.fold }
-
 // MatchInto appends the IDs of every pattern occurring in body to dst and
 // returns the extended slice. Each ID is reported at most once, in first-
 // occurrence order (callers needing pattern-set order sort the handful of
@@ -234,48 +193,6 @@ func (a *Automaton) MatchInto(dst []int, body []byte) []int {
 	_, dst = feed(a, 0, dst, body)
 	return dst
 }
-
-// MatchStringInto is MatchInto over a string body, avoiding a []byte copy.
-func (a *Automaton) MatchStringInto(dst []int, body string) []int {
-	_, dst = feed(a, 0, dst, body)
-	return dst
-}
-
-// Contains reports whether any pattern occurs in body, stopping at the
-// first hit.
-func (a *Automaton) Contains(body []byte) bool { return contains(a, body) }
-
-// ContainsString is Contains over a string body.
-func (a *Automaton) ContainsString(body string) bool { return contains(a, body) }
-
-// Stream matches across a body delivered in chunks: occurrences spanning
-// chunk boundaries are found because the DFA state persists between Feed
-// calls. The zero Stream is not usable; obtain one from Automaton.Stream.
-type Stream struct {
-	a     *Automaton
-	state int32
-}
-
-// Stream returns a fresh streaming matcher positioned at the start of a
-// body. Streams are single-goroutine values; each goroutine takes its own.
-func (a *Automaton) Stream() Stream { return Stream{a: a} }
-
-// Feed consumes the next chunk, appending newly matched pattern IDs to dst
-// exactly as MatchInto does (IDs already present in dst are not repeated,
-// so pass the accumulating slice back in on every call).
-func (s *Stream) Feed(dst []int, chunk []byte) []int {
-	s.state, dst = feed(s.a, s.state, dst, chunk)
-	return dst
-}
-
-// FeedString is Feed for a string chunk.
-func (s *Stream) FeedString(dst []int, chunk string) []int {
-	s.state, dst = feed(s.a, s.state, dst, chunk)
-	return dst
-}
-
-// Reset rewinds the stream to the start-of-body state for reuse.
-func (s *Stream) Reset() { s.state = 0 }
 
 // feed is the shared hot loop: advance the DFA over src from state,
 // collecting output-set IDs (deduplicated against dst) on hit states.
@@ -294,20 +211,6 @@ func feed[T ~string | ~[]byte](a *Automaton, state int32, dst []int, src T) (int
 		}
 	}
 	return state, dst
-}
-
-func contains[T ~string | ~[]byte](a *Automaton, src T) bool {
-	if len(a.patterns) == 0 {
-		return false
-	}
-	state, width, firstOut := int32(0), a.width, a.firstOut
-	for i := 0; i < len(src); i++ {
-		state = a.trans[state*width+int32(a.classes[src[i]])]
-		if state >= firstOut {
-			return true
-		}
-	}
-	return false
 }
 
 // appendUnique adds id to dst unless already present. Match sets are

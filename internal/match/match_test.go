@@ -10,19 +10,8 @@ import (
 // ids runs a MatchInto over body and returns the sorted ID set.
 func ids(t *testing.T, a *Automaton, body string) []int {
 	t.Helper()
-	got := a.MatchStringInto(nil, body)
-	// Byte and string paths must agree.
-	alt := a.MatchInto(nil, []byte(body))
+	got := a.MatchInto(nil, []byte(body))
 	sort.Ints(got)
-	sort.Ints(alt)
-	if len(got) != len(alt) {
-		t.Fatalf("MatchStringInto=%v MatchInto=%v disagree on %q", got, alt, body)
-	}
-	for i := range got {
-		if got[i] != alt[i] {
-			t.Fatalf("MatchStringInto=%v MatchInto=%v disagree on %q", got, alt, body)
-		}
-	}
 	return got
 }
 
@@ -40,9 +29,6 @@ func wantIDs(t *testing.T, a *Automaton, body string, want ...int) {
 		if got[i] != want[i] {
 			t.Fatalf("match(%q) = %v, want %v", body, got, want)
 		}
-	}
-	if wantHit := len(want) > 0; a.ContainsString(body) != wantHit {
-		t.Fatalf("ContainsString(%q) = %v, want %v", body, !wantHit, wantHit)
 	}
 }
 
@@ -70,17 +56,11 @@ func TestEmptyPatternRejected(t *testing.T) {
 	if _, err := Compile([]string{"ok", ""}); !errors.Is(err, ErrEmptyPattern) {
 		t.Fatalf("Compile with empty pattern: err = %v, want ErrEmptyPattern", err)
 	}
-	if _, err := CompileFold([]string{""}); !errors.Is(err, ErrEmptyPattern) {
-		t.Fatalf("CompileFold with empty pattern: err = %v, want ErrEmptyPattern", err)
-	}
 }
 
 func TestEmptyPatternSet(t *testing.T) {
 	a := MustCompile(nil)
 	wantIDs(t, a, "anything at all")
-	if a.NumPatterns() != 0 {
-		t.Fatalf("NumPatterns = %d, want 0", a.NumPatterns())
-	}
 }
 
 func TestDuplicatePatterns(t *testing.T) {
@@ -95,18 +75,24 @@ func TestNonASCIIBytes(t *testing.T) {
 	wantIDs(t, a, "l'\xc3\x89tat au caf\xc3\xa9", 0, 2)
 	wantIDs(t, a, "bom:\xff\xfe!", 1)
 
-	f := MustCompileFold([]string{"caf\xc3\xa9"})
-	wantIDs(t, f, "CAF\xc3\xa9", 0)
+	if !ContainsFold("CAF\xc3\xa9", "caf\xc3\xa9") {
+		t.Fatal("ContainsFold missed an ASCII-folded match")
+	}
 	// The high byte itself must NOT fold: 0xC3 != 0xE3.
-	wantIDs(t, f, "CAF\xe3\xa9")
+	if ContainsFold("CAF\xe3\xa9", "caf\xc3\xa9") {
+		t.Fatal("ContainsFold folded a non-ASCII byte")
+	}
 }
 
 func TestFoldMatching(t *testing.T) {
-	a := MustCompileFold([]string{"<iframe", "Dialer.W32"})
-	wantIDs(t, a, "x<IFrAmE src=", 0)
-	wantIDs(t, a, "DIALER.w32", 1)
-	wantIDs(t, a, "dialer-w32") // '.' does not fold to '-'
-	// Exact-mode automaton stays case-sensitive.
+	// Case-insensitive probes go through the folding helpers.
+	if !ContainsFold("x<IFrAmE src=", "<iframe") || !ContainsFold("DIALER.w32", "Dialer.W32") {
+		t.Fatal("ContainsFold missed a case-folded match")
+	}
+	if ContainsFold("dialer-w32", "Dialer.W32") { // '.' does not fold to '-'
+		t.Fatal("ContainsFold folded '.' to '-'")
+	}
+	// The automaton stays case-sensitive.
 	e := MustCompile([]string{"Dialer.W32"})
 	wantIDs(t, e, "dialer.w32")
 	wantIDs(t, e, "Dialer.W32", 0)
@@ -121,7 +107,7 @@ func TestMatchAtBoundaries(t *testing.T) {
 
 func TestDedupAcrossOccurrences(t *testing.T) {
 	a := MustCompile([]string{"ab"})
-	got := a.MatchStringInto(nil, "ab ab ab")
+	got := a.MatchInto(nil, []byte("ab ab ab"))
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("match = %v, want exactly one ID 0", got)
 	}
@@ -130,56 +116,9 @@ func TestDedupAcrossOccurrences(t *testing.T) {
 func TestMatchIntoReusesDst(t *testing.T) {
 	a := MustCompile([]string{"x", "y"})
 	buf := make([]int, 0, 8)
-	got := a.MatchStringInto(buf, "x")
+	got := a.MatchInto(buf, []byte("x"))
 	if len(got) != 1 || &got[:1][0] != &buf[:1][0] {
-		t.Fatalf("MatchStringInto did not append into the provided buffer")
-	}
-}
-
-func TestStreamChunkBoundaries(t *testing.T) {
-	a := MustCompileFold([]string{"needle", "ee", "haystack"})
-	body := "a NEEDLE in a HayStack"
-	want := ids(t, a, body)
-
-	// Every possible split point must yield the same match set.
-	for cut := 0; cut <= len(body); cut++ {
-		st := a.Stream()
-		got := st.FeedString(nil, body[:cut])
-		got = st.Feed(got, []byte(body[cut:]))
-		sort.Ints(got)
-		if len(got) != len(want) {
-			t.Fatalf("cut %d: stream = %v, want %v", cut, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("cut %d: stream = %v, want %v", cut, got, want)
-			}
-		}
-	}
-
-	// One-byte-at-a-time delivery and Reset.
-	st := a.Stream()
-	var got []int
-	for i := 0; i < len(body); i++ {
-		got = st.FeedString(got, body[i:i+1])
-	}
-	sort.Ints(got)
-	if len(got) != len(want) {
-		t.Fatalf("byte-wise stream = %v, want %v", got, want)
-	}
-	st.Reset()
-	if out := st.FeedString(nil, "dle"); len(out) != 0 {
-		t.Fatalf("after Reset, residual state matched: %v", out)
-	}
-}
-
-func TestPatternAccessors(t *testing.T) {
-	a := MustCompileFold([]string{"Alpha", "beta"})
-	if a.NumPatterns() != 2 || a.Pattern(0) != "Alpha" || a.Pattern(1) != "beta" {
-		t.Fatalf("accessors: n=%d p0=%q p1=%q", a.NumPatterns(), a.Pattern(0), a.Pattern(1))
-	}
-	if !a.Fold() {
-		t.Fatal("Fold() = false for CompileFold automaton")
+		t.Fatalf("MatchInto did not append into the provided buffer")
 	}
 }
 
@@ -217,32 +156,12 @@ func TestFoldHelpers(t *testing.T) {
 	}
 }
 
-// asciiLower folds only ASCII uppercase, byte for byte. This is the fold
-// the automaton implements; strings.ToLower is NOT equivalent on arbitrary
-// bytes (it rewrites invalid UTF-8 to U+FFFD, making distinct raw bytes
-// spuriously "equal" — see the checked-in d39a1b9c crasher seed).
-func asciiLower(s string) string {
-	b := []byte(s)
-	for i := range b {
-		b[i] = FoldByte(b[i])
-	}
-	return string(b)
-}
-
-// naiveMatch is the oracle: per-pattern strings.Contains over (optionally)
-// case-folded copies — exactly the code the automaton replaced.
-func naiveMatch(patterns []string, body string, fold bool) []int {
-	h := body
-	if fold {
-		h = asciiLower(body)
-	}
+// naiveMatch is the oracle: per-pattern strings.Contains — exactly the
+// code the automaton replaced.
+func naiveMatch(patterns []string, body string) []int {
 	var out []int
 	for id, p := range patterns {
-		n := p
-		if fold {
-			n = asciiLower(p)
-		}
-		if strings.Contains(h, n) {
+		if strings.Contains(body, p) {
 			out = append(out, id)
 		}
 	}
@@ -272,24 +191,14 @@ func TestAgainstNaiveOracle(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		for _, fold := range []bool{false, true} {
-			a, err := compile(tc.patterns, fold)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, body := range tc.bodies {
-				want := naiveMatch(tc.patterns, body, fold)
-				got := ids(t, a, body)
-				if len(got) != len(want) {
-					t.Fatalf("fold=%v patterns=%q body=%q: got %v want %v",
-						fold, tc.patterns, body, got, want)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("fold=%v patterns=%q body=%q: got %v want %v",
-							fold, tc.patterns, body, got, want)
-					}
-				}
+		a, err := Compile(tc.patterns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, body := range tc.bodies {
+			want := naiveMatch(tc.patterns, body)
+			if got := ids(t, a, body); !equalInts(got, want) {
+				t.Fatalf("patterns=%q body=%q: got %v want %v", tc.patterns, body, got, want)
 			}
 		}
 	}
@@ -306,8 +215,9 @@ func BenchmarkMatchVsNaive(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(body)))
 		var buf [8]int
+		src := []byte(body)
 		for i := 0; i < b.N; i++ {
-			_ = a.MatchStringInto(buf[:0], body)
+			_ = a.MatchInto(buf[:0], src)
 		}
 	})
 	b.Run("naive", func(b *testing.B) {

@@ -179,27 +179,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add adds delta and returns the new value (0 on a nil gauge).
-func (g *Gauge) Add(delta int64) int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Add(delta)
-}
-
-// SetMax raises the gauge to v if v is greater — a high-water mark.
-func (g *Gauge) SetMax(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (0 on a nil gauge).
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -51,33 +51,9 @@ func TestGauge(t *testing.T) {
 	if g.Value() != 5 {
 		t.Fatalf("after Set(5): %d", g.Value())
 	}
-	if got := g.Add(-2); got != 3 {
-		t.Fatalf("Add(-2) = %d, want 3", got)
-	}
-	g.SetMax(10)
-	g.SetMax(7) // lower: must not regress the high-water mark
-	if g.Value() != 10 {
-		t.Fatalf("SetMax high-water = %d, want 10", g.Value())
-	}
-}
-
-func TestGaugeSetMaxConcurrent(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	g := NewRegistry().Gauge("hw")
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i <= 100; i++ {
-				g.SetMax(int64(w*100 + i))
-			}
-		}()
-	}
-	wg.Wait()
-	if g.Value() != 800 {
-		t.Fatalf("concurrent SetMax high-water = %d, want 800", g.Value())
+	g.Set(3)
+	if g.Value() != 3 {
+		t.Fatalf("after Set(3): %d", g.Value())
 	}
 }
 
@@ -196,9 +172,8 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil counter must read 0")
 	}
 	reg.Gauge("g").Set(1)
-	reg.Gauge("g").SetMax(2)
-	if reg.Gauge("g").Add(3) != 0 {
-		t.Fatal("nil gauge Add must return 0")
+	if reg.Gauge("g").Value() != 0 {
+		t.Fatal("nil gauge must read 0")
 	}
 	reg.Histogram("h").Observe(1)
 	reg.Histogram("h").ObserveDuration(time.Second)

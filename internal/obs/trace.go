@@ -11,20 +11,18 @@ type Stage string
 
 // The pipeline stages, in journey order.
 const (
-	StageFetch     Stage = "fetch"     // crawler: full fetch incl. redirects and retries
-	StageParse     Stage = "parse"     // content parse (HTML title/category extraction)
-	StageClassify  Stage = "classify"  // referral classification (self/popular/regular/failed)
-	StageScan      Stage = "scan"      // detector stack over a regular record
-	StageAggregate Stage = "aggregate" // sequential fold into tables and figures
+	StageFetch    Stage = "fetch"    // crawler: full fetch incl. redirects and retries
+	StageParse    Stage = "parse"    // content parse (HTML title/category extraction)
+	StageClassify Stage = "classify" // referral classification (self/popular/regular/failed)
+	StageScan     Stage = "scan"     // detector stack over a regular record
 )
 
 // stageRank orders stages for deterministic table output.
 var stageRank = map[Stage]int{
-	StageFetch:     0,
-	StageParse:     1,
-	StageClassify:  2,
-	StageScan:      3,
-	StageAggregate: 4,
+	StageFetch:    0,
+	StageParse:    1,
+	StageClassify: 2,
+	StageScan:     3,
 }
 
 // Tracer aggregates per-(scope, stage) span counts and monotonic wall

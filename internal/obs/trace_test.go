@@ -44,7 +44,7 @@ func TestTracerAggregates(t *testing.T) {
 
 func TestSpanRecordsMonotonicTime(t *testing.T) {
 	tr := NewTracer()
-	sp := tr.Start("ex", StageAggregate)
+	sp := tr.Start("ex", StageScan)
 	time.Sleep(2 * time.Millisecond)
 	sp.End()
 	rows := tr.Table()

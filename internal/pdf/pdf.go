@@ -105,31 +105,10 @@ func (b *Builder) AddJavaScriptAction(js string) *Builder {
 	return b
 }
 
-// AddLaunchAction attaches an /OpenAction launching an external file —
-// the dropper vehicle.
-func (b *Builder) AddLaunchAction(file string) *Builder {
-	n := b.nextNum()
-	b.objects = append(b.objects, &Object{
-		Num: n,
-		Dict: map[string]string{
-			"Type": "/Action", "S": "/Launch",
-			"F": "(" + escapePDFString(file) + ")",
-		},
-	})
-	b.openAction = n
-	return b
-}
-
 // BreakXref corrupts the cross-reference offsets (naive parsers die;
 // forgiving readers recover by scanning).
 func (b *Builder) BreakXref() *Builder {
 	b.breakXref = true
-	return b
-}
-
-// AppendAfterEOF plants raw content after the %%EOF marker.
-func (b *Builder) AppendAfterEOF(content string) *Builder {
-	b.appendAfterEOF = content
 	return b
 }
 

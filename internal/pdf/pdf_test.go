@@ -50,7 +50,7 @@ func TestOpenActionJavaScript(t *testing.T) {
 		t.Fatal("auto-open JS not flagged")
 	}
 	// The extracted JS is real enough for the sandbox to trace.
-	tr, err := jsengine.Execute(f.OpenActionJS)
+	tr, err := jsengine.ExecuteBudget(f.OpenActionJS, jsengine.DefaultBudget())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,4 +249,27 @@ func BenchmarkInspect(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Fixture builders for hostile documents the generator never plants.
+
+// AddLaunchAction attaches an /OpenAction launching an external file —
+// the dropper vehicle.
+func (b *Builder) AddLaunchAction(file string) *Builder {
+	n := b.nextNum()
+	b.objects = append(b.objects, &Object{
+		Num: n,
+		Dict: map[string]string{
+			"Type": "/Action", "S": "/Launch",
+			"F": "(" + escapePDFString(file) + ")",
+		},
+	})
+	b.openAction = n
+	return b
+}
+
+// AppendAfterEOF plants raw content after the %%EOF marker.
+func (b *Builder) AppendAfterEOF(content string) *Builder {
+	b.appendAfterEOF = content
+	return b
 }

@@ -85,7 +85,7 @@ func TestCrawlHealthReportNilHealth(t *testing.T) {
 
 func TestJSONCrawlHealth(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, degradedAnalysis(), nil); err != nil {
+	if err := EncodeJSON(&buf, BuildJSON(degradedAnalysis(), nil)); err != nil {
 		t.Fatal(err)
 	}
 	var rep JSONReport
@@ -112,7 +112,7 @@ func TestJSONCrawlHealth(t *testing.T) {
 
 func TestJSONCrawlHealthOmittedWhenNil(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, sampleAnalysis(), nil); err != nil {
+	if err := EncodeJSON(&buf, BuildJSON(sampleAnalysis(), nil)); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Contains(buf.Bytes(), []byte("crawlHealth")) {

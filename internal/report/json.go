@@ -178,11 +178,6 @@ func BuildJSON(a *core.Analysis, short []shortener.HitStats) *JSONReport {
 	return out
 }
 
-// WriteJSON emits the structured report.
-func WriteJSON(w io.Writer, a *core.Analysis, short []shortener.HitStats) error {
-	return EncodeJSON(w, BuildJSON(a, short))
-}
-
 // EncodeJSON emits an assembled JSONReport, letting callers attach
 // optional sections (e.g. Metrics) between BuildJSON and encoding.
 func EncodeJSON(w io.Writer, rep *JSONReport) error {

@@ -204,7 +204,7 @@ func TestWriteJSON(t *testing.T) {
 	a := sampleAnalysis()
 	var buf strings.Builder
 	rows := []shortener.HitStats{{ShortURL: "http://goo.gl.sim/a", LongURL: "http://x/", ShortHits: 5, LongHits: 5, TopCountry: "USA", TopReferrer: "ex.sim"}}
-	if err := WriteJSON(&buf, a, rows); err != nil {
+	if err := EncodeJSON(&buf, BuildJSON(a, rows)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -88,30 +88,6 @@ func (f *ThreatFeed) DomainLabel(domain string) (string, bool) {
 	return l, ok
 }
 
-// Merge folds another feed into this one.
-func (f *ThreatFeed) Merge(other *ThreatFeed) {
-	if other == nil || other == f {
-		return
-	}
-	domains := other.domainEntries()
-	tokens := other.tokenEntries()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, d := range domains {
-		f.badDomains[d[0]] = d[1]
-	}
-	for _, t := range tokens {
-		f.tokenSigs[t[0]] = t[1]
-	}
-}
-
-// Size returns the total signature count.
-func (f *ThreatFeed) Size() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.badDomains) + len(f.tokenSigs)
-}
-
 // Fingerprint digests the feed's full content — every (domain, label) and
 // (token, label) pair, in sorted order — into one value. Engine signature
 // subsets are drawn by iterating the sorted feed sequentially, so ANY

@@ -362,18 +362,6 @@ func TestAsToolAdapters(t *testing.T) {
 	}
 }
 
-func TestFeedMergeAndSize(t *testing.T) {
-	a := testFeed()
-	b := NewThreatFeed()
-	b.AddDomain("extra.example", LabelBlacklisted)
-	b.AddToken("tok_x", LabelScriptGeneric)
-	a.Merge(b)
-	a.Merge(nil)
-	if a.Size() != 6 {
-		t.Fatalf("size = %d, want 6", a.Size())
-	}
-}
-
 func TestEngineDeterministic(t *testing.T) {
 	m1 := NewMultiEngine(simrand.New(5), testFeed(), DefaultMultiEngineConfig())
 	m2 := NewMultiEngine(simrand.New(5), testFeed(), DefaultMultiEngineConfig())

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/httpsim"
@@ -14,8 +15,11 @@ import (
 // TestChaosBoundedQueue saturates the bounded queue from many concurrent
 // submitters over a fault-injected (flaky) universe and checks the
 // no-lost-jobs invariant: every admitted job terminates with a result per
-// URL, shed + admitted == attempted, and nothing leaks. Run under -race
-// in CI; the worker counts bracket the serial and parallel schedules.
+// URL, shed + admitted == attempted, and nothing leaks. Once the queue
+// is idle, one more job scans a cleanly fetched URL twice and the second
+// scan must be a verdict-cache hit — a check that holds however many of
+// the concurrent submissions were shed. Run under -race in CI; the worker
+// counts bracket the serial and parallel schedules.
 func TestChaosBoundedQueue(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
@@ -82,6 +86,39 @@ func TestChaosBoundedQueue(t *testing.T) {
 				}()
 			}
 			wg.Wait()
+
+			// Let the queue go idle without closing it, so one more job
+			// is admitted below.
+			deadline := time.Now().Add(30 * time.Second)
+			for st := srv.Stats(); st.Completed < st.Submitted; st = srv.Stats() {
+				if time.Now().After(deadline) {
+					t.Fatalf("queue never went idle: %+v", st)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			// Fault decisions are a pure function of (seed, url, attempt),
+			// so a URL that fetched cleanly fetches cleanly again.
+			revisit := ""
+			for _, id := range ids {
+				job, _ := srv.Job(id)
+				for _, r := range job.Results {
+					if r.Error == "" && revisit == "" {
+						revisit = r.URL
+					}
+				}
+			}
+			if revisit == "" {
+				t.Fatalf("none of %d admitted jobs fetched a URL cleanly", len(ids))
+			}
+			hitsBefore := srv.Stats().Cache.Hits
+			attempted.Add(1)
+			again, err := srv.Submit("tenant-0", []string{revisit, revisit})
+			if err != nil {
+				t.Fatalf("submit on an idle queue: %v", err)
+			}
+			admitted.Add(1)
+			ids = append(ids, again.ID)
+
 			srv.Close() // drain: every admitted job must finish
 
 			stats := srv.Stats()
@@ -119,9 +156,9 @@ func TestChaosBoundedQueue(t *testing.T) {
 				}
 			}
 
-			if stats.Cache == nil || stats.Cache.Hits == 0 {
-				t.Fatalf("cache saw no hits over %d urls cycled %d times: %+v",
-					len(urls), int(admitted.Load())*2/len(urls), stats.Cache)
+			if job, _ := srv.Job(again.ID); !job.Results[1].Cached || stats.Cache.Hits <= hitsBefore {
+				t.Fatalf("rescanning %s missed the verdict cache: result %+v, hits %d -> %d",
+					revisit, job.Results[1], hitsBefore, stats.Cache.Hits)
 			}
 		})
 	}

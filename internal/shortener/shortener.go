@@ -52,9 +52,6 @@ func New(host string) *Service {
 	}
 }
 
-// Host returns the service hostname.
-func (s *Service) Host() string { return s.host }
-
 // Shorten creates (or reuses) a short link for longURL and returns the
 // short URL. Shortening an already-short URL of another service is
 // allowed — that is exactly the nested-shortening evasion the paper
@@ -87,17 +84,6 @@ func encodeCode(n int) string {
 		n /= 36
 	}
 	return string(b)
-}
-
-// Resolve returns the long URL behind a code without recording a hit.
-func (s *Service) Resolve(code string) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l, ok := s.links[code]
-	if !ok {
-		return "", false
-	}
-	return l.longURL, true
 }
 
 // Handler serves the service over httpsim: GET /{code} records a hit
@@ -230,20 +216,6 @@ func topOrDash(c *stats.Counter) string {
 	return items[0].Key
 }
 
-// Links returns every short URL the service has issued, in issue order.
-func (s *Service) Links() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.links))
-	for i := 1; i <= s.seq; i++ {
-		code := encodeCode(i)
-		if _, ok := s.links[code]; ok {
-			out = append(out, "http://"+s.host+"/"+code)
-		}
-	}
-	return out
-}
-
 // Registry tracks every shortening service in the universe so the analysis
 // pipeline can ask "is this host a shortener?" — the categorizer needs that
 // to place malicious shortened URLs in their own category rather than the
@@ -294,17 +266,6 @@ func (r *Registry) Service(host string) (*Service, bool) {
 	return s, ok
 }
 
-// Services returns all registered services.
-func (r *Registry) Services() []*Service {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*Service, 0, len(r.services))
-	for _, s := range r.services {
-		out = append(out, s)
-	}
-	return out
-}
-
 // StatsFor collects Table IV rows for the given short URLs across all
 // services in the registry.
 func (r *Registry) StatsFor(shortURLs []string) []HitStats {
@@ -323,32 +284,6 @@ func (r *Registry) StatsFor(shortURLs []string) []HitStats {
 		}
 	}
 	return out
-}
-
-// ResolveChain follows nested short links (service-internal resolution, no
-// hit recording) up to maxDepth, returning the full alias chain ending at
-// the first non-shortener URL. It reports ok=false if the walk exceeds
-// maxDepth or hits an unknown code — the "detection quite difficult"
-// nesting case.
-func (r *Registry) ResolveChain(shortURL string, maxDepth int) (chain []string, ok bool) {
-	current := shortURL
-	for depth := 0; depth <= maxDepth; depth++ {
-		chain = append(chain, current)
-		p, err := urlutil.Parse(current)
-		if err != nil {
-			return chain, false
-		}
-		svc, isShort := r.Service(p.Host)
-		if !isShort {
-			return chain, true
-		}
-		long, found := svc.Resolve(strings.TrimPrefix(p.Path, "/"))
-		if !found {
-			return chain, false
-		}
-		current = long
-	}
-	return chain, false
 }
 
 // String implements fmt.Stringer for HitStats (a Table IV row).

@@ -13,13 +13,12 @@ func TestShortenAndResolve(t *testing.T) {
 	if !strings.HasPrefix(short, "http://goo.gl.sim/") {
 		t.Fatalf("short = %q", short)
 	}
-	code := strings.TrimPrefix(short, "http://goo.gl.sim/")
-	long, ok := s.Resolve(code)
-	if !ok || long != "http://torrent.example/page" {
-		t.Fatalf("Resolve = %q, %v", long, ok)
+	resp := s.Handler()(&httpsim.Request{URL: short})
+	if resp.StatusCode != 302 || resp.Location != "http://torrent.example/page" {
+		t.Fatalf("resolve %s = %d %q", short, resp.StatusCode, resp.Location)
 	}
-	if _, ok := s.Resolve("zzzz"); ok {
-		t.Fatal("unknown code resolved")
+	if resp := s.Handler()(&httpsim.Request{URL: "http://goo.gl.sim/zzzz"}); resp.StatusCode != 404 {
+		t.Fatalf("unknown code resolved: %d", resp.StatusCode)
 	}
 }
 
@@ -150,32 +149,34 @@ func TestNestedShortening(t *testing.T) {
 	if res.Redirects() != 2 {
 		t.Fatalf("redirects = %d, want 2 (nested)", res.Redirects())
 	}
-
-	// ResolveChain walks it service-side.
-	chain, ok := reg.ResolveChain(outer, 5)
-	if !ok || len(chain) != 3 {
-		t.Fatalf("chain = %v ok=%v", chain, ok)
-	}
-	if chain[2] != "http://evil.example/mal" {
-		t.Fatalf("chain end = %q", chain[2])
+	for i, want := range []string{outer, inner, "http://evil.example/mal"} {
+		if res.Chain[i].URL != want {
+			t.Fatalf("hop %d = %q, want %q", i, res.Chain[i].URL, want)
+		}
 	}
 }
 
 func TestResolveChainDepthLimit(t *testing.T) {
+	// A nest deeper than the client's hop budget does not resolve.
 	in := httpsim.NewInternet()
 	reg := NewRegistry()
 	svc := reg.Add("goo.gl.sim", in)
-	// 6-deep nest.
+	in.Register("end.example", func(req *httpsim.Request) *httpsim.Response {
+		return httpsim.HTML("end")
+	})
 	target := "http://end.example/"
 	for i := 0; i < 6; i++ {
 		target = svc.Shorten(target)
 	}
-	if _, ok := reg.ResolveChain(target, 3); ok {
-		t.Fatal("depth-3 walk should fail on 6-deep nest")
+	c := httpsim.NewClient(in)
+	c.MaxHops = 4
+	if _, err := c.Get(target, "UA", ""); err == nil {
+		t.Fatal("a 4-hop client resolved a 6-deep nest")
 	}
-	chain, ok := reg.ResolveChain(target, 10)
-	if !ok || chain[len(chain)-1] != "http://end.example/" {
-		t.Fatalf("deep walk failed: %v %v", chain, ok)
+	c.MaxHops = 10
+	res, err := c.Get(target, "UA", "")
+	if err != nil || res.FinalURL != "http://end.example/" || res.Redirects() != 6 {
+		t.Fatalf("deep walk failed: %v %v", res, err)
 	}
 }
 
@@ -240,18 +241,18 @@ func TestConcurrentShortenAndHit(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		<-done
 	}
-	if got := len(svc.Links()); got != 16 {
+	if got := len(svc.links); got != 16 {
 		t.Fatalf("links = %d, want 16", got)
 	}
 }
 
 func BenchmarkShortenResolve(b *testing.B) {
 	s := New("goo.gl.sim")
+	h := s.Handler()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		u := s.Shorten("http://x.example/p")
-		code := strings.TrimPrefix(u, "http://goo.gl.sim/")
-		if _, ok := s.Resolve(code); !ok {
+		if resp := h(&httpsim.Request{URL: u}); resp.Location != "http://x.example/p" {
 			b.Fatal("resolve failed")
 		}
 	}

@@ -4,9 +4,9 @@
 // simrand.Source so that a single seed reproduces an entire experiment
 // bit-for-bit.
 //
-// The package wraps math/rand (stdlib only) and adds weighted choice, Zipf
-// sampling, stable named sub-streams, and a few distribution helpers the
-// workload generators need.
+// The package wraps math/rand (stdlib only) and adds weighted choice,
+// stable named sub-streams, and a few distribution helpers the workload
+// generators need.
 package simrand
 
 import (
@@ -87,9 +87,6 @@ func (s *Source) Release() { sourcePool.Put(s) }
 // math/rand semantics.
 func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
 
-// Int63 returns a non-negative 63-bit integer.
-func (s *Source) Int63() int64 { return s.rng.Int63() }
-
 // Float64 returns a uniform float64 in [0, 1).
 func (s *Source) Float64() float64 { return s.rng.Float64() }
 
@@ -112,17 +109,6 @@ func (s *Source) Range(lo, hi int) int {
 	return lo + s.rng.Intn(hi-lo+1)
 }
 
-// Norm returns a normally distributed float64 with the given mean and
-// standard deviation.
-func (s *Source) Norm(mean, stddev float64) float64 {
-	return mean + stddev*s.rng.NormFloat64()
-}
-
-// Exp returns an exponentially distributed float64 with the given mean.
-func (s *Source) Exp(mean float64) float64 {
-	return s.rng.ExpFloat64() * mean
-}
-
 // Geometric returns a geometrically distributed integer >= 1 with success
 // probability p (the number of Bernoulli trials up to and including the
 // first success). p must be in (0, 1].
@@ -142,9 +128,6 @@ func (s *Source) Geometric(p float64) int {
 	return n
 }
 
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
-
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
 
@@ -155,23 +138,6 @@ func Pick[T any](s *Source, items []T) T {
 		panic("simrand: Pick from empty slice")
 	}
 	return items[s.Intn(len(items))]
-}
-
-// PickN returns n distinct uniformly random elements of items (or all of
-// them if n >= len(items)), in random order.
-func PickN[T any](s *Source, items []T, n int) []T {
-	if n >= len(items) {
-		out := make([]T, len(items))
-		copy(out, items)
-		s.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-		return out
-	}
-	perm := s.Perm(len(items))
-	out := make([]T, 0, n)
-	for _, idx := range perm[:n] {
-		out = append(out, items[idx])
-	}
-	return out
 }
 
 // Weighted selects an index in [0, len(weights)) with probability
@@ -233,28 +199,6 @@ func WeightedPick[T any](s *Source, items []T, weights []float64) T {
 	}
 	return items[NewWeighted(weights).Sample(s)]
 }
-
-// Zipf samples integers in [0, n) following a Zipf distribution with
-// exponent theta. Used for popularity skew (a few domains absorb most
-// traffic, matching the heavy-tailed referral pattern the paper observes).
-type Zipf struct {
-	z *rand.Zipf
-}
-
-// NewZipf builds a Zipf sampler over [0, n) with exponent theta (> 1).
-func NewZipf(s *Source, theta float64, n uint64) *Zipf {
-	if n == 0 {
-		panic("simrand: NewZipf with n=0")
-	}
-	z := rand.NewZipf(s.rng, theta, 1, n-1)
-	if z == nil {
-		panic(fmt.Sprintf("simrand: invalid zipf params theta=%v n=%d", theta, n))
-	}
-	return &Zipf{z: z}
-}
-
-// Sample draws one value.
-func (z *Zipf) Sample() uint64 { return z.z.Uint64() }
 
 // Letters used by identifier generators.
 const lowerAlpha = "abcdefghijklmnopqrstuvwxyz"

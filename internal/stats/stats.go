@@ -136,23 +136,6 @@ func (h *IntHist) Observe(v int) {
 	h.total++
 }
 
-// Count returns the number of observations of v.
-func (h *IntHist) Count(v int) int { return h.counts[v] }
-
-// Total returns the number of observations.
-func (h *IntHist) Total() int { return h.total }
-
-// Max returns the largest observed value, or 0 if empty.
-func (h *IntHist) Max() int {
-	maxV := 0
-	for v := range h.counts {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	return maxV
-}
-
 // Buckets returns (value, count) pairs for every value in [min observed,
 // max observed], including zero-count gaps, in ascending order. Empty
 // histogram returns nil.
@@ -180,18 +163,6 @@ func (h *IntHist) Buckets() []IntBucket {
 type IntBucket struct {
 	Value int
 	Count int
-}
-
-// Mean returns the mean observed value, or 0 if empty.
-func (h *IntHist) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	sum := 0
-	for v, c := range h.counts {
-		sum += v * c
-	}
-	return float64(sum) / float64(h.total)
 }
 
 // Series is a cumulative time series: the i-th point is the cumulative
@@ -280,17 +251,6 @@ func (s *Series) upTo(m int) int {
 
 // Len returns the number of observations.
 func (s *Series) Len() int { return s.n }
-
-// Cumulative returns the cumulative counts, one per observation.
-func (s *Series) Cumulative() []int {
-	out := make([]int, s.n)
-	c := 0
-	for i := range out {
-		c += int(s.words[i/64] >> (i % 64) & 1)
-		out[i] = c
-	}
-	return out
-}
 
 // Final returns the final cumulative count (0 if empty).
 func (s *Series) Final() int { return s.hits }

@@ -300,3 +300,42 @@ func BenchmarkBursts(b *testing.B) {
 		s.Bursts(500, 3)
 	}
 }
+
+// Accessors only tests read.
+
+// Total returns the number of observations.
+func (h *IntHist) Total() int { return h.total }
+
+// Max returns the largest observed value, or 0 if empty.
+func (h *IntHist) Max() int {
+	maxV := 0
+	for v := range h.counts {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	return maxV
+}
+
+// Mean returns the mean observed value, or 0 if empty.
+func (h *IntHist) Mean() float64 {
+	if h.total == 0 {
+		return 0
+	}
+	sum := 0
+	for v, c := range h.counts {
+		sum += v * c
+	}
+	return float64(sum) / float64(h.total)
+}
+
+// Cumulative returns the cumulative counts, one per observation.
+func (s *Series) Cumulative() []int {
+	out := make([]int, s.n)
+	c := 0
+	for i := range out {
+		c += int(s.words[i/64] >> (i % 64) & 1)
+		out[i] = c
+	}
+	return out
+}

@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // appendTag serializes one [type u16][length u32][payload] tag.
@@ -127,12 +126,6 @@ func (b *Builder) Meta(k, v string) *Builder {
 	return b
 }
 
-// AddShape appends an opaque benign drawing tag.
-func (b *Builder) AddShape() *Builder {
-	b.shapes++
-	return b
-}
-
 // AddClickArea appends a click-catcher region.
 func (b *Builder) AddClickArea(c ClickArea) *Builder {
 	b.clicks = append(b.clicks, c)
@@ -202,14 +195,6 @@ func (sb *ScriptBuilder) PushStr(seg int, s string) *ScriptBuilder {
 	return sb.emit(seg, OpPushStr, byte(idx), byte(idx>>8))
 }
 
-// PushNum pushes a number in segment seg.
-func (sb *ScriptBuilder) PushNum(seg int, v float64) *ScriptBuilder {
-	var buf [9]byte
-	buf[0] = OpPushNum
-	binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(v))
-	return sb.emit(seg, buf[:]...)
-}
-
 // AllowDomain emits Security.allowDomain(domain).
 func (sb *ScriptBuilder) AllowDomain(seg int, domain string) *ScriptBuilder {
 	return sb.PushStr(seg, domain).emit(seg, OpAllowDomain)
@@ -239,11 +224,6 @@ func (sb *ScriptBuilder) ExternalCall(seg int, name string, args ...string) *Scr
 		sb.PushStr(seg, a)
 	}
 	return sb.emit(seg, OpExternalCall, byte(len(args)))
-}
-
-// Navigate emits getURL(url).
-func (sb *ScriptBuilder) Navigate(seg int, url string) *ScriptBuilder {
-	return sb.PushStr(seg, url).emit(seg, OpNavigate)
 }
 
 // Encode serializes the movie.

@@ -1,7 +1,9 @@
 package swf
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -325,4 +327,25 @@ func TestInternPoolOverflowPanics(t *testing.T) {
 		}
 	}()
 	sb.intern("one-too-many")
+}
+
+// Fixture builders for movie shapes the generator never plants.
+
+// AddShape appends an opaque benign drawing tag.
+func (b *Builder) AddShape() *Builder {
+	b.shapes++
+	return b
+}
+
+// PushNum pushes a number in segment seg.
+func (sb *ScriptBuilder) PushNum(seg int, v float64) *ScriptBuilder {
+	var buf [9]byte
+	buf[0] = OpPushNum
+	binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(v))
+	return sb.emit(seg, buf[:]...)
+}
+
+// Navigate emits getURL(url).
+func (sb *ScriptBuilder) Navigate(seg int, url string) *ScriptBuilder {
+	return sb.PushStr(seg, url).emit(seg, OpNavigate)
 }

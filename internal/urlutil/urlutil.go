@@ -11,7 +11,6 @@ package urlutil
 import (
 	"fmt"
 	"net/url"
-	"sort"
 	"strings"
 
 	"repro/internal/match"
@@ -355,15 +354,6 @@ func TLDOf(raw string) string {
 	return TLD(p.Host)
 }
 
-// SameSite reports whether two URLs share a registered domain. The paper's
-// self-referral classification ("exchanges often opened their own homepages
-// in the iframe") is a SameSite test between the surfed URL and the
-// exchange's own domain.
-func SameSite(a, b string) bool {
-	da, db := DomainOf(a), DomainOf(b)
-	return da != "" && da == db
-}
-
 // HasExtension reports whether the URL path ends with the given lowercase
 // extension (without dot), e.g. HasExtension(u, "js"). The paper's
 // categorizer assigns the JavaScript and Flash malware categories by file
@@ -376,39 +366,4 @@ func HasExtension(raw, ext string) bool {
 	return len(p.Path) > len(ext) &&
 		p.Path[len(p.Path)-len(ext)-1] == '.' &&
 		match.HasSuffixFold(p.Path, ext)
-}
-
-// Dedupe returns the distinct normalized URLs of the input, preserving
-// first-seen order. Unparseable URLs are kept verbatim (still deduped).
-func Dedupe(urls []string) []string {
-	seen := make(map[string]bool, len(urls))
-	out := make([]string, 0, len(urls))
-	for _, raw := range urls {
-		key, err := Normalize(raw)
-		if err != nil {
-			key = raw
-		}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, key)
-	}
-	return out
-}
-
-// DomainsOf returns the sorted set of registered domains appearing in urls.
-func DomainsOf(urls []string) []string {
-	set := make(map[string]bool)
-	for _, raw := range urls {
-		if d := DomainOf(raw); d != "" {
-			set[d] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
 }

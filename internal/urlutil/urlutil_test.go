@@ -135,14 +135,15 @@ func TestTLD(t *testing.T) {
 }
 
 func TestSameSite(t *testing.T) {
-	if !SameSite("http://www.otohits.net/a", "http://otohits.net/") {
-		t.Error("www.otohits.net and otohits.net should be same-site")
+	// Self-referral classification compares registered domains.
+	if DomainOf("http://www.otohits.net/a") != DomainOf("http://otohits.net/") {
+		t.Error("www subdomain should be same site")
 	}
-	if SameSite("http://10khits.com/", "http://otohits.net/") {
-		t.Error("different registered domains reported same-site")
+	if DomainOf("http://10khits.com/") == DomainOf("http://otohits.net/") {
+		t.Error("different domains reported same site")
 	}
-	if SameSite("not a url", "http://x.com") {
-		t.Error("unparseable URL reported same-site")
+	if DomainOf("not a url") != "" {
+		t.Error("unparseable URL has a domain")
 	}
 }
 
@@ -161,6 +162,25 @@ func TestHasExtension(t *testing.T) {
 	}
 }
 
+// distinctKeys applies the fold's distinct-URL keying (the normalized
+// URL, or the raw string when normalization fails) and returns the
+// distinct keys in first-seen order.
+func distinctKeys(urls []string) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, raw := range urls {
+		key, err := Normalize(raw)
+		if err != nil {
+			key = raw
+		}
+		if !seen[key] {
+			seen[key] = true
+			out = append(out, key)
+		}
+	}
+	return out
+}
+
 func TestDedupe(t *testing.T) {
 	in := []string{
 		"http://example.com/a",
@@ -169,35 +189,32 @@ func TestDedupe(t *testing.T) {
 		"http://example.com/b",
 		"http://example.com/a#frag",
 	}
-	out := Dedupe(in)
+	out := distinctKeys(in)
 	if len(out) != 2 {
-		t.Fatalf("Dedupe -> %d URLs (%v), want 2", len(out), out)
+		t.Fatalf("dedupe -> %d URLs (%v), want 2", len(out), out)
 	}
 	if out[0] != "http://example.com/a" || out[1] != "http://example.com/b" {
-		t.Fatalf("Dedupe order/content wrong: %v", out)
+		t.Fatalf("dedupe order/content wrong: %v", out)
 	}
 }
 
 func TestDedupeKeepsUnparseable(t *testing.T) {
-	out := Dedupe([]string{"%%%bad%%%", "%%%bad%%%", "ftp://x/y"})
+	out := distinctKeys([]string{"%%%bad%%%", "%%%bad%%%", "ftp://x/y"})
 	if len(out) != 2 {
-		t.Fatalf("Dedupe unparseable -> %v, want 2 entries", out)
+		t.Fatalf("dedupe unparseable -> %v, want 2 entries", out)
 	}
 }
 
 func TestDomainsOf(t *testing.T) {
-	urls := []string{
-		"http://www.visadd.com/x",
-		"http://visadd.com/y",
-		"http://ajax.googleapis.com/lib.js",
-		"not a url at all://",
-	}
-	doms := DomainsOf(urls)
-	if len(doms) != 2 {
-		t.Fatalf("DomainsOf = %v, want 2 domains", doms)
-	}
-	if doms[0] != "googleapis.com" || doms[1] != "visadd.com" {
-		t.Fatalf("DomainsOf = %v, want [googleapis.com visadd.com]", doms)
+	for raw, want := range map[string]string{
+		"http://www.visadd.com/x":           "visadd.com",
+		"http://visadd.com/y":               "visadd.com",
+		"http://ajax.googleapis.com/lib.js": "googleapis.com",
+		"not a url at all://":               "",
+	} {
+		if got := DomainOf(raw); got != want {
+			t.Errorf("DomainOf(%q) = %q, want %q", raw, got, want)
+		}
 	}
 }
 

@@ -87,17 +87,9 @@ func changedHosts(u *Universe) []string {
 
 func compareShorteners(t *testing.T, e int, got, want *Universe) {
 	t.Helper()
-	// Services() is unordered; key the comparison by host.
-	links := func(u *Universe) map[string][]string {
-		out := map[string][]string{}
-		for _, svc := range u.Shorteners.Services() {
-			out[svc.Host()] = svc.Links()
-		}
-		return out
-	}
-	gl, wl := links(got), links(want)
-	if !reflect.DeepEqual(gl, wl) {
-		t.Fatalf("epoch %d shortener links diverged:\nadvanced: %v\nscratch:  %v", e, gl, wl)
+	// The registries hold every service's link table and hit counters.
+	if !reflect.DeepEqual(got.Shorteners, want.Shorteners) {
+		t.Fatalf("epoch %d shortener registries diverged", e)
 	}
 }
 

@@ -144,10 +144,11 @@ func TestEpochDecayErodesIntel(t *testing.T) {
 	cfg := epochCfg()
 	lagged := GenerateEpoch(cfg, EpochParams{Epoch: 4, ChurnFrac: 0.2, BlacklistLag: 2})
 	decayed := GenerateEpoch(cfg, EpochParams{Epoch: 4, ChurnFrac: 0.2, BlacklistLag: 2, DecayPerEpoch: 0.3})
+	// Listings of member sites, summed over the lists.
 	sizeOf := func(u *Universe) int {
 		total := 0
-		for _, l := range u.Blacklists.Lists() {
-			total += l.Len()
+		for _, s := range u.Sites {
+			total += len(u.Blacklists.Matches(s.Host))
 		}
 		return total
 	}

@@ -188,7 +188,6 @@ func assembleUniverse(cfg Config, ep EpochParams, rng *simrand.Source, ordered [
 		cfg:           cfg,
 		renders:       renders,
 		byKind:        make(map[MaliceKind][]*Site),
-		siteByDomain:  make(map[string]*Site),
 		truthByDomain: make(map[string]MaliceKind),
 		truthByEntry:  make(map[string]*Site),
 	}
@@ -295,7 +294,6 @@ func (u *Universe) addSite(s *Site) {
 	u.byKind[s.Kind] = append(u.byKind[s.Kind], s)
 	u.truthByDomain[urlutil.RegisteredDomain(s.Host)] = s.Kind
 	u.truthByEntry[s.EntryURL] = s
-	u.siteByDomain[urlutil.RegisteredDomain(s.Host)] = s
 }
 
 // pageCache memoizes a site's rendered responses. Every render draws from

@@ -59,7 +59,7 @@ func TestPlantHostileSites(t *testing.T) {
 	cfg.BenignSites = 10
 	cfg.MaliciousSites = 8
 	u := Generate(cfg)
-	feedBefore := u.Feed.Size()
+	feedBefore := u.Feed.Fingerprint()
 	sitesBefore := len(u.Sites)
 
 	bombs := u.PlantHostileSites()
@@ -69,7 +69,7 @@ func TestPlantHostileSites(t *testing.T) {
 	if len(u.Sites) != sitesBefore+len(bombs) {
 		t.Fatalf("universe has %d sites, want %d", len(u.Sites), sitesBefore+len(bombs))
 	}
-	if u.Feed.Size() != feedBefore {
+	if u.Feed.Fingerprint() != feedBefore {
 		t.Fatal("planting bombs grew the threat feed; signatures would mask the sandbox signal")
 	}
 

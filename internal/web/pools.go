@@ -17,15 +17,6 @@ type Pool struct {
 	MalByKind map[MaliceKind][]*Site
 }
 
-// MaliciousCount returns the number of malicious sites in the pool.
-func (p *Pool) MaliciousCount() int {
-	n := 0
-	for _, sites := range p.MalByKind {
-		n += len(sites)
-	}
-	return n
-}
-
 // PoolSpec requests a pool with the given site counts — calibrated from
 // Table II (total domains, malware domains) per exchange.
 type PoolSpec struct {

@@ -137,8 +137,8 @@ func TestSmallPoolSkipsRareKindsProportionally(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pools[0]
-	if p.MaliciousCount() != 6 {
-		t.Fatalf("pool size = %d", p.MaliciousCount())
+	if n := maliciousCount(p); n != 6 {
+		t.Fatalf("pool size = %d", n)
 	}
 	if len(p.MalByKind[Miscellaneous]) < 3 {
 		t.Fatalf("small pool misc = %d, want the dominant share", len(p.MalByKind[Miscellaneous]))
@@ -153,4 +153,13 @@ func TestSmallPoolSkipsRareKindsProportionally(t *testing.T) {
 			t.Fatalf("14-slot pool missing kind %v", k)
 		}
 	}
+}
+
+// maliciousCount returns the number of malicious sites in the pool.
+func maliciousCount(p *Pool) int {
+	n := 0
+	for _, sites := range p.MalByKind {
+		n += len(sites)
+	}
+	return n
 }

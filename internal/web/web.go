@@ -185,8 +185,6 @@ type Universe struct {
 	truthByDomain map[string]MaliceKind
 	// truthByEntry maps entry URL -> site.
 	truthByEntry map[string]*Site
-	// siteByDomain maps registered domain -> site (member sites only).
-	siteByDomain map[string]*Site
 }
 
 // SitesOfKind returns the sites with the given planted kind.
@@ -211,26 +209,6 @@ func (u *Universe) TruthByURL(rawURL string) MaliceKind {
 		}
 	}
 	return Benign
-}
-
-// SiteByEntry returns the site behind an entry URL.
-func (u *Universe) SiteByEntry(rawURL string) (*Site, bool) {
-	s, ok := u.truthByEntry[rawURL]
-	return s, ok
-}
-
-// SiteByURL resolves any URL on a member site (entry or deep page) to the
-// site, first by exact entry URL and then by registered domain.
-func (u *Universe) SiteByURL(rawURL string) (*Site, bool) {
-	if s, ok := u.truthByEntry[rawURL]; ok {
-		return s, true
-	}
-	if d := urlutil.DomainOf(rawURL); d != "" {
-		if s, ok := u.siteByDomain[d]; ok {
-			return s, true
-		}
-	}
-	return nil, false
 }
 
 // MaliciousSites returns all sites with a malicious kind.

@@ -91,7 +91,7 @@ func TestRedirectorChainLengths(t *testing.T) {
 			t.Fatalf("chain length %d out of the Figure 5 range", s.ChainLen)
 		}
 		// Final URL must be off the entry domain.
-		if urlutil.SameSite(res.FinalURL, s.EntryURL) {
+		if urlutil.DomainOf(res.FinalURL) == urlutil.DomainOf(s.EntryURL) {
 			t.Fatalf("redirector %s landed on its own site", s.Host)
 		}
 	}
@@ -142,13 +142,20 @@ func TestShortenedEntriesResolve(t *testing.T) {
 func TestSomeShortenedAreNested(t *testing.T) {
 	cfg := smallConfig()
 	u := Generate(cfg)
+	c := httpsim.NewClient(u.Internet)
 	nested := 0
 	for _, s := range u.SitesOfKind(ShortenedMalicious) {
-		chain, ok := u.Shorteners.ResolveChain(s.EntryURL, 5)
-		if !ok {
-			t.Fatalf("chain for %s did not resolve", s.EntryURL)
+		res, err := c.Get(s.EntryURL, "Mozilla/5.0", "")
+		if err != nil {
+			t.Fatalf("chain for %s did not resolve: %v", s.EntryURL, err)
 		}
-		if len(chain) > 2 {
+		short := 0
+		for _, h := range res.Chain {
+			if u.Shorteners.IsShortURL(h.URL) {
+				short++
+			}
+		}
+		if short > 1 {
 			nested++
 		}
 	}
@@ -249,7 +256,7 @@ func TestDetectionPipelineRecallOnPlantedMalware(t *testing.T) {
 		}
 		rep := multi.ScanFile(res.FinalURL, res.Final.Body)
 		hf := heur.ScanPage(res.FinalURL, res.Final.ContentType, res.Final.Body)
-		bl := u.Blacklists.MaliciousURL(res.FinalURL) || u.Blacklists.MaliciousURL(s.EntryURL)
+		bl := u.Blacklists.Malicious(urlutil.DomainOf(res.FinalURL)) || u.Blacklists.Malicious(urlutil.DomainOf(s.EntryURL))
 		if rep.Malicious(2) || hf.Malicious() || bl {
 			detected++
 		} else {
@@ -280,7 +287,7 @@ func TestDetectionPipelinePrecisionOnBenign(t *testing.T) {
 		}
 		rep := multi.ScanFile(res.FinalURL, res.Final.Body)
 		hf := heur.ScanPage(res.FinalURL, res.Final.ContentType, res.Final.Body)
-		if rep.Malicious(2) || hf.Malicious() || u.Blacklists.MaliciousURL(s.EntryURL) {
+		if rep.Malicious(2) || hf.Malicious() || u.Blacklists.Malicious(urlutil.DomainOf(s.EntryURL)) {
 			fp++
 			t.Logf("false positive: %s analytics=%v oauth=%v", s.Host, s.HasAnalytics, s.HasOAuthFrame)
 		}
@@ -362,8 +369,8 @@ func TestSplitPoolsDisjointAndSized(t *testing.T) {
 		if len(p.Benign) != specs[i].Benign {
 			t.Fatalf("pool %d benign = %d", i, len(p.Benign))
 		}
-		if p.MaliciousCount() != specs[i].Malicious {
-			t.Fatalf("pool %d malicious = %d", i, p.MaliciousCount())
+		if n := maliciousCount(p); n != specs[i].Malicious {
+			t.Fatalf("pool %d malicious = %d", i, n)
 		}
 		for _, s := range p.Benign {
 			if seen[s.Host] {
