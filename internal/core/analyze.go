@@ -403,13 +403,18 @@ func contentCategoryOf(body []byte) string {
 	if len(body) == 0 {
 		return "Others"
 	}
-	doc := htmlparse.Parse(string(body))
+	doc := htmlparse.Borrow(string(body))
+	defer htmlparse.Release(doc)
 	if el := doc.First("title"); el != nil {
 		title := el.Text
 		if i := strings.LastIndex(title, "— "); i >= 0 {
 			cat := strings.TrimSpace(title[i+len("— "):])
-			if knownContentCategory(cat) {
-				return cat
+			for _, known := range contentCategories {
+				if cat == known {
+					// The constant, not the title's substring: the memo
+					// must not pin the parsed copy of the body.
+					return known
+				}
 			}
 		}
 		lower := strings.ToLower(title)
@@ -424,13 +429,8 @@ func contentCategoryOf(body []byte) string {
 	return "Others"
 }
 
-func knownContentCategory(c string) bool {
-	switch c {
-	case "Business", "Advertisement", "Entertainment", "Information Technology", "Others":
-		return true
-	}
-	return false
-}
+// contentCategories lists the Figure 7 categories a page title may name.
+var contentCategories = [...]string{"Business", "Advertisement", "Entertainment", "Information Technology", "Others"}
 
 // ShortURLStats joins the analysis's malicious shortened URLs with the
 // shortener registry's public hit statistics — Table IV.

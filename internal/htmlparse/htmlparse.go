@@ -15,6 +15,7 @@ package htmlparse
 
 import (
 	"strings"
+	"sync"
 )
 
 // Element is one parsed HTML element.
@@ -66,6 +67,9 @@ type Document struct {
 	Elements []Element
 	// Raw is the input.
 	Raw string
+	// attrs is the attribute slab every element's Attrs slices. Reset
+	// reuses it, and the element slice, across parses.
+	attrs []Attr
 }
 
 // bodyTags are raw-text tags whose inner content is captured verbatim and
@@ -83,13 +87,29 @@ var bodyTags = map[string]bool{
 // the number of '<' followed by a tag-name byte (every element starts at
 // one), and one attribute slab that every element's Attrs slices.
 func Parse(src string) *Document {
-	doc := &Document{Raw: src}
-	var attrs []Attr
-	if n := maxElements(src); n > 0 {
-		doc.Elements = make([]Element, 0, n)
-		// Most elements carry at most one attribute; the slab grows past
-		// that only on attribute-heavy markup.
-		attrs = make([]Attr, 0, n)
+	d := new(Document)
+	d.Reset(src)
+	return d
+}
+
+// Reset parses src into d, replacing what d held. It is Parse on a
+// document that already owns an element slice and an attribute slab:
+// both are reused, and grow only when src needs more room than an
+// earlier parse left. Every Element and every Attrs slice of the earlier
+// parse is overwritten, so a caller that reuses a document must not keep
+// them across a Reset.
+func (d *Document) Reset(src string) {
+	d.Raw = src
+	d.Elements = d.Elements[:0]
+	attrs := d.attrs[:0]
+	limit := maxElements(src)
+	if limit > cap(d.Elements) {
+		d.Elements = make([]Element, 0, limit)
+	}
+	// Most elements carry at most one attribute; the slab grows past that
+	// only on attribute-heavy markup.
+	if limit > cap(attrs) {
+		attrs = make([]Attr, 0, limit)
 	}
 	i := 0
 	n := len(src)
@@ -134,21 +154,53 @@ func Parse(src string) *Document {
 				el.Text = body
 				i = after
 			}
-			doc.Elements = append(doc.Elements, el)
+			d.Elements = append(d.Elements, el)
 		}
 	}
 	// The slab may have moved as it grew: point every element's run of
 	// attributes, which follow each other in document order, at the final
 	// array, capped so an append through one element cannot reach the next.
 	off := 0
-	for k := range doc.Elements {
-		el := &doc.Elements[k]
+	for k := range d.Elements {
+		el := &d.Elements[k]
 		if m := len(el.Attrs); m > 0 {
 			el.Attrs = attrs[off : off+m : off+m]
 			off += m
 		}
 	}
-	return doc
+	d.attrs = attrs
+}
+
+// docPool recycles Documents for callers that parse a page, read it and
+// drop it before they return: the scanner's passes over a body and its
+// script-written fragments, the fold's title lookup, the meta-refresh
+// extractor.
+var docPool = sync.Pool{New: func() any { return new(Document) }}
+
+// maxPooledElements bounds the element slice a released Document may
+// carry back into the pool, so one huge page does not stay resident.
+const maxPooledElements = 1 << 12
+
+// Borrow parses src into a pooled Document. The caller hands it back with
+// Release before it returns, and keeps no Element or Attrs slice of it;
+// strings read from it are substrings of src and stay valid.
+func Borrow(src string) *Document {
+	d := docPool.Get().(*Document)
+	d.Reset(src)
+	return d
+}
+
+// Release returns a Borrowed Document to the pool. It clears every
+// element and attribute slot, including those an earlier, larger Reset
+// left past the current length, so the pool never pins a parsed page.
+func Release(d *Document) {
+	clear(d.Elements[:cap(d.Elements)])
+	clear(d.attrs[:cap(d.attrs)])
+	d.Raw = ""
+	if cap(d.Elements) > maxPooledElements {
+		return
+	}
+	docPool.Put(d)
 }
 
 // maxElements bounds the number of elements Parse can find in src: one
@@ -170,7 +222,7 @@ func maxElements(src string) int {
 // parseTag parses an opening tag starting at src[pos] == '<'. It returns
 // the element, the offset just past '>', and whether a valid tag was found.
 // The element's attributes are appended to *attrs, and el.Attrs slices
-// them there; Parse re-points it once the slab stops growing.
+// them there; Reset re-points it once the slab stops growing.
 func parseTag(src string, pos int, attrs *[]Attr) (Element, int, bool) {
 	i := pos + 1
 	n := len(src)
@@ -329,35 +381,28 @@ func (d *Document) First(tag string) *Element {
 	return nil
 }
 
-// InlineScripts returns the bodies of all script elements without a src
-// attribute.
-func (d *Document) InlineScripts() []string {
-	var out []string
-	for i := range d.Elements {
-		el := &d.Elements[i]
-		if el.Tag != "script" {
-			continue
-		}
-		if _, ok := el.Attr("src"); !ok && strings.TrimSpace(el.Text) != "" {
-			out = append(out, el.Text)
-		}
+// InlineScript returns the body of a script element without a src
+// attribute, and whether e is one. A blank body does not count.
+func (e *Element) InlineScript() (string, bool) {
+	if e.Tag != "script" {
+		return "", false
 	}
-	return out
+	if _, ok := e.Attr("src"); ok || strings.TrimSpace(e.Text) == "" {
+		return "", false
+	}
+	return e.Text, true
 }
 
-// ScriptSrcs returns the src attributes of all external script elements.
-func (d *Document) ScriptSrcs() []string {
-	var out []string
-	for i := range d.Elements {
-		el := &d.Elements[i]
-		if el.Tag != "script" {
-			continue
-		}
-		if src := el.Get("src"); src != "" {
-			out = append(out, strings.TrimSpace(src))
-		}
+// ScriptSrc returns the trimmed src attribute of an external script
+// element, and whether e is one.
+func (e *Element) ScriptSrc() (string, bool) {
+	if e.Tag != "script" {
+		return "", false
 	}
-	return out
+	if src := e.Get("src"); src != "" {
+		return strings.TrimSpace(src), true
+	}
+	return "", false
 }
 
 // MetaRefresh returns the target URL of a <meta http-equiv="refresh">
@@ -382,19 +427,16 @@ func (d *Document) MetaRefresh() string {
 	return ""
 }
 
-// Links returns the href attributes of all anchors.
-func (d *Document) Links() []string {
-	var out []string
-	for i := range d.Elements {
-		el := &d.Elements[i]
-		if el.Tag != "a" {
-			continue
-		}
-		if href := el.Get("href"); href != "" {
-			out = append(out, strings.TrimSpace(href))
-		}
+// Link returns the trimmed href attribute of an anchor, and whether e is
+// an anchor with a non-empty href.
+func (e *Element) Link() (string, bool) {
+	if e.Tag != "a" {
+		return "", false
 	}
-	return out
+	if href := e.Get("href"); href != "" {
+		return strings.TrimSpace(href), true
+	}
+	return "", false
 }
 
 // Style is a parsed inline CSS style attribute.

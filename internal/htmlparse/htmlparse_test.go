@@ -19,13 +19,25 @@ func byTag(doc *Document, tag string) []*Element {
 	return out
 }
 
+// collect gathers what one of the Element accessors (InlineScript,
+// ScriptSrc, Link) reports over a document, in document order.
+func collect(doc *Document, get func(*Element) (string, bool)) []string {
+	var out []string
+	for i := range doc.Elements {
+		if v, ok := get(&doc.Elements[i]); ok {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 func TestParseSimplePage(t *testing.T) {
 	doc := Parse(`<html><head><title>Hi</title></head>
 <body><p>text</p><a href="http://x.com/a">link</a></body></html>`)
 	if el := doc.First("title"); el == nil || el.Text != "Hi" {
 		t.Fatalf("title = %+v", el)
 	}
-	links := doc.Links()
+	links := collect(doc, (*Element).Link)
 	if len(links) != 1 || links[0] != "http://x.com/a" {
 		t.Fatalf("links = %v", links)
 	}
@@ -71,11 +83,11 @@ func TestInlineAndExternalScripts(t *testing.T) {
 	src := `<script type="text/javascript" src="http://company.ooo/tfjw2pmk.php?id=8689556"></script>
 <script>var x = 1; document.write('<iframe src="http://t.qservz.com/ai.aspx">');</script>`
 	doc := Parse(src)
-	srcs := doc.ScriptSrcs()
+	srcs := collect(doc, (*Element).ScriptSrc)
 	if len(srcs) != 1 || !strings.Contains(srcs[0], "company.ooo") {
 		t.Fatalf("script srcs = %v", srcs)
 	}
-	inline := doc.InlineScripts()
+	inline := collect(doc, (*Element).InlineScript)
 	if len(inline) != 1 || !strings.Contains(inline[0], "document.write") {
 		t.Fatalf("inline scripts = %v", inline)
 	}
@@ -145,7 +157,7 @@ func TestMalformedMarkup(t *testing.T) {
 	}
 	for _, src := range cases {
 		doc := Parse(src) // must not panic
-		_ = doc.Links()
+		_ = collect(doc, (*Element).Link)
 		_ = doc.MetaRefresh()
 	}
 }
@@ -276,5 +288,26 @@ func BenchmarkParsePage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Parse(page)
+	}
+}
+
+// A released document keeps no string of any page it parsed, even of one
+// a later, smaller Reset no longer reaches, so the pool pins no page.
+func TestReleaseClearsEverySlot(t *testing.T) {
+	doc := Borrow(strings.Repeat(`<a href="http://big.example/" class="x">big</a>`, 40))
+	doc.Reset(`<p id="small">`)
+	Release(doc)
+	if doc.Raw != "" {
+		t.Fatalf("Raw = %q after Release", doc.Raw)
+	}
+	for i, el := range doc.Elements[:cap(doc.Elements)] {
+		if el.Tag != "" || el.Text != "" || el.Attrs != nil {
+			t.Fatalf("element slot %d = %+v after Release", i, el)
+		}
+	}
+	for i, a := range doc.attrs[:cap(doc.attrs)] {
+		if a != (Attr{}) {
+			t.Fatalf("attribute slot %d = %+v after Release", i, a)
+		}
 	}
 }

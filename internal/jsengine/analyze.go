@@ -3,6 +3,8 @@ package jsengine
 import (
 	"math"
 	"strings"
+
+	"repro/internal/match"
 )
 
 // StaticReport is the result of static (no-execution) scanning of a script,
@@ -218,7 +220,7 @@ func (t *Trace) InjectedIframes() []string {
 	}
 	var out []string
 	for _, w := range t.Writes {
-		if strings.Contains(strings.ToLower(w), "<iframe") {
+		if match.ContainsFold(w, "<iframe") {
 			out = append(out, w)
 		}
 	}

@@ -151,12 +151,12 @@ type meter struct {
 	tick     int
 }
 
-func newMeter(b Budget) *meter {
-	m := &meter{b: b}
+// reset starts m on a new execution under b.
+func (m *meter) reset(b Budget) {
+	*m = meter{b: b}
 	if b.Wall > 0 {
 		m.deadline = time.Now().Add(b.Wall)
 	}
-	return m
 }
 
 // charge burns n fuel units. On exhaustion fuelUsed is clamped to the

@@ -8,6 +8,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Trace is the behaviour record produced by sandbox execution. It is what
@@ -122,7 +123,9 @@ func (e *env) set(name string, v value) {
 
 func (e *env) declare(name string, v value) { e.vars[name] = v }
 
-// interp executes a parsed program and accumulates a Trace.
+// interp executes a parsed program and accumulates a Trace. The global
+// scope and the host objects outlive one execution: ExecuteBudget takes
+// an interp from interpPool and reset refills them in place.
 type interp struct {
 	trace     *Trace
 	global    *env
@@ -133,6 +136,13 @@ type interp struct {
 	location  *object
 	document  *object
 	window    *object
+	navigator *object
+	screen    *object
+	external  *object
+	stringObj *object
+	mathObj   *object
+	console   *object
+	plugins   *jsArray
 }
 
 // ExecuteBudget runs src under an explicit resource budget. The budget is
@@ -141,28 +151,87 @@ type interp struct {
 // (src, budget) pair yields a byte-identical trace and error every run,
 // provided the wall-clock guard did not fire.
 func ExecuteBudget(src string, b Budget) (*Trace, error) {
-	m := newMeter(b)
-	prog, err := parseProgram(src, m)
+	in := interpPool.Get().(*interp)
+	defer returnInterp(in)
+	return in.execute(src, b)
+}
+
+// execute runs src on in, which must be fresh or reset. The returned
+// Trace is new: nothing of it is shared with in.
+func (in *interp) execute(src string, b Budget) (*Trace, error) {
+	in.m.reset(b)
+	prog, err := parseProgram(src, in.m)
 	if err != nil {
-		return &Trace{FuelUsed: m.fuelUsed}, asSandbox(err)
+		return &Trace{FuelUsed: in.m.fuelUsed}, asSandbox(err)
 	}
-	in := newInterp(m)
+	in.trace = &Trace{}
 	err = in.runProgram(prog)
-	in.trace.FuelUsed = m.fuelUsed
+	in.trace.FuelUsed = in.m.fuelUsed
 	if err != nil {
 		return in.trace, asSandbox(err)
 	}
 	return in.trace, nil
 }
 
-func newInterp(m *meter) *interp {
-	in := &interp{trace: &Trace{}, m: m}
-	// installGlobals declares 24 names; 26 is the most that four map
-	// buckets hold before the table grows, which leaves room for a short
-	// script's own variables.
-	in.global = &env{vars: make(map[string]value, 26)}
+// interpPool recycles interpreters. Every script starts from the same two
+// dozen globals and ten host objects, so a recycled interp refills its
+// maps in place instead of building new ones. Like tokScratch, the pool
+// never pins a page body: returnInterp clears every script value first.
+var interpPool = sync.Pool{New: func() any { return newInterp() }}
+
+// maxPooledNames bounds the names a finished script may leave in the
+// global scope and host objects of an interp that goes back to the pool.
+// Cleared maps keep their size, so an interp a script bloated is dropped
+// instead.
+const maxPooledNames = 256
+
+func returnInterp(in *interp) {
+	n := len(in.global.vars)
+	for _, o := range in.hostObjects() {
+		n += len(o.props)
+	}
+	if n > maxPooledNames {
+		return
+	}
+	in.reset()
+	interpPool.Put(in)
+}
+
+func newInterp() *interp {
+	in := &interp{
+		m: new(meter),
+		// installGlobals declares 24 names; 26 is the most that four map
+		// buckets hold before the table grows, which leaves room for a
+		// short script's own variables.
+		global:    &env{vars: make(map[string]value, 26)},
+		location:  newObjectSized("location", 3),
+		document:  newObjectSized("document", 10),
+		window:    newObjectSized("window", 9),
+		navigator: newObjectSized("navigator", 4),
+		screen:    newObjectSized("screen", 3),
+		external:  newObjectSized("externalinterface", 1),
+		stringObj: newObjectSized("object", 1),
+		mathObj:   newObjectSized("object", 3),
+		console:   newObjectSized("object", 1),
+		plugins:   &jsArray{},
+	}
 	in.installGlobals()
 	return in
+}
+
+// reset returns in to the state newInterp leaves: no trace, a zero meter
+// and depth counters, and every global and host property as
+// installGlobals sets it, so no script can observe an earlier one.
+func (in *interp) reset() {
+	in.trace = nil
+	*in.m = meter{}
+	in.evalDepth, in.callDepth, in.exprDepth = 0, 0, 0
+	in.installGlobals()
+}
+
+func (in *interp) hostObjects() [9]*object {
+	return [...]*object{in.location, in.document, in.window, in.navigator, in.screen,
+		in.external, in.stringObj, in.mathObj, in.console}
 }
 
 func (in *interp) runProgram(stmts []node) error {
@@ -1211,17 +1280,23 @@ func newObjectSized(class string, n int) *object {
 	return &object{props: make(map[string]value, n), class: class}
 }
 
+// installGlobals clears the global scope and every host object, then
+// fills them with the builtins. The maps are cleared in place, so an
+// interp that is reset allocates nothing here.
 func (in *interp) installGlobals() {
 	g := in.global
+	clear(g.vars)
+	for _, o := range in.hostObjects() {
+		clear(o.props)
+	}
+	in.plugins.elems = nil
 
 	// location object (shared by window.location and document.location).
-	in.location = newObjectSized("location", 3)
 	in.location.props["href"] = "http://sandbox.invalid/"
 	in.location.props["hostname"] = "sandbox.invalid"
 	in.location.props["protocol"] = "http:"
 
 	// document.
-	in.document = newObjectSized("document", 10)
 	in.document.props["location"] = in.location
 	in.document.props["cookie"] = ""
 	in.document.props["referrer"] = ""
@@ -1234,18 +1309,17 @@ func (in *interp) installGlobals() {
 	in.document.props["attachEvent"] = fnDocumentAttachEvent
 
 	// navigator and screen.
-	nav := newObjectSized("navigator", 4)
+	nav := in.navigator
 	nav.props["userAgent"] = "Mozilla/5.0 (Windows NT 6.1; rv:38.0) SandboxVM"
 	nav.props["platform"] = "Win32"
 	nav.props["language"] = "en-US"
-	nav.props["plugins"] = &jsArray{}
-	scr := newObjectSized("screen", 3)
+	nav.props["plugins"] = in.plugins
+	scr := in.screen
 	scr.props["width"] = float64(1920)
 	scr.props["height"] = float64(1080)
 	scr.props["colorDepth"] = float64(24)
 
 	// window: aliases the global scope for the APIs we model.
-	in.window = newObjectSized("window", 9)
 	in.window.props["location"] = in.location
 	in.window.props["document"] = in.document
 	in.window.props["navigator"] = nav
@@ -1256,19 +1330,12 @@ func (in *interp) installGlobals() {
 	in.window.props["addEventListener"] = fnWindowAddEventListener
 	in.window.props["attachEvent"] = fnWindowAttachEvent
 
-	ext := newObjectSized("externalinterface", 1)
-	ext.props["call"] = fnExternalCall
-
-	stringObj := newObjectSized("object", 1)
-	stringObj.props["fromCharCode"] = fnFromCharCode
-
-	mathObj := newObjectSized("object", 3)
-	mathObj.props["floor"] = fnMathFloor
-	mathObj.props["random"] = fnMathRandom
-	mathObj.props["abs"] = fnMathAbs
-
-	console := newObjectSized("object", 1)
-	console.props["log"] = fnConsoleLog
+	in.external.props["call"] = fnExternalCall
+	in.stringObj.props["fromCharCode"] = fnFromCharCode
+	in.mathObj.props["floor"] = fnMathFloor
+	in.mathObj.props["random"] = fnMathRandom
+	in.mathObj.props["abs"] = fnMathAbs
+	in.console.props["log"] = fnConsoleLog
 
 	g.declare("window", in.window)
 	g.declare("self", in.window)
@@ -1277,9 +1344,9 @@ func (in *interp) installGlobals() {
 	g.declare("location", in.location)
 	g.declare("navigator", nav)
 	g.declare("screen", scr)
-	g.declare("ExternalInterface", ext)
-	g.declare("String", stringObj)
-	g.declare("Math", mathObj)
+	g.declare("ExternalInterface", in.external)
+	g.declare("String", in.stringObj)
+	g.declare("Math", in.mathObj)
 	g.declare("setTimeout", fnSetTimeout)
 	g.declare("setInterval", fnSetInterval)
 	g.declare("addEventListener", fnWindowAddEventListener)
@@ -1294,7 +1361,7 @@ func (in *interp) installGlobals() {
 	g.declare("btoa", fnBtoa)
 	g.declare("parseInt", fnParseInt)
 	g.declare("alert", fnAlert)
-	g.declare("console", console)
+	g.declare("console", in.console)
 }
 
 func isDigitInBase(c byte, base int) bool {

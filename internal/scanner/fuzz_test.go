@@ -1,6 +1,7 @@
 package scanner_test
 
 import (
+	"bytes"
 	"reflect"
 	"slices"
 	"testing"
@@ -18,38 +19,20 @@ import (
 // panic, must finish inside the sandbox's default budget, and two scans
 // of one input must agree. The wall-clock guard is the one documented
 // source of nondeterminism, so a TIMEOUT trip skips the comparison. The
-// seeds are the hostile-script corpus and one rendered page of every
-// site kind.
+// seeds are corpusPages.
 func FuzzScanPage(f *testing.F) {
-	for _, hs := range web.HostileScripts() {
-		f.Add("application/javascript", []byte(hs.Src))
-		f.Add("text/html", []byte("<html><body><script>"+hs.Src+"</script></body></html>"))
-	}
-	cfg := web.DefaultConfig()
-	cfg.Seed = 11
-	cfg.BenignSites = 20
-	cfg.MaliciousSites = 40
-	u := web.Generate(cfg)
-	client := httpsim.NewClient(u.Internet)
-	for kind := web.Benign; kind <= web.Miscellaneous; kind++ {
-		sites := u.SitesOfKind(kind)
-		if len(sites) == 0 {
-			f.Fatalf("universe has no %s site", kind)
-		}
-		res, err := client.Get(sites[0].EntryURL, crawler.BrowserUA, "")
-		if err != nil {
-			f.Fatalf("render %s site: %v", kind, err)
-		}
-		f.Add(res.Final.ContentType, res.Final.Body)
+	for _, p := range corpusPages(f) {
+		f.Add(p.contentType, p.body)
 	}
 
 	h := scanner.NewHeuristic()
 	f.Fuzz(func(t *testing.T, contentType string, body []byte) {
-		// Every inline script gets its own sandbox budget, so the scan
-		// time grows with the body; the cap keeps one input under a few
-		// seconds.
-		if len(body) > 1<<14 {
-			body = body[:1<<14]
+		// A page's scripts share one sandbox allowance, so the sandbox
+		// cost no longer grows with the body; the cap bounds the linear
+		// passes (parse, lex, static scan) and keeps an input at the
+		// size of a large page.
+		if len(body) > 1<<16 {
+			body = body[:1<<16]
 		}
 		first := h.ScanPage("http://fuzz.example/", contentType, body)
 		second := h.ScanPage("http://fuzz.example/", contentType, body)
@@ -61,4 +44,48 @@ func FuzzScanPage(f *testing.F) {
 			t.Fatalf("two scans of one %q body disagree:\n%+v\n%+v", contentType, first, second)
 		}
 	})
+}
+
+// corpusPage is one (content type, body) input of the scanner tests.
+type corpusPage struct {
+	name        string
+	contentType string
+	body        []byte
+}
+
+// corpusPages returns the hostile-script corpus, each script both as a
+// script and inside a page, and the rendered entry page of one site of
+// every kind. Each body is the caller's own copy.
+func corpusPages(tb testing.TB) []corpusPage {
+	tb.Helper()
+	var pages []corpusPage
+	for _, hs := range web.HostileScripts() {
+		pages = append(pages,
+			corpusPage{hs.Name + ".js", "application/javascript", []byte(hs.Src)},
+			corpusPage{hs.Name + ".html", "text/html", []byte("<html><body><script>" + hs.Src + "</script></body></html>")})
+	}
+	u := corpusUniverse()
+	client := httpsim.NewClient(u.Internet)
+	for kind := web.Benign; kind <= web.Miscellaneous; kind++ {
+		sites := u.SitesOfKind(kind)
+		if len(sites) == 0 {
+			tb.Fatalf("universe has no %s site", kind)
+		}
+		res, err := client.Get(sites[0].EntryURL, crawler.BrowserUA, "")
+		if err != nil {
+			tb.Fatalf("render %s site: %v", kind, err)
+		}
+		pages = append(pages, corpusPage{kind.String(), res.Final.ContentType, bytes.Clone(res.Final.Body)})
+	}
+	return pages
+}
+
+// corpusUniverse is the small universe corpusPages renders its site pages
+// from; it is also the resource fetcher of the tests that scan them.
+func corpusUniverse() *web.Universe {
+	cfg := web.DefaultConfig()
+	cfg.Seed = 11
+	cfg.BenignSites = 20
+	cfg.MaliciousSites = 40
+	return web.Generate(cfg)
 }

@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"strings"
+	"unsafe"
 
 	"repro/internal/htmlparse"
 	"repro/internal/httpsim"
@@ -107,26 +108,74 @@ func (f *Findings) Malicious() bool {
 		len(f.SandboxTripped) > 0
 }
 
-// ScanPage analyzes one fetched response body.
+// pageFuelScripts is a page's sandbox allowance in per-script budgets.
+// Every script of one page, inline, fetched or in a linked PDF, draws its
+// fuel from one meter of pageFuelScripts × Budget.Fuel, and each is still
+// capped at Budget.Fuel. Once the page has spent it, its remaining
+// scripts are scanned statically only and the page records
+// FUEL_EXHAUSTED, so a page of a hundred infinite loops costs two
+// scripts' budget, not a hundred. The most fuel any page of the
+// benchmark's 56 study seeds and of three scan-api universes burns is
+// 166 units, a three-thousandth of the default budget; two budgets let a
+// page with one bomb still run its other scripts in full.
+const pageFuelScripts = 2
+
+// ScanPage analyzes one fetched response body. It reads body in place,
+// so body must not change during the call; every string the Findings
+// keep is a copy, so the caller may reuse body once ScanPage returns.
 func (h *Heuristic) ScanPage(url, contentType string, body []byte) *Findings {
-	f := &Findings{URL: url}
-	switch {
-	case match.ContainsFold(contentType, "javascript"):
-		h.scanScript(f, url, string(body))
-	case match.ContainsFold(contentType, "shockwave") || match.ContainsFold(contentType, "x-swf"):
-		h.scanFlash(f, body)
-	case match.ContainsFold(contentType, "pdf"):
-		h.scanPDF(f, url, body)
-	default:
-		h.scanHTML(f, url, string(body))
-	}
-	f.Labels = dedupeStrings(f.Labels)
-	f.SandboxTripped = dedupeStrings(f.SandboxTripped)
+	f, _ := h.scan(url, contentType, body)
 	return f
 }
 
-func (h *Heuristic) scanHTML(f *Findings, url, body string) {
-	doc := htmlparse.Parse(body)
+// scan is ScanPage that also reports the sandbox fuel the page spent.
+func (h *Heuristic) scan(url, contentType string, body []byte) (*Findings, int64) {
+	allowance := pageFuelScripts * h.scriptFuel()
+	s := pageScan{Heuristic: h, f: &Findings{URL: url}, fuelLeft: allowance}
+	switch {
+	case match.ContainsFold(contentType, "javascript"):
+		s.script(url, view(body))
+	case match.ContainsFold(contentType, "shockwave") || match.ContainsFold(contentType, "x-swf"):
+		s.flash(body)
+	case match.ContainsFold(contentType, "pdf"):
+		s.pdf(url, body)
+	default:
+		s.html(url, view(body))
+	}
+	f := s.f
+	f.Labels = dedupeStrings(f.Labels)
+	f.SandboxTripped = dedupeStrings(f.SandboxTripped)
+	return f, allowance - s.fuelLeft
+}
+
+// view returns b as a string without copying it. The string aliases b:
+// b must not change while the string or anything sliced from it is in
+// use. ScanPage holds its body, and every fetched resource body, to that
+// for the length of the call, and clones each string it keeps.
+func view(b []byte) string {
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// scriptFuel is the fuel of one script's sandbox budget.
+func (h *Heuristic) scriptFuel() int64 {
+	if h.Budget.Fuel > 0 {
+		return h.Budget.Fuel
+	}
+	return jsengine.DefaultBudget().Fuel
+}
+
+// pageScan is the state of one ScanPage call: the findings it builds and
+// the sandbox fuel its remaining scripts may still burn.
+type pageScan struct {
+	*Heuristic
+	f        *Findings
+	fuelLeft int64
+}
+
+func (s *pageScan) html(url, body string) {
+	f := s.f
+	doc := htmlparse.Borrow(body)
+	defer htmlparse.Release(doc)
 
 	// Static hidden iframes (§V-A categories 1 and 2).
 	for i := range doc.Elements {
@@ -142,7 +191,7 @@ func (h *Heuristic) scanHTML(f *Findings, url, body string) {
 				// the FP reports; so do we.
 				continue
 			}
-			f.HiddenIframes = append(f.HiddenIframes, IframeFinding{Src: src, Hidden: why})
+			f.HiddenIframes = append(f.HiddenIframes, IframeFinding{Src: strings.Clone(src), Hidden: why})
 			f.Labels = append(f.Labels, LabelIframeRef, LabelHifrm)
 		}
 	}
@@ -154,74 +203,82 @@ func (h *Heuristic) scanHTML(f *Findings, url, body string) {
 	}
 
 	// Inline scripts.
-	for _, script := range doc.InlineScripts() {
-		h.scanScript(f, url, script)
+	for i := range doc.Elements {
+		if script, ok := doc.Elements[i].InlineScript(); ok {
+			s.script(url, script)
+		}
 	}
 
 	// External sub-resources: scripts and Flash.
-	if h.ResourceFetcher != nil {
-		fetched := 0
-		for _, src := range doc.ScriptSrcs() {
-			if fetched >= h.MaxResources {
-				break
-			}
-			resolved := resolveOn(url, src)
-			resp, err := h.ResourceFetcher.RoundTrip(&httpsim.Request{
-				URL: resolved, UserAgent: h.BrowserUA, Referrer: url,
-			})
-			// A truncated body is not the resource — scanning half a script
-			// can invent or hide findings, so skip it like a failed fetch.
-			if err != nil || resp.StatusCode != 200 || resp.Truncated() {
+	if s.ResourceFetcher == nil {
+		return
+	}
+	fetched := 0
+	for i := range doc.Elements {
+		if fetched >= s.MaxResources {
+			break
+		}
+		src, ok := doc.Elements[i].ScriptSrc()
+		if !ok {
+			continue
+		}
+		resolved := resolveOn(url, src)
+		resp, err := s.ResourceFetcher.RoundTrip(&httpsim.Request{
+			URL: resolved, UserAgent: s.BrowserUA, Referrer: url,
+		})
+		// A truncated body is not the resource — scanning half a script
+		// can invent or hide findings, so skip it like a failed fetch.
+		if err != nil || resp.StatusCode != 200 || resp.Truncated() {
+			continue
+		}
+		fetched++
+		s.script(resolved, view(resp.Body))
+	}
+	// Every embed, then every object.
+flash:
+	for _, tag := range [...]string{"embed", "object"} {
+		for i := range doc.Elements {
+			el := &doc.Elements[i]
+			if el.Tag != tag {
 				continue
 			}
-			fetched++
-			h.scanScript(f, resolved, string(resp.Body))
-		}
-		// Every embed, then every object.
-	flash:
-		for _, tag := range [...]string{"embed", "object"} {
-			for i := range doc.Elements {
-				el := &doc.Elements[i]
-				if el.Tag != tag {
-					continue
-				}
-				if fetched >= h.MaxResources {
-					break flash
-				}
-				src := el.Get("src")
-				if src == "" {
-					src = el.Get("data")
-				}
-				if src == "" || !match.HasSuffixFold(src, ".swf") {
-					continue
-				}
-				resp, err := h.ResourceFetcher.RoundTrip(&httpsim.Request{
-					URL: resolveOn(url, src), UserAgent: h.BrowserUA, Referrer: url,
-				})
-				if err != nil || resp.StatusCode != 200 || resp.Truncated() {
-					continue
-				}
-				fetched++
-				h.scanFlash(f, resp.Body)
+			if fetched >= s.MaxResources {
+				break flash
 			}
-		}
-		// Linked documents: PDFs are a drive-by vehicle of their own.
-		for _, href := range doc.Links() {
-			if fetched >= h.MaxResources {
-				break
+			src := el.Get("src")
+			if src == "" {
+				src = el.Get("data")
 			}
-			if !match.HasSuffixFold(stripQuery(href), ".pdf") {
+			if src == "" || !match.HasSuffixFold(src, ".swf") {
 				continue
 			}
-			resp, err := h.ResourceFetcher.RoundTrip(&httpsim.Request{
-				URL: resolveOn(url, href), UserAgent: h.BrowserUA, Referrer: url,
+			resp, err := s.ResourceFetcher.RoundTrip(&httpsim.Request{
+				URL: resolveOn(url, src), UserAgent: s.BrowserUA, Referrer: url,
 			})
 			if err != nil || resp.StatusCode != 200 || resp.Truncated() {
 				continue
 			}
 			fetched++
-			h.scanPDF(f, resolveOn(url, href), resp.Body)
+			s.flash(resp.Body)
 		}
+	}
+	// Linked documents: PDFs are a drive-by vehicle of their own.
+	for i := range doc.Elements {
+		if fetched >= s.MaxResources {
+			break
+		}
+		href, ok := doc.Elements[i].Link()
+		if !ok || !match.HasSuffixFold(stripQuery(href), ".pdf") {
+			continue
+		}
+		resp, err := s.ResourceFetcher.RoundTrip(&httpsim.Request{
+			URL: resolveOn(url, href), UserAgent: s.BrowserUA, Referrer: url,
+		})
+		if err != nil || resp.StatusCode != 200 || resp.Truncated() {
+			continue
+		}
+		fetched++
+		s.pdf(resolveOn(url, href), resp.Body)
 	}
 }
 
@@ -232,15 +289,36 @@ func stripQuery(u string) string {
 	return u
 }
 
-func (h *Heuristic) scanScript(f *Findings, pageURL, src string) {
-	rep := jsengine.Analyze(src, jsengine.Options{Sandbox: h.Sandbox, Budget: h.Budget})
+// trip records a sandbox resource code on the page.
+func (s *pageScan) trip(code jsengine.Code) {
+	s.f.SandboxTripped = append(s.f.SandboxTripped, string(code))
+	s.f.Labels = append(s.f.Labels, LabelResourceBomb)
+}
+
+func (s *pageScan) script(pageURL, src string) {
+	f := s.f
+	opts := jsengine.Options{Sandbox: s.Sandbox, Budget: s.Budget}
+	if s.Sandbox {
+		if s.fuelLeft == 0 {
+			// The page has spent its allowance: the script is scanned
+			// statically only.
+			opts.Sandbox = false
+			s.trip(jsengine.CodeFuelExhausted)
+		} else {
+			opts.Budget.Fuel = min(s.scriptFuel(), s.fuelLeft)
+		}
+	}
+	rep := jsengine.Analyze(src, opts)
 	static := rep.Static
+	tr := rep.Trace
+	if tr != nil {
+		s.fuelLeft -= tr.FuelUsed
+	}
 
 	if code, ok := jsengine.CodeOf(rep.SandboxErr); ok {
-		h.Metrics.Counter("jsengine.sandbox." + strings.ToLower(string(code))).Inc()
+		s.Metrics.Counter("jsengine.sandbox." + strings.ToLower(string(code))).Inc()
 		if code.Resource() {
-			f.SandboxTripped = append(f.SandboxTripped, string(code))
-			f.Labels = append(f.Labels, LabelResourceBomb)
+			s.trip(code)
 		}
 	}
 
@@ -256,7 +334,6 @@ func (h *Heuristic) scanScript(f *Findings, pageURL, src string) {
 		f.Labels = append(f.Labels, LabelBlacoleNV)
 	}
 
-	tr := rep.Trace
 	if tr == nil {
 		// Static-only mode: visible markup writes and location sets are
 		// the only JS injection evidence available.
@@ -271,32 +348,13 @@ func (h *Heuristic) scanScript(f *Findings, pageURL, src string) {
 
 	// Dynamic findings.
 	for _, frag := range tr.InjectedIframes() {
-		doc := htmlparse.Parse(frag)
-		for i := range doc.Elements {
-			el := &doc.Elements[i]
-			if el.Tag != "iframe" {
-				continue
-			}
-			why, hidden := iframeHidden(el)
-			if !hidden {
-				continue
-			}
-			src := el.Get("src")
-			if isBenignHiddenIframe(src) {
-				continue
-			}
-			f.HiddenIframes = append(f.HiddenIframes, IframeFinding{Src: src, Hidden: why, Injected: true})
-			f.Labels = append(f.Labels, LabelScrInject, LabelIframeScript)
-			if static.Obfuscated() || tr.Evals > 0 {
-				f.Labels = append(f.Labels, LabelIframeArt)
-			}
-		}
+		s.injectedIframes(frag, static.Obfuscated() || tr.Evals > 0)
 	}
 	pageDomain := urlutil.DomainOf(pageURL)
 	for _, nav := range tr.Navigations {
 		navDomain := urlutil.DomainOf(nav)
 		if navDomain != "" && navDomain != pageDomain {
-			f.Redirections = append(f.Redirections, nav)
+			f.Redirections = append(f.Redirections, strings.Clone(nav))
 			f.Labels = append(f.Labels, LabelJSRedirector, LabelScriptGeneric)
 		}
 	}
@@ -319,38 +377,64 @@ func (h *Heuristic) scanScript(f *Findings, pageURL, src string) {
 	}
 }
 
-// scanPDF inspects document content: auto-open JavaScript (additionally
+// injectedIframes records the hidden iframes of one markup fragment a
+// script wrote; artful marks a script whose injection was obfuscated.
+func (s *pageScan) injectedIframes(frag string, artful bool) {
+	f := s.f
+	doc := htmlparse.Borrow(frag)
+	defer htmlparse.Release(doc)
+	for i := range doc.Elements {
+		el := &doc.Elements[i]
+		if el.Tag != "iframe" {
+			continue
+		}
+		why, hidden := iframeHidden(el)
+		if !hidden {
+			continue
+		}
+		src := el.Get("src")
+		if isBenignHiddenIframe(src) {
+			continue
+		}
+		f.HiddenIframes = append(f.HiddenIframes, IframeFinding{Src: strings.Clone(src), Hidden: why, Injected: true})
+		f.Labels = append(f.Labels, LabelScrInject, LabelIframeScript)
+		if artful {
+			f.Labels = append(f.Labels, LabelIframeArt)
+		}
+	}
+}
+
+// pdf inspects document content: auto-open JavaScript (additionally
 // traced in the sandbox), Launch droppers, and deliberate malformations.
-func (h *Heuristic) scanPDF(f *Findings, pageURL string, body []byte) {
+func (s *pageScan) pdf(pageURL string, body []byte) {
 	pf, err := pdf.Inspect(body)
 	if err != nil {
 		return // not actually a PDF
 	}
-	f.PDFFindings = &pf
+	s.f.PDFFindings = &pf
 	if pf.Malicious() {
-		f.Labels = append(f.Labels, LabelHeuristicJS)
+		s.f.Labels = append(s.f.Labels, LabelHeuristicJS)
 	}
-	if pf.OpenActionJS != "" && h.Sandbox {
+	if pf.OpenActionJS != "" && s.Sandbox {
 		// The embedded JS is a script like any other: trace it so its
 		// navigations/downloads feed the same finding fields.
-		h.scanScript(f, pageURL, pf.OpenActionJS)
+		s.script(pageURL, pf.OpenActionJS)
 	}
 }
 
-func (h *Heuristic) scanFlash(f *Findings, body []byte) {
-	_, beh, susp, err := swf.Inspect(body)
+func (s *pageScan) flash(body []byte) {
+	_, _, susp, err := swf.Inspect(body)
 	if err != nil {
 		return
 	}
-	f.FlashSuspicion = &susp
+	s.f.FlashSuspicion = &susp
 	if susp.ExternalCalls > 0 {
-		f.ExternalInterfaceAbuse = true
-		f.Labels = append(f.Labels, LabelBlacoleNV)
+		s.f.ExternalInterfaceAbuse = true
+		s.f.Labels = append(s.f.Labels, LabelBlacoleNV)
 	}
 	if susp.Malicious() {
-		f.Labels = append(f.Labels, LabelBlacoleXM)
+		s.f.Labels = append(s.f.Labels, LabelBlacoleXM)
 	}
-	_ = beh
 }
 
 // iframeHidden classifies an iframe element's visibility.
@@ -397,7 +481,8 @@ func staticIframeStringHidden(src string) (string, bool) {
 	if end := strings.IndexByte(frag, '>'); end >= 0 {
 		frag = frag[:end+1]
 	}
-	doc := htmlparse.Parse(frag)
+	doc := htmlparse.Borrow(frag)
+	defer htmlparse.Release(doc)
 	for i := range doc.Elements {
 		if el := &doc.Elements[i]; el.Tag == "iframe" {
 			if why, hidden := iframeHidden(el); hidden {

@@ -1,6 +1,8 @@
 package scanner
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,5 +85,43 @@ func TestHeuristicBudgetOverride(t *testing.T) {
 	f := tight.ScanPage("http://tight.example/", "text/html", []byte(body))
 	if len(f.SandboxTripped) != 1 || f.SandboxTripped[0] != string(jsengine.CodeHeapLimit) {
 		t.Fatalf("SandboxTripped = %v, want [%s]", f.SandboxTripped, jsengine.CodeHeapLimit)
+	}
+}
+
+// A page's scripts draw from one sandbox allowance: a page of a hundred
+// infinite loops runs only as many of them as the allowance holds, spends
+// no more fuel than it in total, and records the trip.
+func TestPageFuelAllowance(t *testing.T) {
+	page := "<html><body>" + strings.Repeat("<script>for(;;);</script>", 100) + "</body></html>"
+	h := NewHeuristic()
+	h.Metrics = obs.NewRegistry()
+	f, spent := h.scan("http://loops.example/", "text/html", []byte(page))
+
+	allowance := pageFuelScripts * jsengine.DefaultBudget().Fuel
+	if spent <= 0 || spent > allowance {
+		t.Fatalf("page spent %d fuel, want 1..%d", spent, allowance)
+	}
+	if !slices.Contains(f.SandboxTripped, string(jsengine.CodeFuelExhausted)) {
+		t.Fatalf("SandboxTripped = %v, want %s", f.SandboxTripped, jsengine.CodeFuelExhausted)
+	}
+	// Each script that ran burned its whole per-script budget; the rest
+	// never reached the sandbox.
+	if got := h.Metrics.Counter("jsengine.sandbox.fuel_exhausted").Value(); got != pageFuelScripts {
+		t.Fatalf("%d scripts ran out of fuel in the sandbox, want %d", got, pageFuelScripts)
+	}
+	if !f.Malicious() {
+		t.Fatal("a page of infinite loops scanned as benign")
+	}
+}
+
+// The allowance is shared, not a cap per script: a page whose first
+// script is a bomb still runs a later script in full, and that script's
+// redirection is found.
+func TestPageFuelAllowanceRunsLaterScripts(t *testing.T) {
+	page := `<html><body><script>for(;;);</script>
+<script>window.location = "http://elsewhere.example/landing";</script></body></html>`
+	f, _ := NewHeuristic().scan("http://bomb.example/", "text/html", []byte(page))
+	if len(f.Redirections) != 1 || f.Redirections[0] != "http://elsewhere.example/landing" {
+		t.Fatalf("Redirections = %v, want the second script's navigation", f.Redirections)
 	}
 }

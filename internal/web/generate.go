@@ -751,5 +751,7 @@ func MetaRefreshTarget(body []byte) string {
 	if !match.ContainsFold(body, "http-equiv") {
 		return ""
 	}
-	return htmlparse.Parse(string(body)).MetaRefresh()
+	doc := htmlparse.Borrow(string(body))
+	defer htmlparse.Release(doc)
+	return doc.MetaRefresh()
 }
