@@ -3,40 +3,57 @@ package main
 import (
 	"bytes"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestRunEpochsDeltaMatchesFull locks the CLI-level incremental-re-crawl
 // contract: a multi-epoch study run with -delta-dir prints bytes
-// identical to the same study re-crawling everything, and the output
-// carries the per-epoch headers plus the longitudinal sections.
+// identical to the same study re-crawling everything — also under
+// per-epoch blacklist decay, where every preload is refused — and the
+// output carries the per-epoch headers plus the longitudinal sections.
+// The delta directory does not exist beforehand; the run creates it.
 func TestRunEpochsDeltaMatchesFull(t *testing.T) {
-	args := []string{"-scale", "1500", "-seed", "3", "-epochs", "2", "-churn", "0.4", "-blacklist-lag", "1"}
-	var full bytes.Buffer
-	if err := run(args, &full); err != nil {
-		t.Fatal(err)
-	}
-	var delta bytes.Buffer
-	if err := run(append(args, "-delta-dir", t.TempDir()), &delta); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(full.Bytes(), delta.Bytes()) {
-		t.Error("-delta-dir output differs from the full re-crawl")
-	}
-	for _, want := range []string{"=== EPOCH 0 ===", "=== EPOCH 1 ===",
-		"LONGITUDINAL: MALICE RATE OVER EPOCHS",
-		"LONGITUDINAL: BLACKLIST LAG DISTRIBUTION",
-		"LONGITUDINAL: CROSS-EPOCH CAMPAIGN BURSTS"} {
-		if !strings.Contains(full.String(), want) {
-			t.Errorf("multi-epoch output missing %q", want)
+	for _, tc := range []struct {
+		epochs int
+		extra  []string
+	}{
+		{2, nil},
+		{3, []string{"-blacklist-decay", "0.4"}},
+	} {
+		args := append([]string{"-scale", "1500", "-seed", "3", "-epochs", strconv.Itoa(tc.epochs),
+			"-churn", "0.4", "-blacklist-lag", "1"}, tc.extra...)
+		var full bytes.Buffer
+		if err := run(args, &full); err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Join(t.TempDir(), "deltas")
+		var delta bytes.Buffer
+		if err := run(append(args, "-delta-dir", dir), &delta); err != nil {
+			t.Fatalf("%v -delta-dir: %v", args, err)
+		}
+		if !bytes.Equal(full.Bytes(), delta.Bytes()) {
+			t.Errorf("%v: -delta-dir output differs from the full re-crawl", args)
+		}
+		if files, _ := filepath.Glob(filepath.Join(dir, "epoch*.slumdelta")); len(files) != tc.epochs {
+			t.Errorf("%v: %d delta files, want %d", args, len(files), tc.epochs)
+		}
+		for _, want := range []string{"=== EPOCH 0 ===", "=== EPOCH 1 ===",
+			"LONGITUDINAL: MALICE RATE OVER EPOCHS",
+			"LONGITUDINAL: BLACKLIST LAG DISTRIBUTION",
+			"LONGITUDINAL: CROSS-EPOCH CAMPAIGN BURSTS"} {
+			if !strings.Contains(full.String(), want) {
+				t.Errorf("%v: multi-epoch output missing %q", args, want)
+			}
 		}
 	}
 }
 
 // TestRunEpochsWorkerInvariance: a multi-epoch study prints the same
 // bytes for every worker count, with or without per-epoch checkpoint
-// directories, and leaves no epoch checkpoints behind.
+// directories, and after a kill mid-study (-abort-after) and a relaunch
+// of the same command; no epoch checkpoints are left behind.
 func TestRunEpochsWorkerInvariance(t *testing.T) {
 	args := []string{"-scale", "1500", "-seed", "3", "-epochs", "2", "-churn", "0.4", "-blacklist-lag", "1"}
 	var two, three bytes.Buffer
@@ -52,6 +69,30 @@ func TestRunEpochsWorkerInvariance(t *testing.T) {
 	}
 	if left, _ := filepath.Glob(filepath.Join(dir, "epoch*")); len(left) != 0 {
 		t.Errorf("epoch checkpoints left behind: %v", left)
+	}
+
+	// Four epochs of about 670 records each: -abort-after 1500 kills the
+	// study inside epoch 2.
+	args = []string{"-scale", "1500", "-seed", "3", "-epochs", "4", "-churn", "0.3", "-blacklist-lag", "1"}
+	var want, got bytes.Buffer
+	if err := run(args, &want); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := append([]string{"-checkpoint", t.TempDir(), "-checkpoint-every", "97"}, args...)
+	if err := run(append(ckpt, "-abort-after", "1500"), &bytes.Buffer{}); err == nil {
+		t.Fatal("aborted longitudinal run returned nil error")
+	}
+	if left, _ := filepath.Glob(filepath.Join(ckpt[1], "epoch*", "shard-*.ckpt")); len(left) == 0 {
+		t.Fatal("no epoch shard checkpoints on disk after the kill")
+	}
+	if err := run(ckpt, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Error("kill and relaunch of a 4-epoch study differs from the uninterrupted run")
+	}
+	if left, _ := filepath.Glob(filepath.Join(ckpt[1], "epoch*")); len(left) != 0 {
+		t.Errorf("epoch checkpoints left behind after the relaunch: %v", left)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/crawler"
 	"repro/internal/obs"
-	"repro/internal/testutil"
 )
 
 // writeDataset is the dataset oracle: the crawls as JSON lines, one
@@ -29,21 +28,6 @@ func writeDataset(w io.Writer, crawls []*crawler.Crawl) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// batchDataset is writeDataset over a batch crawl of cfg: the bytes every
-// engine-written dataset must reproduce.
-func batchDataset(t *testing.T, cfg StudyConfig) ([]byte, *Study) {
-	t.Helper()
-	batch, err := runStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := writeDataset(&want, batch.Crawls); err != nil {
-		t.Fatal(err)
-	}
-	return want.Bytes(), batch
 }
 
 // streamDataset runs one dataset crawl of cfg into out, with HAR capture
@@ -77,59 +61,18 @@ func checkDatasetFile(t *testing.T, label, out, dir string, want []byte) {
 	}
 }
 
-// TestStreamDatasetMatchesBatch locks in the engine's dataset step: the
-// dataset file is byte-identical to writeDataset over the equivalent
-// batch crawl, the result counts match the batch analysis, and no part
-// file survives completion.
+// TestStreamDatasetMatchesBatch: the engine's dataset step, with or
+// without HAR capture, writes exactly writeDataset over the oracle's
+// crawls and its HAR archives, and no part file survives completion.
 func TestStreamDatasetMatchesBatch(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	cfg := streamConfig(2, 0, "flaky")
-	want, batch := batchDataset(t, cfg)
-	out := filepath.Join(t.TempDir(), "dataset.jsonl")
-	res, err := streamDataset(cfg, out, "", RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDatasetFile(t, "uninterrupted", out, "", want)
-	if res.Records != batch.Analysis.TotalCrawled {
-		t.Errorf("res.Records = %d, want %d", res.Records, batch.Analysis.TotalCrawled)
-	}
-	if res.Failed != batch.Analysis.TotalFailed() {
-		t.Errorf("res.Failed = %d, want %d", res.Failed, batch.Analysis.TotalFailed())
-	}
+	checkEngineCases(t, draws(2, caseAxes{sources: []string{"dataset"}, har: maybe}))
 }
 
-// TestStreamDatasetKillResume kills a checkpointed dataset crawl mid-run
-// and reruns the same options over the checkpoint directory: the final
-// file must be byte-identical to an uninterrupted crawl, with shard
+// TestStreamDatasetKillResume: a dataset crawl killed once or twice and
+// resumed under other worker counts writes the same bytes, with shard
 // checkpoints and part files cleaned up.
 func TestStreamDatasetKillResume(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	cfg := streamConfig(3, 0, "flaky")
-	want, batch := batchDataset(t, cfg)
-	total := batch.Analysis.TotalCrawled
-	const every = 17
-	for _, cut := range []int{3, total / 3, total * 2 / 3} {
-		dir := t.TempDir()
-		out := filepath.Join(dir, "dataset.jsonl")
-		ckpt := filepath.Join(dir, "ckpt")
-		opts := RunOptions{CheckpointDir: ckpt, CheckpointEvery: every, AbortAfter: cut}
-		if _, err := streamDataset(cfg, out, "", opts); !errors.Is(err, ErrAborted) {
-			t.Fatalf("cut=%d: got error %v, want ErrAborted", cut, err)
-		}
-		if shards, _ := filepath.Glob(filepath.Join(ckpt, "shard-*.ckpt")); cut >= every*len(batch.Exchanges) && len(shards) == 0 {
-			t.Fatalf("cut=%d: no shard checkpoint on disk with interval %d", cut, every)
-		}
-		opts.AbortAfter = 0
-		res, err := streamDataset(cfg, out, "", opts)
-		if err != nil {
-			t.Fatalf("cut=%d: resumed crawl: %v", cut, err)
-		}
-		checkDatasetFile(t, "resumed", out, ckpt, want)
-		if res.Records != total || res.Failed != batch.Analysis.TotalFailed() {
-			t.Errorf("cut=%d: result %+v, want %d records, %d failed", cut, res, total, batch.Analysis.TotalFailed())
-		}
-	}
+	checkEngineCases(t, draws(3, caseAxes{sources: []string{"dataset"}, kills: [2]int{1, 2}, har: maybe}))
 }
 
 // TestStreamDatasetRejectsAnalysisCheckpoint ensures the two per-shard

@@ -29,7 +29,8 @@ import (
 type LongitudinalOptions struct {
 	// DeltaDir, when non-empty, enables incremental re-crawl: each epoch
 	// writes epochNNN.slumdelta into the directory and epoch N+1 seeds
-	// its verdict cache from epoch N's file. Requires the verdict cache.
+	// its verdict cache from epoch N's file. The directory is created if
+	// missing. Requires the verdict cache.
 	DeltaDir string
 	// Run is the base engine configuration. CheckpointDir, when set,
 	// holds one subdirectory per epoch (epoch000, epoch001, ...) of shard
@@ -126,6 +127,11 @@ func epochCheckpointDir(dir string, epoch int) string {
 func RunLongitudinalStudy(cfg StudyConfig, opts LongitudinalOptions) (*LongitudinalResult, error) {
 	if opts.Run.Preload != nil || opts.Run.WriteDeltaPath != "" || len(opts.Run.Only) > 0 {
 		return nil, errors.New("core: longitudinal runner owns Preload/WriteDeltaPath/Only — leave them unset")
+	}
+	if opts.DeltaDir != "" {
+		if err := os.MkdirAll(opts.DeltaDir, 0o755); err != nil {
+			return nil, fmt.Errorf("core: delta dir: %w", err)
+		}
 	}
 	epochs := cfg.Epochs
 	if epochs <= 0 {

@@ -1,15 +1,12 @@
 package core
 
 import (
-	"bytes"
-	"errors"
-	"os"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/simrand"
 	"repro/internal/testutil"
 )
 
@@ -143,120 +140,38 @@ func TestEpochDeltaCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeltaModeMatchesFullRecrawl is the tentpole acceptance test: a
-// multi-epoch study run in delta mode (each epoch preloading the prior
-// epoch's verdicts) produces per-epoch Analyses deeply equal — cache
-// stats included, thanks to seeded-miss mirroring — to the same study
-// re-crawling and re-scanning everything. The metrics assert the run is
-// non-vacuous: inside the lag window the intel layer is stable, so
-// verdicts really are carried across epochs.
+// TestDeltaModeMatchesFullRecrawl: a multi-epoch study in delta mode
+// (each epoch preloading the prior epoch's verdicts) produces per-epoch
+// outcomes deeply equal — cache stats included, thanks to seeded-miss
+// mirroring — to a full re-crawl that preloads nothing, and delta files
+// equal to those of a rebuild that preloads them. With a stable intel
+// layer and a lag of at least one some verdict really carries over; under
+// per-epoch decay the intel gate refuses the preloads, and the output
+// still matches (the fallback is slow, never wrong).
 func TestDeltaModeMatchesFullRecrawl(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	cfg := longitudinalConfig(4, 4)
-	full, err := RunLongitudinalStudy(cfg, LongitudinalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	mcfg := cfg
-	mcfg.Metrics = reg
-	delta, err := RunLongitudinalStudy(mcfg, LongitudinalOptions{DeltaDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(delta.Epochs) != len(full.Epochs) {
-		t.Fatalf("delta run spans %d epochs, full run %d", len(delta.Epochs), len(full.Epochs))
-	}
-	for i := range full.Epochs {
-		if !reflect.DeepEqual(full.Epochs[i], delta.Epochs[i]) {
-			t.Errorf("epoch %d: delta-mode outcome differs from full re-crawl", i)
-		}
-	}
-	if n := reg.Counter("stream.delta.preloaded").Value(); n == 0 {
-		t.Error("delta mode never preloaded a verdict — the incremental path is vacuous")
-	}
-
-	// With per-epoch decay the intel layer shifts every epoch: preloads
-	// must be refused by the fingerprint gate, and the output must STILL
-	// match a full re-crawl (the fallback is slow, never wrong).
-	dcfg := cfg
-	dcfg.BlacklistDecay = 0.4
-	dcfg.BlacklistLag = 1
-	dfull, err := RunLongitudinalStudy(dcfg, LongitudinalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dreg := obs.NewRegistry()
-	dmcfg := dcfg
-	dmcfg.Metrics = dreg
-	ddelta, err := RunLongitudinalStudy(dmcfg, LongitudinalOptions{DeltaDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range dfull.Epochs {
-		if !reflect.DeepEqual(dfull.Epochs[i], ddelta.Epochs[i]) {
-			t.Errorf("decayed epoch %d: delta-mode outcome differs from full re-crawl", i)
-		}
-	}
-	if n := dreg.Counter("stream.delta.skipped_intel_shift").Value(); n == 0 {
-		t.Error("intel gate never fired under per-epoch decay — unsound preloads would go unnoticed")
-	}
+	ax := caseAxes{sources: []string{"live"}, epochs: [2]int{2, 4}, delta: always}
+	decayed := ax
+	decayed.decay = always
+	checkEngineCases(t, []namedAxes{{"decay=0", ax}, {"decay=0.4", decayed}})
 }
 
 // TestLongitudinalBudgetBoundaryAbort pins the abort-budget boundary
-// contract. Before the fix, a study-wide budget exhausted exactly at an
-// epoch boundary still constructed the next epoch and handed it
-// AbortAfter=1 (the old `remaining <= 0 → 1` clamp) — and a budget equal
-// to one epoch's steps even aborted INSIDE that epoch after its final
-// record. Now: the epoch that exactly exhausts the budget completes
-// normally and the runner aborts at the boundary before building the
-// next epoch's study; a budget covering the whole study never aborts.
+// contract. A study-wide budget exhausted exactly at an epoch boundary
+// once still built the next epoch and handed it AbortAfter=1, and a
+// budget equal to one epoch's steps even aborted inside that epoch after
+// its final record. Now the epoch that exactly exhausts the budget
+// completes and the runner aborts before building the next epoch's
+// study; a budget covering the whole study never aborts.
 func TestLongitudinalBudgetBoundaryAbort(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	cfg := longitudinalConfig(6, 2)
-	cfg.Epochs = 2
-	base, err := RunLongitudinalStudy(cfg, LongitudinalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps0 := base.Epochs[0].Analysis.TotalCrawled
-	total := steps0 + base.Epochs[1].Analysis.TotalCrawled
-
-	reg := obs.NewRegistry()
-	mcfg := cfg
-	mcfg.Metrics = reg
-	res, err := RunLongitudinalStudy(mcfg, LongitudinalOptions{Run: RunOptions{AbortAfter: steps0}})
-	if !errors.Is(err, ErrAborted) {
-		t.Fatalf("boundary-exhausted budget: got %v, want ErrAborted", err)
-	}
-	if len(res.Epochs) != 1 {
-		t.Fatalf("boundary abort kept %d epochs, want exactly the 1 completed one", len(res.Epochs))
-	}
-	if !reflect.DeepEqual(res.Epochs[0].Analysis, base.Epochs[0].Analysis) {
-		t.Error("the budget-exhausting epoch was truncated; it must complete untouched")
-	}
-	if n := reg.Counter("pipeline.records").Value(); n != int64(steps0) {
-		t.Errorf("folded %d records under a %d budget — the boundary abort leaked folds into the next epoch", n, steps0)
-	}
-	if n := reg.Counter("study.universe.advanced").Value(); n != 0 {
-		t.Errorf("built %d next-epoch universes past an exhausted budget", n)
-	}
-
-	// A budget equal to the whole study is no abort at all.
-	full, err := RunLongitudinalStudy(cfg, LongitudinalOptions{Run: RunOptions{AbortAfter: total}})
-	if err != nil {
-		t.Fatalf("study-sized budget: %v", err)
-	}
-	if len(full.Epochs) != 2 {
-		t.Fatalf("study-sized budget completed %d epochs, want 2", len(full.Epochs))
-	}
+	checkEngineCases(t, draws(2, caseAxes{sources: []string{"live"}, epochs: [2]int{2, 3}, kills: [2]int{1, 1}, boundary: always, budget: always}))
 }
 
-// rebuildEveryEpoch is the from-scratch oracle for RunLongitudinalStudy
-// in delta mode: each epoch's study is built anew by NewStudy (no
-// universe advance, no prefetch), and each preload is read back from the
-// delta file the previous epoch wrote, through LoadCheckpoint and
-// ValidateDelta, instead of being handed over in memory.
+// rebuildEveryEpoch is the from-scratch oracle for RunLongitudinalStudy:
+// each epoch's study is built anew by NewStudy (no universe advance, no
+// prefetch). With a deltaDir each epoch writes its delta file there, and
+// each preload is read back from the file the previous epoch wrote,
+// through LoadCheckpoint and ValidateDelta, instead of being handed over
+// in memory; with none, nothing is preloaded.
 func rebuildEveryEpoch(t *testing.T, cfg StudyConfig, deltaDir string) *LongitudinalResult {
 	t.Helper()
 	res := &LongitudinalResult{Config: cfg}
@@ -267,8 +182,11 @@ func rebuildEveryEpoch(t *testing.T, cfg StudyConfig, deltaDir string) *Longitud
 		if err != nil {
 			t.Fatalf("oracle epoch %d: %v", e, err)
 		}
-		opts := RunOptions{WriteDeltaPath: DeltaPath(deltaDir, e)}
-		if e > 0 {
+		var opts RunOptions
+		if deltaDir != "" {
+			opts.WriteDeltaPath = DeltaPath(deltaDir, e)
+		}
+		if deltaDir != "" && e > 0 {
 			ck, err := LoadCheckpoint(DeltaPath(deltaDir, e-1))
 			if err != nil {
 				t.Fatalf("oracle epoch %d: %v", e, err)
@@ -285,14 +203,13 @@ func rebuildEveryEpoch(t *testing.T, cfg StudyConfig, deltaDir string) *Longitud
 	return res
 }
 
-// TestLongitudinalIncrementalInvariance pins the incremental fast path
-// three ways: (1) per-epoch outcomes are deeply equal, and every delta
-// file byte-identical, to the rebuildEveryEpoch oracle (from-scratch
-// universes, no pipelining, disk-only deltas); (2) the render-memo and
-// universe-advance counters are schedule-invariant across worker counts;
-// (3) the fast path is non-vacuous — universes advance instead of
-// regenerating, and cross-epoch render reuse strictly beats the
-// oracle's hit/miss split.
+// TestLongitudinalIncrementalInvariance pins what the render memo and
+// the universe advance count, against the rebuildEveryEpoch oracle
+// (from-scratch universes, no pipelining, disk-only deltas; the engine
+// cases compare their outputs): the counters are schedule-invariant
+// across worker counts, and the fast path is non-vacuous — universes
+// advance instead of regenerating, and cross-epoch render reuse strictly
+// beats the oracle's hit/miss split.
 func TestLongitudinalIncrementalInvariance(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	watched := []string{
@@ -306,49 +223,27 @@ func TestLongitudinalIncrementalInvariance(t *testing.T) {
 		}
 		return vals
 	}
-	run := func(workers int, deltaDir string) (*LongitudinalResult, map[string]int64) {
+	run := func(workers int) map[string]int64 {
 		t.Helper()
 		reg := obs.NewRegistry()
 		cfg := longitudinalConfig(8, workers)
 		cfg.Metrics = reg
-		res, err := RunLongitudinalStudy(cfg, LongitudinalOptions{DeltaDir: deltaDir})
-		if err != nil {
+		if _, err := RunLongitudinalStudy(cfg, LongitudinalOptions{DeltaDir: t.TempDir()}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return res, counters(reg)
+		return counters(reg)
 	}
-	fastDir, slowDir := t.TempDir(), t.TempDir()
-	fast1, cFast1 := run(1, fastDir)
-	fast8, cFast8 := run(8, t.TempDir())
+	cFast1, cFast8 := run(1), run(8)
 	reg := obs.NewRegistry()
 	ocfg := longitudinalConfig(8, 1)
 	ocfg.Metrics = reg
-	slow1 := rebuildEveryEpoch(t, ocfg, slowDir)
+	rebuildEveryEpoch(t, ocfg, t.TempDir())
 	cSlow1 := counters(reg)
 
-	for i := range fast1.Epochs {
-		if !reflect.DeepEqual(fast1.Epochs[i], slow1.Epochs[i]) {
-			t.Errorf("epoch %d: incremental outcome differs from the from-scratch rebuild", i)
-		}
-		fastDelta, err := os.ReadFile(DeltaPath(fastDir, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		slowDelta, err := os.ReadFile(DeltaPath(slowDir, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(fastDelta, slowDelta) {
-			t.Errorf("epoch %d: incremental delta file differs from the from-scratch rebuild's", i)
-		}
-		if !reflect.DeepEqual(fast1.Epochs[i], fast8.Epochs[i]) {
-			t.Errorf("epoch %d: incremental outcome differs across worker counts", i)
-		}
-	}
 	if !reflect.DeepEqual(cFast1, cFast8) {
 		t.Errorf("render/advance counters are schedule-dependent:\nworkers=1: %v\nworkers=8: %v", cFast1, cFast8)
 	}
-	epochs := int64(len(fast1.Epochs))
+	epochs := int64(ocfg.Epochs)
 	if cFast1["study.universe.advanced"] != epochs-1 || cFast1["study.universe.advance_fallback"] != 0 {
 		t.Errorf("fast path advanced %d universes (fallback %d), want %d (0)",
 			cFast1["study.universe.advanced"], cFast1["study.universe.advance_fallback"], epochs-1)
@@ -397,44 +292,7 @@ func TestLongitudinalDefaultNeverFallsBack(t *testing.T) {
 // count, inside a later epoch — before a third launch finishes it. The
 // per-epoch checkpoint directories must compose across both kills.
 func TestStreamDoubleKill(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	cfg := longitudinalConfig(13, 2)
-	want, err := RunLongitudinalStudy(cfg, LongitudinalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	epoch0 := want.Epochs[0].Analysis.TotalCrawled
-	dir := t.TempDir()
-	run := func(workers, abortAfter int) (*LongitudinalResult, error) {
-		c := cfg
-		c.Workers = workers
-		return RunLongitudinalStudy(c, LongitudinalOptions{Run: RunOptions{
-			CheckpointDir: dir, CheckpointEvery: 17, AbortAfter: abortAfter,
-		}})
-	}
-	if _, err := run(2, epoch0/2); !errors.Is(err, ErrAborted) {
-		t.Fatalf("first kill: got %v, want ErrAborted", err)
-	}
-	// The relaunch replays epoch 0 from its checkpoints and folds the
-	// rest of it, so a budget of a full epoch lands inside epoch 1.
-	res, err := run(8, epoch0)
-	if !errors.Is(err, ErrAborted) {
-		t.Fatalf("second kill: got %v, want ErrAborted", err)
-	}
-	if len(res.Epochs) != 1 {
-		t.Fatalf("second kill kept %d completed epochs, want 1", len(res.Epochs))
-	}
-	got, err := run(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Epochs {
-		w, g := want.Epochs[i], got.Epochs[i]
-		w.Analysis, g.Analysis = stripCacheStats(w.Analysis), stripCacheStats(g.Analysis)
-		if !reflect.DeepEqual(w, g) {
-			t.Errorf("epoch %d differs after two kills", i)
-		}
-	}
+	checkEngineCases(t, draws(1, caseAxes{sources: []string{"live"}, epochs: [2]int{3, 3}, kills: [2]int{2, 2}, straddle: always}))
 }
 
 // TestLongitudinalSeriesAndRates sanity-checks the cross-epoch report
@@ -462,64 +320,19 @@ func TestLongitudinalSeriesAndRates(t *testing.T) {
 	}
 }
 
-// TestLongitudinalKillResumeMatrix is the epoch-invariance acceptance
-// matrix: for epochs {1, 2, 4}, two (seed, workers) rigs and a
-// randomized kill point, aborting a checkpointed longitudinal run and
-// re-launching it yields per-epoch Analyses identical to the
-// uninterrupted study's (minus the resumed epoch's cache traffic, which
-// a resumed run legitimately under-reports).
+// TestLongitudinalKillResumeMatrix: for 1, 2 and 4 epochs, a
+// checkpointed RunLongitudinalStudy killed at a drawn point and relaunched
+// yields the oracle's per-epoch outcomes (minus cache traffic, which a
+// resumed run legitimately under-reports) and leaves no epoch
+// checkpoints behind.
 func TestLongitudinalKillResumeMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kill/resume matrix is expensive; run without -short")
 	}
-	testutil.VerifyNoLeaks(t)
-	cut := simrand.New(0x10e6).Sub("kill")
+	var subtests []namedAxes
 	for _, epochs := range []int{1, 2, 4} {
-		for _, rig := range []struct {
-			seed    uint64
-			workers int
-		}{{3, 8}, {11, 1}} {
-			cfg := longitudinalConfig(rig.seed, rig.workers)
-			cfg.Epochs = epochs
-			cfg.ChurnFrac = 0.25
-			cfg.BlacklistLag = 1
-			want, err := RunLongitudinalStudy(cfg, LongitudinalOptions{})
-			if err != nil {
-				t.Fatalf("epochs=%d seed=%d: baseline: %v", epochs, rig.seed, err)
-			}
-			total := 0
-			for _, e := range want.Epochs {
-				total += e.Analysis.TotalCrawled
-			}
-
-			ckpt := t.TempDir()
-			kill := 1 + cut.Intn(total-1)
-			_, err = RunLongitudinalStudy(cfg, LongitudinalOptions{Run: RunOptions{
-				CheckpointDir: ckpt, CheckpointEvery: 100, AbortAfter: kill,
-			}})
-			if !errors.Is(err, ErrAborted) {
-				t.Fatalf("epochs=%d seed=%d kill=%d: got %v, want ErrAborted", epochs, rig.seed, kill, err)
-			}
-			got, err := RunLongitudinalStudy(cfg, LongitudinalOptions{Run: RunOptions{
-				CheckpointDir: ckpt, CheckpointEvery: 100,
-			}})
-			if err != nil {
-				t.Fatalf("epochs=%d seed=%d kill=%d: resumed run: %v", epochs, rig.seed, kill, err)
-			}
-			if len(got.Epochs) != len(want.Epochs) {
-				t.Fatalf("resumed run spans %d epochs, want %d", len(got.Epochs), len(want.Epochs))
-			}
-			if left, _ := filepath.Glob(filepath.Join(ckpt, "epoch*")); len(left) != 0 {
-				t.Errorf("epochs=%d seed=%d: epoch checkpoints left behind: %v", epochs, rig.seed, left)
-			}
-			for i := range want.Epochs {
-				w, g := want.Epochs[i], got.Epochs[i]
-				w.Analysis, g.Analysis = stripCacheStats(w.Analysis), stripCacheStats(g.Analysis)
-				if !reflect.DeepEqual(w, g) {
-					t.Errorf("epochs=%d seed=%d workers=%d kill=%d: epoch %d differs after kill/resume",
-						epochs, rig.seed, rig.workers, kill, i)
-				}
-			}
-		}
+		subtests = append(subtests, namedAxes{fmt.Sprintf("epochs=%d", epochs),
+			caseAxes{sources: []string{"live"}, epochs: [2]int{epochs, epochs}, kills: [2]int{1, 1}}})
 	}
+	checkEngineCases(t, subtests)
 }

@@ -9,65 +9,12 @@ import (
 	"repro/internal/testutil"
 )
 
-// referenceAnalysis runs the strictly sequential, cache-free
-// configuration — one worker, every record through the full detector
-// stack — that the cached engine must reproduce byte-for-byte.
-func referenceAnalysis(st *Study) *Analysis {
-	ref := &Analyzer{
-		Classifier:   st.Analyzer.Classifier,
-		Detector:     st.Detector,
-		Workers:      1,
-		DisableCache: true,
-	}
-	return ref.Analyze(st.Crawls)
-}
-
-// TestAnalyzeParallelDeterminism locks in the engine's core guarantee:
-// for any worker count and either cache setting, Analyze produces an
-// Analysis deeply equal to the sequential cache-free reference —
-// identical series, counters and aggregates — across multiple seeds.
-// With the cache off every shard re-fetches URL-only scans through the
-// shared shortener ledgers, so this is the check on that path.
+// TestAnalyzeParallelDeterminism: Analyze over recorded crawls at any
+// worker count reproduces the oracle's Analysis; with the cache off,
+// where every shard re-fetches URL-only scans through the shared
+// shortener ledgers, it reports no cache traffic and matches otherwise.
 func TestAnalyzeParallelDeterminism(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	seeds := []uint64{3, 11, 29}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		cfg := DefaultStudyConfig()
-		cfg.Seed = seed
-		cfg.Scale = 900
-		cfg.DriveShortenerTraffic = false
-		st, err := runStudy(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := referenceAnalysis(st)
-
-		for _, workers := range []int{1, 2, 8} {
-			for _, disableCache := range []bool{true, false} {
-				an := &Analyzer{
-					Classifier:   st.Analyzer.Classifier,
-					Detector:     st.Detector,
-					Workers:      workers,
-					DisableCache: disableCache,
-				}
-				got := an.Analyze(st.Crawls)
-				// CacheStats legitimately differs between cache settings;
-				// everything else must match the sequential reference.
-				gotStats := got.CacheStats
-				got.CacheStats = want.CacheStats
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed=%d workers=%d cache=%v: analysis diverged from sequential reference",
-						seed, workers, !disableCache)
-				}
-				if !disableCache && (gotStats.Hits == 0 || gotStats.Misses == 0) {
-					t.Fatalf("seed=%d workers=%d: cache saw no traffic (%+v)", seed, workers, gotStats)
-				}
-			}
-		}
-	}
+	checkEngineCases(t, draws(4, caseAxes{sources: []string{"recorded"}, cacheOff: maybe}))
 }
 
 // TestCacheStatsDeterministic asserts the single-flight accounting is
